@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "core/matcher.h"
-#include "core/warm_match.h"
 #include "graph/dependency_graph.h"
 #include "graph/streaming_graph.h"
 #include "log/event_log.h"
@@ -127,10 +126,11 @@ ConfigReport RunConfig(const std::string& name, const PairOptions& popts,
   DependencyGraph graph2 = DependencyGraph::Build(pair.log2, gopts);
 
   WarmSeed seed;
-  WarmMatchStats stats;
-  Result<MatchResult> cold_start =
-      MatchWithGraphsWarm(mopts, stream_log, pair.log2, stream_graph.graph(),
-                          graph2, nullptr, false, &seed, &stats);
+  PipelineInputs chain;  // each run seeds the next
+  chain.seed = &seed;
+  chain.next_seed = &seed;
+  Result<MatchResult> cold_start = MatchGraphs(
+      mopts, stream_log, pair.log2, stream_graph.graph(), graph2, chain);
   Check(cold_start.ok(), name + ": initial cold match failed");
   if (!cold_start.ok()) return report;
 
@@ -160,9 +160,9 @@ ConfigReport RunConfig(const std::string& name, const PairOptions& popts,
       const AppendDelta delta = stream_log.AppendTraces(batch);
       (void)stream_graph.ApplyAppend(delta.first_new_trace);
       WarmMatchStats warm_stats;
-      Result<MatchResult> warm = MatchWithGraphsWarm(
-          mopts, stream_log, pair.log2, stream_graph.graph(), graph2, &seed,
-          false, &seed, &warm_stats);
+      chain.stats = &warm_stats;
+      Result<MatchResult> warm = MatchGraphs(
+          mopts, stream_log, pair.log2, stream_graph.graph(), graph2, chain);
       rung.warm_millis = warm_timer.ElapsedMillis();
       Check(warm.ok(), name + ": warm match failed");
       if (!warm.ok()) return report;
@@ -173,9 +173,10 @@ ConfigReport RunConfig(const std::string& name, const PairOptions& popts,
       Timer cold_timer;
       DependencyGraph rebuilt = DependencyGraph::Build(stream_log, gopts);
       WarmMatchStats cold_stats;
-      Result<MatchResult> cold =
-          MatchWithGraphsWarm(mopts, stream_log, pair.log2, rebuilt, graph2,
-                              nullptr, false, nullptr, &cold_stats);
+      PipelineInputs cold_inputs;
+      cold_inputs.stats = &cold_stats;
+      Result<MatchResult> cold = MatchGraphs(mopts, stream_log, pair.log2,
+                                             rebuilt, graph2, cold_inputs);
       rung.cold_millis = cold_timer.ElapsedMillis();
       Check(cold.ok(), name + ": cold match failed");
       if (!cold.ok()) return report;
@@ -226,9 +227,14 @@ ConfigReport RunConfig(const std::string& name, const PairOptions& popts,
     resume_opts.ems.run_to_horizon = false;
     WarmSeed next;
     WarmMatchStats resume_stats;
-    Result<MatchResult> resumed = MatchWithGraphsWarm(
-        resume_opts, stream_log, pair.log2, stream_graph.graph(), graph2,
-        &*decoded, /*assume_unchanged=*/true, &next, &resume_stats);
+    PipelineInputs resume;
+    resume.seed = &*decoded;
+    resume.assume_unchanged = true;
+    resume.next_seed = &next;
+    resume.stats = &resume_stats;
+    Result<MatchResult> resumed =
+        MatchGraphs(resume_opts, stream_log, pair.log2, stream_graph.graph(),
+                    graph2, resume);
     Check(resumed.ok(), name + ": resume match failed");
     if (resumed.ok()) {
       Check(resume_stats.iterations == 1,

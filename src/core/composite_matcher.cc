@@ -310,7 +310,7 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
         });
   };
 
-  auto make_controls = [&](Direction dir, const SimilarityMatrix* fwd_final,
+  auto make_controls = [&](const SimilarityMatrix* fwd_final,
                            const std::vector<bool>* frz,
                            const SimilarityMatrix* vals) {
     RunControls controls;
@@ -323,10 +323,12 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
       controls.frozen_values = vals;
     }
     if (use_bd) {
-      controls.should_abort = [&objective_bound, dir, fwd_final,
+      controls.should_abort = [&objective_bound, fwd_final,
                                incumbent_average](
-                                  int k, const SimilarityMatrix& cur) {
-        return objective_bound(dir, k, cur, fwd_final) < incumbent_average;
+                                  Direction d, int k,
+                                  const SimilarityMatrix& cur,
+                                  const SimilarityMatrix*) {
+        return objective_bound(d, k, cur, fwd_final) < incumbent_average;
       };
     }
     controls.aborted = &aborted;
@@ -334,8 +336,8 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
   };
 
   RunControls fwd_controls = make_controls(
-      Direction::kForward, /*fwd_final=*/nullptr,
-      use_uc ? &frozen_fwd : nullptr, use_uc ? &frozen_fwd_vals : nullptr);
+      /*fwd_final=*/nullptr, use_uc ? &frozen_fwd : nullptr,
+      use_uc ? &frozen_fwd_vals : nullptr);
   state.forward = sim.ComputeControlled(Direction::kForward, fwd_controls);
   stats->AddEmsRun(sim.stats());
   if (aborted) {
@@ -344,8 +346,8 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
   }
 
   RunControls bwd_controls = make_controls(
-      Direction::kBackward, /*fwd_final=*/&state.forward,
-      use_uc ? &frozen_bwd : nullptr, use_uc ? &frozen_bwd_vals : nullptr);
+      /*fwd_final=*/&state.forward, use_uc ? &frozen_bwd : nullptr,
+      use_uc ? &frozen_bwd_vals : nullptr);
   state.backward = sim.ComputeControlled(Direction::kBackward, bwd_controls);
   stats->AddEmsRun(sim.stats());
   if (aborted) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -526,7 +527,8 @@ exec::ThreadPool* EmsSimilarity::IteratePool(int threads) {
 SimilarityMatrix EmsSimilarity::RunDirection(Direction direction,
                                              int max_iterations,
                                              int* iterations_done,
-                                             const RunControls* controls) {
+                                             const RunControls* controls,
+                                             const SimilarityMatrix* forward) {
   ScopedSpan span(options_.obs, direction == Direction::kForward
                                     ? "ems_forward"
                                     : "ems_backward");
@@ -657,7 +659,7 @@ SimilarityMatrix EmsSimilarity::RunDirection(Direction direction,
       delta->active = true;
     }
     if (controls != nullptr && controls->should_abort &&
-        controls->should_abort(n, prev)) {
+        controls->should_abort(direction, n, prev, forward)) {
       if (controls->aborted != nullptr) *controls->aborted = true;
       break;
     }
@@ -667,10 +669,14 @@ SimilarityMatrix EmsSimilarity::RunDirection(Direction direction,
   return prev;
 }
 
-void EmsSimilarity::FlushStatsToObs() const {
+void EmsSimilarity::FlushStatsToObs(const RunControls* controls) const {
   ObsContext* obs = options_.obs;
   if (obs == nullptr) return;
   ObsIncrement(obs, "ems.runs");
+  if (controls != nullptr && controls->aborted != nullptr &&
+      *controls->aborted) {
+    ObsIncrement(obs, "ems.aborted_runs");
+  }
   ObsIncrement(obs, "ems.iterations",
                static_cast<uint64_t>(stats_.iterations));
   ObsIncrement(obs, "ems.formula_evaluations", stats_.formula_evaluations);
@@ -692,49 +698,44 @@ SimilarityMatrix EmsSimilarity::ComputeControlled(Direction direction,
   SimilarityMatrix result =
       RunDirection(direction, options_.max_iterations, &iters, &controls);
   stats_.iterations = iters;
-  if (controls.aborted != nullptr && *controls.aborted) {
-    ObsIncrement(options_.obs, "ems.aborted_runs");
-  }
-  FlushStatsToObs();
+  FlushStatsToObs(&controls);
   return result;
 }
 
-SimilarityMatrix EmsSimilarity::Compute() {
+SimilarityMatrix EmsSimilarity::Compute(const RunControls* controls) {
+  EMS_DCHECK(controls == nullptr || (controls->frozen_rows == nullptr &&
+                                     controls->frozen_cols == nullptr));
   ScopedSpan span(options_.obs, "ems_fixpoint");
   stats_ = EmsStats{};
-  captured_forward_.reset();
-  captured_backward_.reset();
-  if (options_.direction != Direction::kBoth) {
-    int iters = 0;
-    SimilarityMatrix result =
-        RunDirection(options_.direction, options_.max_iterations, &iters);
-    stats_.iterations = iters;
-    if (options_.capture_direction_matrices) {
-      (options_.direction == Direction::kForward ? captured_forward_
-                                                 : captured_backward_) =
-          result;
-    }
-    FlushStatsToObs();
-    return result;
-  }
+  forward_ = SimilarityMatrix();
+  backward_ = SimilarityMatrix();
+  const auto aborted = [controls] {
+    return controls != nullptr && controls->aborted != nullptr &&
+           *controls->aborted;
+  };
+  const bool both = options_.direction == Direction::kBoth;
   int fwd_iters = 0;
   int bwd_iters = 0;
-  SimilarityMatrix forward =
-      RunDirection(Direction::kForward, options_.max_iterations, &fwd_iters);
-  SimilarityMatrix backward =
-      RunDirection(Direction::kBackward, options_.max_iterations, &bwd_iters);
-  stats_.iterations = std::max(fwd_iters, bwd_iters);
-  if (options_.capture_direction_matrices) {
-    captured_forward_ = forward;
-    captured_backward_ = backward;
+  SimilarityMatrix first =
+      RunDirection(both ? Direction::kForward : options_.direction,
+                   options_.max_iterations, &fwd_iters, controls);
+  if (!both || aborted()) {
+    stats_.iterations = fwd_iters;
+    FlushStatsToObs(controls);
+    return first;
   }
-  FlushStatsToObs();
+  SimilarityMatrix backward = RunDirection(
+      Direction::kBackward, options_.max_iterations, &bwd_iters, controls,
+      &first);
+  stats_.iterations = std::max(fwd_iters, bwd_iters);
+  FlushStatsToObs(controls);
+  if (aborted()) return backward;
   // Aggregate the two directions by average (Section 3.6): an
   // element-wise pass over the flat buffers, partitioned across the pool
   // when one is configured. Cells are independent, so the parallel pass
   // is bit-identical to the serial one.
   SimilarityMatrix combined(g1_.NumNodes(), g2_.NumNodes(), 0.0);
-  const double* f = forward.data().data();
+  const double* f = first.data().data();
   const double* b = backward.data().data();
   double* out = combined.mutable_data();
   const size_t cells = g1_.NumNodes() * g2_.NumNodes();
@@ -751,7 +752,15 @@ SimilarityMatrix EmsSimilarity::Compute() {
                               }
                             });
   }
+  forward_ = std::move(first);
+  backward_ = std::move(backward);
   return combined;
+}
+
+void EmsSimilarity::TakeDirectionMatrices(SimilarityMatrix* forward,
+                                          SimilarityMatrix* backward) {
+  *forward = std::exchange(forward_, SimilarityMatrix());
+  *backward = std::exchange(backward_, SimilarityMatrix());
 }
 
 SimilarityMatrix EmsSimilarity::ComputePartial(Direction direction,

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/similarity_matrix.h"
@@ -116,12 +115,6 @@ struct EmsOptions {
   /// acyclic instances. Costs nothing on cold runs (the epsilon stop
   /// rarely fires before the horizon).
   bool run_to_horizon = false;
-
-  /// Keep a copy of each direction's converged matrix (retrievable via
-  /// captured_forward()/captured_backward() after Compute) — the raw
-  /// material of the next warm-start seed. Off by default: it doubles
-  /// the matrix footprint of a kBoth run.
-  bool capture_direction_matrices = false;
 };
 
 /// Warm-start seed for EmsSimilarity: per-direction starting matrices
@@ -190,8 +183,10 @@ struct EmsStats {
   }
 };
 
-/// Hooks that let callers steer one directional run; used by the
-/// composite matcher's pruning strategies (Sections 4.2 and 4.3).
+/// Hooks that let callers steer a run: the composite matcher's pruning
+/// strategies (Sections 4.2 and 4.3) on its single-direction
+/// ComputeControlled runs, and the corpus top-k scheduler's mid-run
+/// abort on a standard Compute.
 struct RunControls {
   /// Rows of graph 1 whose similarities are already known to be final
   /// (Proposition 4, pruning "Uc"). Frozen rows are initialized from
@@ -208,10 +203,15 @@ struct RunControls {
 
   const SimilarityMatrix* frozen_values = nullptr;
 
-  /// Called after each iteration with (iteration k, current matrix);
-  /// returning true aborts the run (pruning "Bd": the caller has
-  /// concluded from an upper bound that this candidate cannot win).
-  std::function<bool(int, const SimilarityMatrix&)> should_abort;
+  /// Called after each iteration with the running direction, the
+  /// iteration k and the current matrix; `forward` is the finished
+  /// forward matrix during the backward phase of a kBoth Compute, null
+  /// otherwise. Returning true aborts the run (pruning "Bd": the caller
+  /// has concluded from an upper bound that this candidate cannot win).
+  std::function<bool(Direction direction, int k,
+                     const SimilarityMatrix& current,
+                     const SimilarityMatrix* forward)>
+      should_abort;
 
   /// Set to true when should_abort fired.
   bool* aborted = nullptr;
@@ -233,7 +233,11 @@ class EmsSimilarity {
 
   /// Runs the iteration to convergence and returns the final combined
   /// similarity matrix (average of forward and backward for kBoth).
-  SimilarityMatrix Compute();
+  /// `controls` may carry an abort hook (frozen rows are for
+  /// ComputeControlled); a hook that never fires leaves the result and
+  /// the stats bit-identical. After an abort the returned matrix is the
+  /// aborted direction's partial one.
+  SimilarityMatrix Compute(const RunControls* controls = nullptr);
 
   /// Runs `iterations` exact iterations of a single direction and returns
   /// the intermediate matrix S^n — the building block for estimation
@@ -248,15 +252,12 @@ class EmsSimilarity {
   /// Counters of the last Compute/ComputePartial call.
   const EmsStats& stats() const { return stats_; }
 
-  /// Per-direction converged matrices of the last Compute call; null
-  /// unless options.capture_direction_matrices was set (and, for a
-  /// single-direction run, for the direction that ran).
-  const SimilarityMatrix* captured_forward() const {
-    return captured_forward_ ? &*captured_forward_ : nullptr;
-  }
-  const SimilarityMatrix* captured_backward() const {
-    return captured_backward_ ? &*captured_backward_ : nullptr;
-  }
+  /// Moves out the two direction matrices the last completed kBoth
+  /// Compute averaged — the raw material of a warm-start seed. Compute
+  /// keeps them instead of freeing them; both are empty after a
+  /// single-direction or aborted run, or a second take.
+  void TakeDirectionMatrices(SimilarityMatrix* forward,
+                             SimilarityMatrix* backward);
 
   /// The per-pair convergence horizon h = min(l(v1), l(v2)) for the given
   /// direction (kInfiniteDistance when a cycle prevents early
@@ -298,13 +299,16 @@ class EmsSimilarity {
                  NodeId v2, bool transposed) const;
 
   SimilarityMatrix InitialMatrix() const;
+  // `forward` is handed to the abort hook (the finished forward matrix of
+  // a kBoth run's backward phase).
   SimilarityMatrix RunDirection(Direction direction, int max_iterations,
                                 int* iterations_done,
-                                const RunControls* controls = nullptr);
+                                const RunControls* controls = nullptr,
+                                const SimilarityMatrix* forward = nullptr);
 
   // Mirrors the accumulated stats_ into the obs counters (no-op when
-  // options_.obs is null).
-  void FlushStatsToObs() const;
+  // options_.obs is null), counting an abort when `controls` fired.
+  void FlushStatsToObs(const RunControls* controls = nullptr) const;
 
   double LabelAt(NodeId v1, NodeId v2) const;
 
@@ -321,8 +325,8 @@ class EmsSimilarity {
   std::vector<double> label_flat_;
   bool has_labels_ = false;
   EmsStats stats_;
-  std::optional<SimilarityMatrix> captured_forward_;
-  std::optional<SimilarityMatrix> captured_backward_;
+  SimilarityMatrix forward_;   // see TakeDirectionMatrices
+  SimilarityMatrix backward_;
   std::unique_ptr<exec::ThreadPool> owned_pool_;
   std::unique_ptr<DirectionTables> forward_tables_;
   std::unique_ptr<DirectionTables> backward_tables_;

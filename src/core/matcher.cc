@@ -1,7 +1,10 @@
 #include "core/matcher.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
+#include "core/ems_similarity.h"
 #include "obs/context.h"
 
 namespace ems {
@@ -22,85 +25,10 @@ std::unique_ptr<LabelSimilarity> MakeLabelMeasure(LabelMeasure measure) {
   return std::make_unique<NoLabelSimilarity>();
 }
 
-void Matcher::ComputeSimilarity(const DependencyGraph& g1,
-                                const DependencyGraph& g2,
-                                const LabelSimilarity* measure,
-                                MatchResult* result) const {
-  ObsContext* obs = options_.obs.context;
-  std::vector<std::vector<double>> labels;
-  const std::vector<std::vector<double>>* labels_ptr = nullptr;
-  if (measure != nullptr && options_.label_measure != LabelMeasure::kNone) {
-    ScopedSpan span(obs, "label_similarity");
-    labels = LabelSimilarityMatrix(g1, g2, *measure, options_.ems.pool);
-    labels_ptr = &labels;
-  }
-  EmsOptions ems_opts = options_.ems;
-  ems_opts.obs = obs;
-  if (options_.engine == SimilarityEngine::kEstimated) {
-    EstimationOptions est;
-    est.exact_iterations = options_.estimation_iterations;
-    est.ems = ems_opts;
-    EstimatedEmsSimilarity sim(g1, g2, est, labels_ptr);
-    result->similarity = sim.Compute();
-    result->ems_stats = sim.stats();
-  } else {
-    EmsSimilarity sim(g1, g2, ems_opts, labels_ptr);
-    result->similarity = sim.Compute();
-    result->ems_stats = sim.stats();
-  }
-}
+namespace {
 
-Result<MatchResult> Matcher::Match(const EventLog& log1,
-                                   const EventLog& log2) const {
-  ObsContext* obs = options_.obs.context;
-  ScopedSpan root(obs, "match");
-  MatchResult result;
-  std::unique_ptr<LabelSimilarity> measure =
-      MakeLabelMeasure(options_.label_measure);
-
-  if (options_.match_composites) {
-    CompositeOptions comp = options_.composite;
-    comp.ems = options_.ems;
-    comp.graph.min_edge_frequency = options_.min_edge_frequency;
-    comp.use_estimation = options_.engine == SimilarityEngine::kEstimated;
-    comp.estimation_iterations = options_.estimation_iterations;
-    comp.obs = obs;
-    // --threads reaches the composite search too: the greedy step
-    // evaluates candidates on the same worker budget the EMS iteration
-    // would have used (candidate tasks force their inner EMS serial).
-    comp.num_threads = options_.ems.num_threads;
-    comp.pool = options_.ems.pool;
-    comp.prob = options_.prob;
-    CompositeMatcher matcher(log1, log2, comp,
-                             options_.label_measure == LabelMeasure::kNone
-                                 ? nullptr
-                                 : measure.get());
-    EMS_ASSIGN_OR_RETURN(CompositeMatchResult comp_result, matcher.Match());
-    result.similarity = std::move(comp_result.similarity);
-    result.graph1 = std::move(comp_result.graph1);
-    result.graph2 = std::move(comp_result.graph2);
-    result.composite_stats = comp_result.stats;
-  } else {
-    ScopedSpan graph_span(obs, "graph_build");
-    DependencyGraphOptions graph_opts;
-    graph_opts.min_edge_frequency = options_.min_edge_frequency;
-    result.graph1 = DependencyGraph::Build(log1, graph_opts);
-    result.graph2 = DependencyGraph::Build(log2, graph_opts);
-    graph_span.End();
-    ComputeSimilarity(result.graph1, result.graph2, measure.get(), &result);
-  }
-  if (obs != nullptr) {
-    ObsIncrement(obs, "graph.builds", 2);
-    ObsSetGauge(obs, "graph.nodes_left",
-                static_cast<double>(result.graph1.NumNodes()));
-    ObsSetGauge(obs, "graph.nodes_right",
-                static_cast<double>(result.graph2.NumNodes()));
-  }
-
-  SelectCorrespondences(options_, log1, log2, &result);
-  return result;
-}
-
+// Resolves `result->correspondences` from `result->similarity` over
+// `result->graph1/graph2`, with member names taken from the logs.
 void SelectCorrespondences(const MatchOptions& options, const EventLog& log1,
                            const EventLog& log2, MatchResult* result) {
   ObsContext* obs = options.obs.context;
@@ -160,6 +88,149 @@ void SelectCorrespondences(const MatchOptions& options, const EventLog& log1,
   }
   ObsIncrement(obs, "selection.matches",
                static_cast<uint64_t>(result->correspondences.size()));
+}
+
+}  // namespace
+
+Result<MatchResult> MatchGraphs(const MatchOptions& options,
+                                const EventLog& log1, const EventLog& log2,
+                                DependencyGraph g1, DependencyGraph g2,
+                                const PipelineInputs& inputs) {
+  if (options.match_composites) {
+    return Status::InvalidArgument(
+        "the pair pipeline requires match_composites == false");
+  }
+  const bool estimated = options.engine == SimilarityEngine::kEstimated;
+  if (estimated && (inputs.seed != nullptr || inputs.next_seed != nullptr ||
+                    inputs.controls != nullptr)) {
+    return Status::InvalidArgument(
+        "warm starts and run controls require the exact engine");
+  }
+  ObsContext* obs = options.obs.context;
+  MatchResult result;
+  result.graph1 = std::move(g1);
+  result.graph2 = std::move(g2);
+
+  std::vector<std::vector<double>> labels;
+  const std::vector<std::vector<double>>* labels_ptr = inputs.labels;
+  if (labels_ptr == nullptr && options.label_measure != LabelMeasure::kNone) {
+    ScopedSpan span(obs, "label_similarity");
+    labels = LabelSimilarityMatrix(result.graph1, result.graph2,
+                                   *MakeLabelMeasure(options.label_measure),
+                                   options.ems.pool);
+    labels_ptr = &labels;
+  }
+  EmsOptions ems_opts = options.ems;
+  ems_opts.obs = obs;
+  if (estimated) {
+    EstimationOptions est;
+    est.exact_iterations = options.estimation_iterations;
+    est.ems = ems_opts;
+    EstimatedEmsSimilarity sim(result.graph1, result.graph2, est, labels_ptr);
+    result.similarity = sim.Compute();
+    result.ems_stats = sim.stats();
+    SelectCorrespondences(options, log1, log2, &result);
+    return result;
+  }
+
+  const WarmSeed* seed = inputs.seed;
+  const bool warm = seed != nullptr && seed->valid;
+  const int cold_iterations = warm ? seed->cold_iterations : 0;
+  EmsSeed ems_seed;
+  std::vector<uint8_t> clean_rows, clean_cols;
+  if (warm) {
+    ems_seed.forward = &seed->forward;
+    ems_seed.backward = &seed->backward;
+    if (inputs.assume_unchanged) {
+      clean_rows.assign(result.graph1.NumNodes(), 0);
+      clean_cols.assign(result.graph2.NumNodes(), 0);
+      ems_seed.changed_rows = &clean_rows;
+      ems_seed.changed_cols = &clean_cols;
+    }
+    ems_opts.seed = &ems_seed;
+  }
+  {  // scoped: the kernel's tables are freed before selection runs
+    EmsSimilarity sim(result.graph1, result.graph2, ems_opts, labels_ptr);
+    result.similarity = sim.Compute(inputs.controls);
+    result.ems_stats = sim.stats();
+    const RunControls* controls = inputs.controls;
+    if (controls != nullptr && controls->aborted != nullptr &&
+        *controls->aborted) {
+      return result;
+    }
+    if (inputs.next_seed != nullptr) {
+      WarmSeed& next = *inputs.next_seed;
+      sim.TakeDirectionMatrices(&next.forward, &next.backward);
+      if (options.ems.direction == Direction::kForward) {
+        next.forward = result.similarity;
+      } else if (options.ems.direction == Direction::kBackward) {
+        next.backward = result.similarity;
+      }
+      // A warm chain keeps measuring against the cold run that started it.
+      next.cold_iterations =
+          warm ? cold_iterations : result.ems_stats.iterations;
+      next.valid = true;
+    }
+  }
+  if (inputs.stats != nullptr) {
+    const int iterations = result.ems_stats.iterations;
+    inputs.stats->iterations = iterations;
+    inputs.stats->warm = warm;
+    inputs.stats->iterations_saved =
+        warm ? std::max(0, cold_iterations - iterations) : 0;
+  }
+  SelectCorrespondences(options, log1, log2, &result);
+  return result;
+}
+
+Result<MatchResult> Matcher::Match(const EventLog& log1,
+                                   const EventLog& log2) const {
+  ObsContext* obs = options_.obs.context;
+  ScopedSpan root(obs, "match");
+  MatchResult result;
+  if (options_.match_composites) {
+    std::unique_ptr<LabelSimilarity> measure =
+        MakeLabelMeasure(options_.label_measure);
+    CompositeOptions comp = options_.composite;
+    comp.ems = options_.ems;
+    comp.graph.min_edge_frequency = options_.min_edge_frequency;
+    comp.use_estimation = options_.engine == SimilarityEngine::kEstimated;
+    comp.estimation_iterations = options_.estimation_iterations;
+    comp.obs = obs;
+    // --threads reaches the composite search too: the greedy step
+    // evaluates candidates on the same worker budget the EMS iteration
+    // would have used (candidate tasks force their inner EMS serial).
+    comp.num_threads = options_.ems.num_threads;
+    comp.pool = options_.ems.pool;
+    comp.prob = options_.prob;
+    CompositeMatcher matcher(log1, log2, comp,
+                             options_.label_measure == LabelMeasure::kNone
+                                 ? nullptr
+                                 : measure.get());
+    EMS_ASSIGN_OR_RETURN(CompositeMatchResult comp_result, matcher.Match());
+    result.similarity = std::move(comp_result.similarity);
+    result.graph1 = std::move(comp_result.graph1);
+    result.graph2 = std::move(comp_result.graph2);
+    result.composite_stats = comp_result.stats;
+    SelectCorrespondences(options_, log1, log2, &result);
+  } else {
+    ScopedSpan graph_span(obs, "graph_build");
+    DependencyGraphOptions graph_opts;
+    graph_opts.min_edge_frequency = options_.min_edge_frequency;
+    DependencyGraph g1 = DependencyGraph::Build(log1, graph_opts);
+    DependencyGraph g2 = DependencyGraph::Build(log2, graph_opts);
+    graph_span.End();
+    EMS_ASSIGN_OR_RETURN(result, MatchGraphs(options_, log1, log2,
+                                             std::move(g1), std::move(g2)));
+  }
+  if (obs != nullptr) {
+    ObsIncrement(obs, "graph.builds", 2);
+    ObsSetGauge(obs, "graph.nodes_left",
+                static_cast<double>(result.graph1.NumNodes()));
+    ObsSetGauge(obs, "graph.nodes_right",
+                static_cast<double>(result.graph2.NumNodes()));
+  }
+  return result;
 }
 
 }  // namespace ems

@@ -126,13 +126,73 @@ struct MatchResult {
 /// Creates a label-similarity measure instance.
 std::unique_ptr<LabelSimilarity> MakeLabelMeasure(LabelMeasure measure);
 
-/// Resolves `result->correspondences` from an already-computed
-/// `result->similarity` over `result->graph1/graph2`, with member names
-/// taken from the logs — the selection tail of Matcher::Match, exposed
-/// so the corpus top-k scheduler (src/index/) can finish candidates it
-/// ran EMS on itself.
-void SelectCorrespondences(const MatchOptions& options, const EventLog& log1,
-                           const EventLog& log2, MatchResult* result);
+/// State carried between warm re-matches of one log pair (streaming
+/// ingestion, docs/STREAMING.md): the converged per-direction EMS
+/// matrices plus the iteration count of the cold run that started the
+/// chain.
+struct WarmSeed {
+  SimilarityMatrix forward;
+  SimilarityMatrix backward;
+
+  /// Iterations of the chain's cold (unseeded) run — the baseline that
+  /// iterations_saved is measured against. Propagated, not recomputed,
+  /// across warm generations.
+  int cold_iterations = 0;
+
+  bool valid = false;
+};
+
+/// Iteration counters of one MatchGraphs run.
+struct WarmMatchStats {
+  /// Iterations of this run (max over directions).
+  int iterations = 0;
+
+  /// max(0, seed cold_iterations - iterations); 0 on cold runs.
+  int iterations_saved = 0;
+
+  /// True when a valid seed was applied.
+  bool warm = false;
+};
+
+/// Optional inputs of MatchGraphs; all borrowed, null = absent.
+struct PipelineInputs {
+  /// Prebuilt label matrix S^L (NumNodes(g1) x NumNodes(g2)); null
+  /// computes it from MatchOptions::label_measure.
+  const std::vector<std::vector<double>>* labels = nullptr;
+
+  /// Warm start from the previous fixpoint (ignored unless valid).
+  const WarmSeed* seed = nullptr;
+
+  /// Asserts the graphs are bit-identical to the ones the seed converged
+  /// on (restart resume, or an append that folded zero traces): the run
+  /// then passes all-clean change hints and returns the seed
+  /// byte-identically after one iteration. Leave it false after a real
+  /// append — the trace-count denominator moves every frequency, so
+  /// everything must be marked changed.
+  bool assume_unchanged = false;
+
+  /// Receives this run's per-direction fixpoints for the next warm
+  /// generation (may alias `seed`).
+  WarmSeed* next_seed = nullptr;
+
+  /// Receives the iteration counters.
+  WarmMatchStats* stats = nullptr;
+
+  /// Abort hook on the EMS run (EmsSimilarity::Compute). When it fires,
+  /// selection is skipped and the result carries no correspondences.
+  const RunControls* controls = nullptr;
+};
+
+/// The 1:1 pipeline of Section 2 over prebuilt dependency graphs: label
+/// similarity S^L, the formula-(1) fixpoint in both directions averaged
+/// per Section 3.6 (or the EMS+es estimation), then Section 6 selection
+/// with member names taken from the logs. The graphs move into the
+/// result. Rejects composite matching, and warm starts or run controls
+/// on the estimated engine.
+Result<MatchResult> MatchGraphs(const MatchOptions& options,
+                                const EventLog& log1, const EventLog& log2,
+                                DependencyGraph g1, DependencyGraph g2,
+                                const PipelineInputs& inputs = {});
 
 /// \brief End-to-end event matcher.
 class Matcher {
@@ -145,11 +205,6 @@ class Matcher {
   const MatchOptions& options() const { return options_; }
 
  private:
-  // 1:1 pipeline over prebuilt graphs; fills similarity + stats.
-  void ComputeSimilarity(const DependencyGraph& g1, const DependencyGraph& g2,
-                         const LabelSimilarity* measure,
-                         MatchResult* result) const;
-
   MatchOptions options_;
 };
 

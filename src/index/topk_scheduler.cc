@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "core/bounds.h"
-#include "core/ems_similarity.h"
 #include "exec/parallel.h"
 #include "obs/context.h"
 #include "text/label_similarity.h"
@@ -110,14 +109,13 @@ double MaxLabelValue(const std::vector<std::vector<double>>& labels) {
   return max_l;
 }
 
-// Runs the exact match of (query, entry) with the in-run abandonment
-// bound: after each EMS iteration, if every real pair's admissible final-
-// score component is strictly below the incumbent, the run aborts —
-// the candidate provably cannot reach the top k (docs/CORPUS.md).
-// Completed runs reproduce Matcher::Match's non-composite path
-// bit-identically (same graphs, same label matrix, same kernel and
-// direction aggregation, same selection tail).
-EvalOutcome EvaluateCandidate(
+// Runs the exact match of (query, entry) through the one pair pipeline
+// with the in-run abandonment bound: after each EMS iteration, if every
+// real pair's admissible final-score component is strictly below the
+// incumbent, the run aborts — the candidate provably cannot reach the
+// top k (docs/CORPUS.md). Completed runs are Matcher::Match's
+// non-composite path over the prebuilt graphs.
+Result<EvalOutcome> EvaluateCandidate(
     const EventLog& query, const DependencyGraph& query_graph,
     const CorpusEntry& entry, const LabelSimilarity* measure,
     const std::vector<std::vector<QGramProfile>>* query_profiles,
@@ -127,9 +125,8 @@ EvalOutcome EvaluateCandidate(
   const DependencyGraph& g2 = entry.graph;
 
   std::vector<std::vector<double>> labels;
-  const std::vector<std::vector<double>>* labels_ptr = nullptr;
   double label_max = 0.0;
-  if (measure != nullptr && match.label_measure != LabelMeasure::kNone) {
+  if (match.label_measure != LabelMeasure::kNone) {
     if (query_profiles != nullptr &&
         entry.label_profiles.size() == g2.NumNodes()) {
       labels = LabelMatrixFromProfiles(g1, g2, *query_profiles,
@@ -137,7 +134,6 @@ EvalOutcome EvaluateCandidate(
     } else {
       labels = LabelSimilarityMatrix(g1, g2, *measure, match.ems.pool);
     }
-    labels_ptr = &labels;
     label_max = MaxLabelValue(labels);
   }
 
@@ -150,15 +146,13 @@ EvalOutcome EvaluateCandidate(
   const size_t n2 = g2.NumNodes();
   const size_t cols = n2 - 1;
   const Direction direction = match.ems.direction;
-  const bool run_fwd = direction != Direction::kBackward;
-  const bool run_bwd = direction != Direction::kForward;
 
   std::vector<double> rh_f, rh_b, b0_b;
-  if (run_fwd) {
+  if (direction != Direction::kBackward) {
     rh_f = PairHorizonPowers(g1, g2, g1.LongestDistancesFromArtificial(),
                              g2.LongestDistancesFromArtificial(), r);
   }
-  if (run_bwd) {
+  if (direction != Direction::kForward) {
     rh_b = PairHorizonPowers(g1, g2, g1.LongestDistancesToArtificial(),
                              g2.LongestDistancesToArtificial(), r);
   }
@@ -177,107 +171,41 @@ EvalOutcome EvaluateCandidate(
     return std::min(1.0, s + coef * std::max(0.0, rn - rh));
   };
 
-  EmsOptions ems_opts = match.ems;
-  ems_opts.obs = match.obs.context;
-  EmsSimilarity sim(g1, g2, ems_opts, labels_ptr);
-
-  bool aborted = false;
-  SimilarityMatrix forward;
-  EmsStats stats_fwd;
-  if (run_fwd) {
-    RunControls rc;
-    rc.aborted = &aborted;
-    if (incumbent >= 0.0) {
-      rc.should_abort = [&](int n, const SimilarityMatrix& s) {
-        const double rn = std::pow(r, n);
-        for (size_t v1 = 1; v1 < n1; ++v1) {
-          for (size_t v2 = 1; v2 < n2; ++v2) {
-            const size_t p = (v1 - 1) * cols + (v2 - 1);
-            const double bf = pair_bound(
-                s.at(static_cast<NodeId>(v1), static_cast<NodeId>(v2)), rn,
-                rh_f[p]);
-            const double total =
-                direction == Direction::kBoth ? 0.5 * (bf + b0_b[p]) : bf;
-            if (total >= incumbent) return false;
+  RunControls rc;
+  rc.aborted = &out.aborted;
+  if (incumbent >= 0.0) {
+    // The other direction of a kBoth run enters through its k=0 bound
+    // while the forward run iterates, and through its finished matrix
+    // while the backward run does.
+    rc.should_abort = [&](Direction d, int n, const SimilarityMatrix& s,
+                          const SimilarityMatrix* forward) {
+      const double rn = std::pow(r, n);
+      const std::vector<double>& rh = d == Direction::kForward ? rh_f : rh_b;
+      for (size_t v1 = 1; v1 < n1; ++v1) {
+        for (size_t v2 = 1; v2 < n2; ++v2) {
+          const size_t p = (v1 - 1) * cols + (v2 - 1);
+          const NodeId a = static_cast<NodeId>(v1);
+          const NodeId b = static_cast<NodeId>(v2);
+          const double bound = pair_bound(s.at(a, b), rn, rh[p]);
+          double total = bound;
+          if (direction == Direction::kBoth) {
+            total = forward != nullptr ? 0.5 * (forward->at(a, b) + bound)
+                                       : 0.5 * (bound + b0_b[p]);
           }
-        }
-        return true;
-      };
-    }
-    forward = sim.ComputeControlled(Direction::kForward, rc);
-    stats_fwd = sim.stats();
-    if (aborted) {
-      out.aborted = true;
-      return out;
-    }
-    if (direction == Direction::kForward) {
-      out.match.similarity = std::move(forward);
-      out.match.ems_stats = stats_fwd;
-    }
-  }
-  if (run_bwd) {
-    RunControls rc;
-    rc.aborted = &aborted;
-    if (incumbent >= 0.0) {
-      rc.should_abort = [&](int n, const SimilarityMatrix& s) {
-        const double rn = std::pow(r, n);
-        for (size_t v1 = 1; v1 < n1; ++v1) {
-          for (size_t v2 = 1; v2 < n2; ++v2) {
-            const size_t p = (v1 - 1) * cols + (v2 - 1);
-            const double bb = pair_bound(
-                s.at(static_cast<NodeId>(v1), static_cast<NodeId>(v2)), rn,
-                rh_b[p]);
-            const double total =
-                direction == Direction::kBoth
-                    ? 0.5 * (forward.at(static_cast<NodeId>(v1),
-                                        static_cast<NodeId>(v2)) +
-                             bb)
-                    : bb;
-            if (total >= incumbent) return false;
-          }
-        }
-        return true;
-      };
-    }
-    SimilarityMatrix backward = sim.ComputeControlled(Direction::kBackward, rc);
-    EmsStats stats_bwd = sim.stats();
-    if (aborted) {
-      out.aborted = true;
-      return out;
-    }
-    if (direction == Direction::kBackward) {
-      out.match.similarity = std::move(backward);
-      out.match.ems_stats = stats_bwd;
-    } else {
-      // Combine exactly as EmsSimilarity::Compute does for kBoth:
-      // element-wise average, iteration count = max over directions,
-      // work counters summed.
-      for (size_t v1 = 0; v1 < n1; ++v1) {
-        for (size_t v2 = 0; v2 < n2; ++v2) {
-          forward.set(static_cast<NodeId>(v1), static_cast<NodeId>(v2),
-                      (forward.at(static_cast<NodeId>(v1),
-                                  static_cast<NodeId>(v2)) +
-                       backward.at(static_cast<NodeId>(v1),
-                                   static_cast<NodeId>(v2))) /
-                          2.0);
+          if (total >= incumbent) return false;
         }
       }
-      out.match.similarity = std::move(forward);
-      out.match.ems_stats = stats_fwd;
-      out.match.ems_stats.iterations =
-          std::max(stats_fwd.iterations, stats_bwd.iterations);
-      out.match.ems_stats.formula_evaluations +=
-          stats_bwd.formula_evaluations;
-      out.match.ems_stats.pairs_pruned_converged +=
-          stats_bwd.pairs_pruned_converged;
-      out.match.ems_stats.pairs_skipped_unchanged +=
-          stats_bwd.pairs_skipped_unchanged;
-    }
+      return true;
+    };
   }
-
-  out.match.graph1 = query_graph;
-  out.match.graph2 = entry.graph;
-  SelectCorrespondences(match, query, entry.log, &out.match);
+  PipelineInputs inputs;
+  inputs.labels = match.label_measure != LabelMeasure::kNone ? &labels
+                                                             : nullptr;
+  inputs.controls = &rc;
+  EMS_ASSIGN_OR_RETURN(out.match, MatchGraphs(match, query, entry.log,
+                                              query_graph, entry.graph,
+                                              inputs));
+  if (out.aborted) return out;
   double total = 0.0;
   for (const Correspondence& c : out.match.correspondences) {
     total += c.similarity;
@@ -418,9 +346,12 @@ Result<std::vector<TopKHit>> TopKScheduler::Query(const EventLog& query) {
     exec::TaskGroup group(options_.pool);
     for (size_t b = 0; b < batch.size(); ++b) {
       group.Run([&, b]() -> Status {
-        outcomes[b] = EvaluateCandidate(
-            query, query_graph, index_.entry(batch[b].idx), measure.get(),
-            qgram_labels ? &query_profiles : nullptr, match, inc);
+        EMS_ASSIGN_OR_RETURN(
+            outcomes[b],
+            EvaluateCandidate(query, query_graph, index_.entry(batch[b].idx),
+                              measure.get(),
+                              qgram_labels ? &query_profiles : nullptr, match,
+                              inc));
         return Status::OK();
       });
     }

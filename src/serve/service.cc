@@ -1,7 +1,10 @@
 #include "serve/service.h"
 
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <istream>
+#include <map>
 #include <mutex>
 #include <ostream>
 
@@ -97,21 +100,6 @@ void WriteNames(JsonWriter* w, const std::vector<std::string>& names) {
   w->BeginArray();
   for (const std::string& n : names) w->String(n);
   w->EndArray();
-}
-
-std::string RenderError(const std::string& id, const Status& status) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("error");
-  w.Key("code");
-  w.String(StatusCodeToString(status.code()));
-  w.Key("error");
-  w.String(status.message());
-  w.EndObject();
-  return w.str();
 }
 
 std::string RenderResult(const std::string& id, const MatchResult& result,
@@ -222,10 +210,10 @@ std::string RenderAppendResult(const std::string& id,
   return base + ",\"stream\":" + w.str() + "}";
 }
 
-// The exact IEEE-754 bits of a score, as a hex string. JSON numbers pass
-// through the parser as double, so a 64-bit integer would lose its low
-// bits on the way back in; a string round-trips exactly, which is what
-// lets the sharded router merge per-shard rankings losslessly.
+// The exact IEEE-754 bits of a score, as a hex string: "score" prints 12
+// significant digits, and JSON numbers parse back as double, so a 64-bit
+// integer would lose its low bits — a string lets clients compare
+// rankings exactly.
 std::string ScoreBitsHex(double score) {
   static_assert(sizeof(unsigned long long) == sizeof(double),
                 "bit-cast width");
@@ -236,93 +224,47 @@ std::string ScoreBitsHex(double score) {
   return buf;
 }
 
-std::string RenderTopKResult(const std::string& id, const TopKRequest& request,
-                             const std::vector<index::TopKHit>& hits,
-                             const index::TopKStats& stats, double millis) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("ok");
-  w.Key("millis");
-  w.Number(millis);
-  w.Key("k");
-  w.Int(static_cast<long long>(request.k));
-  w.Key("hits");
-  w.BeginArray();
-  for (size_t i = 0; i < hits.size(); ++i) {
-    const index::TopKHit& hit = hits[i];
-    w.BeginObject();
-    w.Key("member");
-    w.String(hit.name);
-    w.Key("rank");
-    w.Int(static_cast<long long>(i + 1));
-    w.Key("score");
-    w.Number(hit.score);
-    w.Key("score_bits");
-    w.String(ScoreBitsHex(hit.score));
-    w.Key("correspondences");
-    w.Int(static_cast<long long>(hit.match.correspondences.size()));
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("index");
-  w.BeginObject();
-  w.Key("candidates_retrieved");
-  w.Int(static_cast<long long>(stats.candidates_retrieved));
-  w.Key("pruned_by_bound");
-  w.Int(static_cast<long long>(stats.pruned_by_bound));
-  w.Key("exact_runs");
-  w.Int(static_cast<long long>(stats.exact_runs));
-  w.Key("aborted_runs");
-  w.Int(static_cast<long long>(stats.aborted_runs));
-  w.Key("brute_force");
-  w.Bool(stats.used_brute_force);
-  w.EndObject();
-  w.EndObject();
-  return w.str();
+// The one id rule: a string is used as sent, a number as its integer
+// text (fraction truncated), anything else — or no id — is empty.
+std::string IdOf(const JsonValue& doc) {
+  const JsonValue* id = doc.Find("id");
+  if (id == nullptr) return "";
+  if (id->is_string()) return id->string_value();
+  if (!id->is_number()) return "";
+  const double v = std::trunc(id->number_value());
+  if (std::fabs(v) < 9e18) return std::to_string(static_cast<long long>(v));
+  char buf[400];  // %.0f of the largest double: 309 digits
+  std::snprintf(buf, sizeof(buf), "%.0f", v);
+  return buf;
 }
 
-}  // namespace
+// The `cmd` of a parsed line, or empty when it has none.
+std::string AdminCommandOf(const JsonValue& doc) {
+  return doc.is_object() ? doc.GetString("cmd", "") : "";
+}
 
-Result<JobRequest> ParseJobRequest(const std::string& line) {
-  EMS_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
+Status ParseJob(const JsonValue& doc, JobRequest* request) {
   if (!doc.is_object()) {
     return Status::InvalidArgument("job request must be a JSON object");
   }
-  JobRequest request;
-  request.id = doc.GetString("id", "");
-  if (request.id.empty()) {
-    const JsonValue* id = doc.Find("id");
-    if (id != nullptr && id->is_number()) {
-      request.id = std::to_string(id->GetInt("", 0));
-    }
-  }
-  request.log1 = doc.GetString("log1", "");
-  request.log2 = doc.GetString("log2", "");
-  if (request.log1.empty() || request.log2.empty()) {
+  request->id = IdOf(doc);
+  request->log1 = doc.GetString("log1", "");
+  request->log2 = doc.GetString("log2", "");
+  if (request->log1.empty() || request->log2.empty()) {
     return Status::InvalidArgument("job needs 'log1' and 'log2' paths");
   }
-  request.format = doc.GetString("format", "auto");
-  EMS_RETURN_NOT_OK(ParseMatchOptions(doc, &request.options));
-  return request;
+  request->format = doc.GetString("format", "auto");
+  return ParseMatchOptions(doc, &request->options);
 }
 
-Result<AppendRequest> ParseAppendRequest(const std::string& line) {
-  EMS_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("append request must be a JSON object");
-  }
-  AppendRequest request;
-  request.id = doc.GetString("id", "");
-  request.log1 = doc.GetString("log1", "");
-  request.log2 = doc.GetString("log2", "");
-  if (request.log1.empty() || request.log2.empty()) {
+Status ParseAppend(const JsonValue& doc, AppendRequest* request) {
+  request->log1 = doc.GetString("log1", "");
+  request->log2 = doc.GetString("log2", "");
+  if (request->log1.empty() || request->log2.empty()) {
     return Status::InvalidArgument("append needs 'log1' and 'log2' paths");
   }
-  request.format = doc.GetString("format", "auto");
-  request.delta = doc.GetString("delta", "");
+  request->format = doc.GetString("format", "auto");
+  request->delta = doc.GetString("delta", "");
   const JsonValue* traces = doc.Find("traces");
   if (traces != nullptr) {
     if (!traces->is_array()) {
@@ -341,34 +283,23 @@ Result<AppendRequest> ParseAppendRequest(const std::string& line) {
         }
         names.push_back(event.string_value());
       }
-      request.traces.push_back(std::move(names));
+      request->traces.push_back(std::move(names));
     }
   }
-  EMS_RETURN_NOT_OK(ParseMatchOptions(doc, &request.options));
-  return request;
+  return ParseMatchOptions(doc, &request->options);
 }
 
-bool IsTopKRequest(const JsonValue& doc) {
-  return doc.is_object() && doc.Find("query") != nullptr;
-}
-
-Result<TopKRequest> ParseTopKRequest(const std::string& line) {
-  EMS_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("topk request must be a JSON object");
-  }
-  TopKRequest request;
-  request.id = doc.GetString("id", "");
-  request.query = doc.GetString("query", "");
-  if (request.query.empty()) {
+Status ParseTopK(const JsonValue& doc, TopKRequest* request) {
+  request->query = doc.GetString("query", "");
+  if (request->query.empty()) {
     return Status::InvalidArgument("topk request needs a 'query' log path");
   }
   const int k = doc.GetInt("topk", 5);
   if (k < 0) return Status::InvalidArgument("'topk' must be >= 0");
-  request.k = static_cast<size_t>(k);
+  request->k = static_cast<size_t>(k);
   const JsonValue* members = doc.Find("members");
-  request.corpus = doc.GetString("corpus", "");
-  if ((members != nullptr) == !request.corpus.empty()) {
+  request->corpus = doc.GetString("corpus", "");
+  if ((members != nullptr) == !request->corpus.empty()) {
     return Status::InvalidArgument(
         "topk request needs exactly one of 'members' or 'corpus'");
   }
@@ -381,13 +312,140 @@ Result<TopKRequest> ParseTopKRequest(const std::string& line) {
       if (!item.is_string() || item.string_value().empty()) {
         return Status::InvalidArgument("'members' entries must be paths");
       }
-      request.members.push_back(item.string_value());
+      request->members.push_back(item.string_value());
     }
   }
-  request.format = doc.GetString("format", "auto");
-  request.brute_force = doc.GetBool("brute_force", false);
-  EMS_RETURN_NOT_OK(ParseMatchOptions(doc, &request.options));
+  request->format = doc.GetString("format", "auto");
+  request->brute_force = doc.GetBool("brute_force", false);
+  return ParseMatchOptions(doc, &request->options);
+}
+
+}  // namespace
+
+Result<JobRequest> ParseJobRequest(const std::string& line) {
+  EMS_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
+  JobRequest request;
+  EMS_RETURN_NOT_OK(ParseJob(doc, &request));
   return request;
+}
+
+Request ParseRequest(const std::string& line) {
+  Request request;
+  Result<JsonValue> doc = ParseJson(line);
+  if (!doc.ok()) {
+    request.status = doc.status();
+    return request;
+  }
+  request.id = IdOf(*doc);
+  const std::string cmd = AdminCommandOf(*doc);
+  if (cmd == "append") {
+    request.kind = Request::Kind::kAppend;
+    request.status = ParseAppend(*doc, &request.append);
+  } else if (!cmd.empty()) {
+    request.kind = Request::Kind::kAdmin;
+    request.cmd = cmd;
+  } else if (doc->Find("query") != nullptr) {
+    request.kind = Request::Kind::kTopK;
+    request.status = ParseTopK(*doc, &request.topk);
+  } else {
+    request.status = ParseJob(*doc, &request.match);
+  }
+  return request;
+}
+
+std::string RenderError(const std::string& id, const Status& status) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("id");
+  w.String(id);
+  w.Key("status");
+  w.String("error");
+  w.Key("code");
+  w.String(StatusCodeToString(status.code()));
+  w.Key("error");
+  w.String(status.message());
+  w.EndObject();
+  return w.str();
+}
+
+std::string RenderTopKResult(const std::string& id, size_t k,
+                             const TopKAnswer& answer, double millis,
+                             int shards) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("id");
+  w.String(id);
+  w.Key("status");
+  w.String("ok");
+  w.Key("millis");
+  w.Number(millis);
+  w.Key("k");
+  w.Int(static_cast<long long>(k));
+  if (shards >= 0) {
+    w.Key("shards");
+    w.Int(shards);
+  }
+  w.Key("hits");
+  w.BeginArray();
+  for (size_t i = 0; i < answer.hits.size(); ++i) {
+    const index::TopKHit& hit = answer.hits[i];
+    w.BeginObject();
+    w.Key("member");
+    w.String(hit.name);
+    w.Key("rank");
+    w.Int(static_cast<long long>(i + 1));
+    w.Key("score");
+    w.Number(hit.score);
+    w.Key("score_bits");
+    w.String(ScoreBitsHex(hit.score));
+    w.Key("correspondences");
+    w.Int(static_cast<long long>(hit.match.correspondences.size()));
+    w.EndObject();
+  }
+  w.EndArray();
+  const index::TopKStats& stats = answer.stats;
+  w.Key("index");
+  w.BeginObject();
+  w.Key("candidates_retrieved");
+  w.Int(static_cast<long long>(stats.candidates_retrieved));
+  w.Key("pruned_by_bound");
+  w.Int(static_cast<long long>(stats.pruned_by_bound));
+  w.Key("exact_runs");
+  w.Int(static_cast<long long>(stats.exact_runs));
+  w.Key("aborted_runs");
+  w.Int(static_cast<long long>(stats.aborted_runs));
+  w.Key("brute_force");
+  w.Bool(stats.used_brute_force);
+  w.EndObject();
+  w.EndObject();
+  return w.str();
+}
+
+void StatsIntervals::WriteJson(const MetricsRegistry& metrics,
+                               JsonWriter* w) {
+  MetricsSnapshot snapshot = CaptureMetricsSnapshot(metrics);
+  std::map<std::string, double> rates;
+  double interval = 0.0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (has_last_) {
+      rates = DiffRates(last_, snapshot);
+      interval = snapshot.at_seconds - last_.at_seconds;
+    }
+    last_ = snapshot;
+    has_last_ = true;
+  }
+  w->Key("snapshot");
+  snapshot.WriteJson(w);
+  w->Key("interval_seconds");
+  w->Number(interval);
+  w->Key("rates");
+  w->BeginObject();
+  for (const auto& [name, rate] : rates) {
+    w->Key(name);
+    w->Number(rate);
+  }
+  w->EndObject();
 }
 
 namespace {
@@ -418,11 +476,6 @@ ServiceOptions WithEffectiveObs(const ServiceOptions& options,
   return effective;
 }
 
-// Admin command of a parsed line, or empty when it is a match job.
-std::string AdminCommandOf(const JsonValue& doc) {
-  return doc.is_object() ? doc.GetString("cmd", "") : "";
-}
-
 }  // namespace
 
 BatchMatchService::BatchMatchService(const ServiceOptions& options)
@@ -444,16 +497,19 @@ BatchMatchService::BatchMatchService(const ServiceOptions& options)
 BatchMatchService::~BatchMatchService() = default;
 
 std::string BatchMatchService::HandleJobLine(const std::string& line) {
-  Result<JsonValue> doc = ParseJson(line);
-  if (doc.ok()) {
-    const std::string cmd = AdminCommandOf(*doc);
-    if (cmd == "append") return HandleAppendJob(line);
-    if (!cmd.empty()) {
-      return HandleAdminCommand(cmd, doc->GetString("id", ""));
-    }
-    if (IsTopKRequest(*doc)) return HandleTopKJob(line);
+  return HandleRequest(ParseRequest(line));
+}
+
+std::string BatchMatchService::HandleRequest(Request request) {
+  if (request.kind == Request::Kind::kAdmin) {
+    return HandleAdminCommand(request.cmd, request.id);
   }
-  return HandleMatchJob(line);
+  return RunJob(std::move(request), nullptr);
+}
+
+std::string BatchMatchService::QueryTopKShard(Request request,
+                                              TopKAnswer* answer) {
+  return RunJob(std::move(request), answer);
 }
 
 Result<std::shared_ptr<const index::CorpusIndex>>
@@ -499,188 +555,57 @@ BatchMatchService::GetOrBuildCorpus(const std::vector<std::string>& members,
   return shared;
 }
 
-std::string BatchMatchService::HandleTopKJob(const std::string& line) {
+struct BatchMatchService::Job {
+  const std::string& id;  // what the response carries
+  ObsContext* obs;        // the per-job trace; null when telemetry is off
+  const Timer& timer;
+};
+
+std::string BatchMatchService::RunJob(Request request, TopKAnswer* answer) {
+  const Request::Kind kind = request.kind;
+  const bool topk = kind == Request::Kind::kTopK;
+  const bool append = kind == Request::Kind::kAppend;
   ObsIncrement(options_.obs, "serve.jobs_submitted");
-  ObsIncrement(options_.obs, "serve.topk_jobs");
-  jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  Timer timer;
-
-  Result<TopKRequest> request = ParseTopKRequest(line);
-  std::string request_id;
-  if (request.ok() && !request->id.empty()) {
-    request_id = request->id;
-  } else {
-    request_id =
-        "req-" +
-        std::to_string(next_request_seq_.fetch_add(1,
-                                                   std::memory_order_relaxed));
-  }
-
-  std::unique_ptr<ObsContext> job_obs;
-  if (flight_ != nullptr) job_obs = std::make_unique<ObsContext>();
-  ScopedSpan request_span(job_obs.get(), "topk:" + request_id);
-
-  Status failure = Status::OK();
-  std::string rendered;
-  if (!request.ok()) {
-    failure = request.status();
-  } else if (cancel_.cancelled()) {
-    failure = Status::Cancelled("service shutting down");
-  } else {
-    if (job_obs != nullptr) {
-      request->options.obs.context = job_obs.get();
-    }
-    std::vector<std::string> members = request->members;
-    if (!request->corpus.empty()) {
-      Result<std::vector<std::string>> listed =
-          index::ListCorpusFiles(request->corpus);
-      if (listed.ok()) {
-        members = *std::move(listed);
-      } else {
-        failure = listed.status();
-      }
-    }
-    if (failure.ok()) {
-      ScopedSpan build_span(job_obs.get(), "build_corpus");
-      Result<std::shared_ptr<const index::CorpusIndex>> corpus =
-          GetOrBuildCorpus(members, request->format, request->options);
-      build_span.End();
-      Result<std::shared_ptr<const EventLog>> query =
-          corpus.ok()
-              ? cache_.GetOrLoad(request->query, request->format)
-              : Result<std::shared_ptr<const EventLog>>(corpus.status());
-      if (!corpus.ok()) {
-        failure = corpus.status();
-      } else if (!query.ok()) {
-        failure = query.status();
-      } else {
-        index::TopKOptions opts;
-        opts.k = request->k;
-        opts.match = request->options;
-        // Candidate evaluations fan out on the service pool; when this
-        // job itself runs on a pool worker (RunStream, shard pools) the
-        // nested group degrades to serial inside the worker, which is
-        // exactly the per-job parallelism budget match jobs get.
-        opts.pool = &pool_;
-        opts.obs = options_.obs;  // index.* aggregates service-wide
-        opts.force_brute_force = request->brute_force;
-        index::TopKScheduler scheduler(**corpus, opts);
-        Result<std::vector<index::TopKHit>> hits = scheduler.Query(**query);
-        if (hits.ok()) {
-          rendered = RenderTopKResult(request_id, *request, *hits,
-                                      scheduler.stats(),
-                                      timer.ElapsedMillis());
-        } else {
-          failure = hits.status();
-        }
-      }
-    }
-  }
-  if (!failure.ok()) rendered = RenderError(request_id, failure);
-  request_span.End();
-
-  const double millis = timer.ElapsedMillis();
-  const bool ok = failure.ok();
-  ObsIncrement(options_.obs, ok ? "serve.jobs_ok" : "serve.jobs_failed");
-  ObsObserve(options_.obs, "serve.job_millis", millis);
-  ObsObserveQuantile(options_.obs,
-                     ok ? "serve.latency_ms.ok" : "serve.latency_ms.error",
-                     millis);
-  if (flight_ != nullptr) {
-    FlightRecord record;
-    record.request_id = request_id;
-    record.outcome = ok ? "ok" : "error";
-    record.error = failure.message();
-    record.millis = millis;
-    record.spans = job_obs->trace.Snapshot();
-    flight_->Record(std::move(record));
-  }
-  if (!ok && LogEnabled(LogLevel::kInfo)) {
-    LogInfo("topk " + request_id + " failed: " + failure.message());
-  }
-  jobs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  return rendered;
-}
-
-std::string BatchMatchService::HandleMatchJob(const std::string& line) {
-  ObsIncrement(options_.obs, "serve.jobs_submitted");
+  if (topk) ObsIncrement(options_.obs, "serve.topk_jobs");
+  if (append) ObsIncrement(options_.obs, "serve.append_jobs");
   jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
   Timer timer;
 
   // Every job gets a request id — the client's, or an assigned req-N —
   // propagated into the job's span tree and the flight recorder.
-  Result<JobRequest> request = ParseJobRequest(line);
-  std::string request_id;
-  if (request.ok() && !request->id.empty()) {
-    request_id = request->id;
-  } else {
-    request_id =
-        "req-" +
-        std::to_string(next_request_seq_.fetch_add(1,
-                                                   std::memory_order_relaxed));
-  }
+  const std::string request_id =
+      request.status.ok() && !request.id.empty()
+          ? request.id
+          : "req-" + std::to_string(next_request_seq_.fetch_add(
+                         1, std::memory_order_relaxed));
 
   // The per-job trace is private to the request (the shared registry
   // would interleave concurrent jobs); its span snapshot lands in the
   // flight recorder at completion.
   std::unique_ptr<ObsContext> job_obs;
   if (flight_ != nullptr) job_obs = std::make_unique<ObsContext>();
-  ScopedSpan request_span(job_obs.get(), "request:" + request_id);
+  ScopedSpan request_span(
+      job_obs.get(),
+      (topk ? "topk:" : append ? "append:" : "request:") + request_id);
 
-  Status failure = Status::OK();
-  std::string rendered;
-  if (!request.ok()) {
-    failure = request.status();
-    rendered = RenderError(request_id, failure);
-  } else if (cancel_.cancelled()) {
+  Status failure = request.status;
+  if (failure.ok() && cancel_.cancelled()) {
     failure = Status::Cancelled("service shutting down");
-    rendered = RenderError(request_id, failure);
-  } else {
-    if (job_obs != nullptr) {
-      request->options.obs.context = job_obs.get();
-    }
-    // A live streaming session covering this pair is authoritative: its
-    // in-memory log carries appended traces the on-disk file (and hence
-    // the parsed-log cache) never sees. Consulting it FIRST is what
-    // keeps an append-then-match sequence from serving a stale parse.
-    std::optional<Result<StreamMatchOutcome>> session_match =
-        stream_sessions_.TryMatch(*request, job_obs.get());
-    if (session_match.has_value()) {
-      if (session_match->ok()) {
-        rendered = RenderResult(request_id, (*session_match)->match,
-                                timer.ElapsedMillis());
-        RecordProbMetrics(options_.obs, (*session_match)->match);
-      } else {
-        failure = session_match->status();
-      }
-    } else {
-      ScopedSpan load_span(job_obs.get(), "load_logs");
-      Result<std::shared_ptr<const EventLog>> log1 =
-          cache_.GetOrLoad(request->log1, request->format);
-      Result<std::shared_ptr<const EventLog>> log2 =
-          log1.ok() ? cache_.GetOrLoad(request->log2, request->format)
-                    : Result<std::shared_ptr<const EventLog>>(log1.status());
-      load_span.End();
-      if (!log1.ok()) {
-        failure = log1.status();
-      } else if (!log2.ok()) {
-        failure = log2.status();
-      } else {
-        // Jobs parallelize across the pool, so each matching runs
-        // single-threaded inside its worker (nested ParallelFor on the
-        // same pool would degrade to inline execution anyway).
-        Matcher matcher(request->options);
-        Result<MatchResult> result = matcher.Match(**log1, **log2);
-        if (result.ok()) {
-          rendered = RenderResult(request_id, *result, timer.ElapsedMillis());
-          RecordProbMetrics(options_.obs, *result);
-        } else {
-          failure = result.status();
-        }
-      }
-    }
-    if (!failure.ok()) rendered = RenderError(request_id, failure);
   }
+  std::string response;
+  if (failure.ok()) {
+    const Job job{request_id, job_obs.get(), timer};
+    Result<std::string> rendered =
+        topk     ? RunTopK(request.topk, job, answer)
+        : append ? RunAppend(request.append, job)
+                 : RunMatch(request.match, job);
+    if (rendered.ok()) {
+      response = *std::move(rendered);
+    } else {
+      failure = rendered.status();
+    }
+  }
+  if (!failure.ok()) response = RenderError(request_id, failure);
   request_span.End();
 
   const double millis = timer.ElapsedMillis();
@@ -701,78 +626,87 @@ std::string BatchMatchService::HandleMatchJob(const std::string& line) {
     flight_->Record(std::move(record));
   }
   if (!ok && LogEnabled(LogLevel::kInfo)) {
-    LogInfo("job " + request_id + " failed: " + failure.message());
+    LogInfo(std::string(topk ? "topk " : append ? "append " : "job ") +
+            request_id + " failed: " + failure.message());
   }
   jobs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  return response;
+}
+
+Result<std::string> BatchMatchService::RunMatch(JobRequest& request,
+                                                const Job& job) {
+  request.options.obs.context = job.obs;
+  // A live streaming session covering this pair is authoritative: its
+  // in-memory log carries appended traces the on-disk file (and hence
+  // the parsed-log cache) never sees. Consulting it FIRST is what
+  // keeps an append-then-match sequence from serving a stale parse.
+  std::optional<Result<MatchResult>> session_match =
+      stream_sessions_.TryMatch(request, job.obs);
+  if (session_match.has_value()) {
+    if (!session_match->ok()) return session_match->status();
+    RecordProbMetrics(options_.obs, **session_match);
+    return RenderResult(job.id, **session_match, job.timer.ElapsedMillis());
+  }
+  ScopedSpan load_span(job.obs, "load_logs");
+  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> log1,
+                       cache_.GetOrLoad(request.log1, request.format));
+  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> log2,
+                       cache_.GetOrLoad(request.log2, request.format));
+  load_span.End();
+  // Jobs parallelize across the pool, so each matching runs
+  // single-threaded inside its worker (nested ParallelFor on the same
+  // pool would degrade to inline execution anyway).
+  EMS_ASSIGN_OR_RETURN(MatchResult result,
+                       Matcher(request.options).Match(*log1, *log2));
+  RecordProbMetrics(options_.obs, result);
+  return RenderResult(job.id, result, job.timer.ElapsedMillis());
+}
+
+Result<std::string> BatchMatchService::RunAppend(AppendRequest& request,
+                                                 const Job& job) {
+  EMS_ASSIGN_OR_RETURN(StreamAppendOutcome outcome,
+                       stream_sessions_.Append(request, job.obs));
+  std::string rendered =
+      RenderAppendResult(job.id, outcome, job.timer.ElapsedMillis());
+  RecordProbMetrics(options_.obs, outcome.match);
+  if (outcome.graph_stats.appended_traces > 0) {
+    RefreshCorpusMember(request.log1, outcome.log_snapshot, request.format);
+  }
   return rendered;
 }
 
-std::string BatchMatchService::HandleAppendJob(const std::string& line) {
-  ObsIncrement(options_.obs, "serve.jobs_submitted");
-  ObsIncrement(options_.obs, "serve.append_jobs");
-  jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  Timer timer;
-
-  Result<AppendRequest> request = ParseAppendRequest(line);
-  std::string request_id;
-  if (request.ok() && !request->id.empty()) {
-    request_id = request->id;
-  } else {
-    request_id =
-        "req-" +
-        std::to_string(next_request_seq_.fetch_add(1,
-                                                   std::memory_order_relaxed));
+Result<std::string> BatchMatchService::RunTopK(TopKRequest& request,
+                                               const Job& job,
+                                               TopKAnswer* answer) {
+  request.options.obs.context = job.obs;
+  std::vector<std::string> members = request.members;
+  if (!request.corpus.empty()) {
+    EMS_ASSIGN_OR_RETURN(members, index::ListCorpusFiles(request.corpus));
   }
-
-  std::unique_ptr<ObsContext> job_obs;
-  if (flight_ != nullptr) job_obs = std::make_unique<ObsContext>();
-  ScopedSpan request_span(job_obs.get(), "append:" + request_id);
-
-  Status failure = Status::OK();
-  std::string rendered;
-  if (!request.ok()) {
-    failure = request.status();
-  } else if (cancel_.cancelled()) {
-    failure = Status::Cancelled("service shutting down");
-  } else {
-    Result<StreamAppendOutcome> outcome =
-        stream_sessions_.Append(*request, job_obs.get());
-    if (outcome.ok()) {
-      rendered =
-          RenderAppendResult(request_id, *outcome, timer.ElapsedMillis());
-      RecordProbMetrics(options_.obs, outcome->match);
-      if (outcome->graph_stats.appended_traces > 0) {
-        RefreshCorpusMember(request->log1, outcome->log_snapshot,
-                            request->format);
-      }
-    } else {
-      failure = outcome.status();
-    }
-  }
-  if (!failure.ok()) rendered = RenderError(request_id, failure);
-  request_span.End();
-
-  const double millis = timer.ElapsedMillis();
-  const bool ok = failure.ok();
-  ObsIncrement(options_.obs, ok ? "serve.jobs_ok" : "serve.jobs_failed");
-  ObsObserve(options_.obs, "serve.job_millis", millis);
-  ObsObserveQuantile(options_.obs,
-                     ok ? "serve.latency_ms.ok" : "serve.latency_ms.error",
-                     millis);
-  if (flight_ != nullptr) {
-    FlightRecord record;
-    record.request_id = request_id;
-    record.outcome = ok ? "ok" : "error";
-    record.error = failure.message();
-    record.millis = millis;
-    record.spans = job_obs->trace.Snapshot();
-    flight_->Record(std::move(record));
-  }
-  if (!ok && LogEnabled(LogLevel::kInfo)) {
-    LogInfo("append " + request_id + " failed: " + failure.message());
-  }
-  jobs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  return rendered;
+  ScopedSpan build_span(job.obs, "build_corpus");
+  EMS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const index::CorpusIndex> corpus,
+      GetOrBuildCorpus(members, request.format, request.options));
+  build_span.End();
+  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> query,
+                       cache_.GetOrLoad(request.query, request.format));
+  index::TopKOptions opts;
+  opts.k = request.k;
+  opts.match = request.options;
+  // Candidate evaluations fan out on the service pool; when this job
+  // itself runs on a pool worker (RunStream, shard pools) the nested
+  // group degrades to serial inside the worker, which is exactly the
+  // per-job parallelism budget match jobs get.
+  opts.pool = &pool_;
+  opts.obs = options_.obs;  // index.* aggregates service-wide
+  opts.force_brute_force = request.brute_force;
+  index::TopKScheduler scheduler(*corpus, opts);
+  TopKAnswer local;
+  TopKAnswer& out = answer != nullptr ? *answer : local;
+  EMS_ASSIGN_OR_RETURN(out.hits, scheduler.Query(*query));
+  out.stats = scheduler.stats();
+  if (answer != nullptr) return std::string();  // the router renders
+  return RenderTopKResult(job.id, request.k, out, job.timer.ElapsedMillis());
 }
 
 void BatchMatchService::RefreshCorpusMember(const std::string& path,
@@ -832,29 +766,7 @@ std::string BatchMatchService::RenderStats(const std::string& id) {
   w.Key("uptime_seconds");
   w.Number(UptimeSeconds());
   if (options_.obs != nullptr) {
-    MetricsSnapshot snapshot = CaptureMetricsSnapshot(options_.obs->metrics);
-    std::map<std::string, double> rates;
-    double interval = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      if (has_last_stats_) {
-        rates = DiffRates(last_stats_, snapshot);
-        interval = snapshot.at_seconds - last_stats_.at_seconds;
-      }
-      last_stats_ = snapshot;
-      has_last_stats_ = true;
-    }
-    w.Key("snapshot");
-    snapshot.WriteJson(&w);
-    w.Key("interval_seconds");
-    w.Number(interval);
-    w.Key("rates");
-    w.BeginObject();
-    for (const auto& [name, rate] : rates) {
-      w.Key(name);
-      w.Number(rate);
-    }
-    w.EndObject();
+    stats_intervals_.WriteJson(options_.obs->metrics, &w);
   }
   w.Key("cache");
   w.BeginObject();
@@ -942,20 +854,17 @@ size_t BatchMatchService::RunStream(std::istream& in, std::ostream& out) {
     // jobs must never delay a stats/health scrape. Appends are real work
     // (parse, graph maintenance, a warm match) and schedule on the pool
     // like any job.
-    Result<JsonValue> doc = ParseJson(line);
-    if (doc.ok()) {
-      const std::string cmd = AdminCommandOf(*doc);
-      if (!cmd.empty() && cmd != "append") {
-        std::string result =
-            HandleAdminCommand(cmd, doc->GetString("id", ""));
-        std::lock_guard<std::mutex> lock(out_mu);
-        out << result << "\n";
-        out.flush();
-        continue;
-      }
+    Request request = ParseRequest(line);
+    if (request.kind == Request::Kind::kAdmin) {
+      std::string result = HandleAdminCommand(request.cmd, request.id);
+      std::lock_guard<std::mutex> lock(out_mu);
+      out << result << "\n";
+      out.flush();
+      continue;
     }
-    group.Run([this, &out, &out_mu, line]() -> Status {
-      std::string result = HandleJobLine(line);
+    group.Run([this, &out, &out_mu,
+               request = std::move(request)]() mutable -> Status {
+      std::string result = HandleRequest(std::move(request));
       std::lock_guard<std::mutex> lock(out_mu);
       out << result << "\n";
       out.flush();

@@ -26,8 +26,12 @@
 // "confidence" (its EM posterior mass) and the result a
 // "prob": {"iterations", "converged", "final_delta", "mean_entropy"}
 // object; non-prob responses are byte-identical to older builds. The
-// sharded router forwards job lines verbatim, so prob jobs work
-// unchanged under --shards/--tcp.
+// sharded router hands shards the request it parsed, so every option,
+// prob included, works unchanged under --shards/--tcp.
+//
+// Ids: a string "id" is echoed as sent and a number as its integer text
+// (7 -> "7"), on every request kind; jobs without one (or whose line
+// does not parse) get an assigned "req-N".
 //
 // Top-k corpus queries ride the same protocol, dispatched on the
 // `query` key (docs/CORPUS.md): rank the members of a corpus against
@@ -71,11 +75,13 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/matcher.h"
 #include "exec/cancellation.h"
 #include "exec/thread_pool.h"
 #include "index/corpus_index.h"
+#include "index/topk_scheduler.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_snapshot.h"
 #include "serve/log_cache.h"
@@ -86,7 +92,7 @@
 namespace ems {
 
 struct ObsContext;
-class JsonValue;
+class JsonWriter;
 
 namespace serve {
 
@@ -133,7 +139,7 @@ struct ServiceOptions {
   size_t flight_failed_capacity = 16;
 };
 
-/// A parsed job line.
+/// A parsed match job.
 struct JobRequest {
   std::string id;
   std::string log1;
@@ -142,22 +148,13 @@ struct JobRequest {
   MatchOptions options;
 };
 
-/// Parses one NDJSON job line into a request (ParseError/InvalidArgument
-/// on malformed input).
+/// Parses one NDJSON job line into a match job (ParseError/
+/// InvalidArgument on malformed input), whatever its kind.
 Result<JobRequest> ParseJobRequest(const std::string& line);
 
-/// Parses one {"cmd": "append"} streaming-ingestion line
-/// (docs/STREAMING.md): a match-job line plus either `traces` (array of
-/// arrays of event names appended to log1) or `delta` (a log file whose
-/// traces are appended), e.g.
-///   {"cmd": "append", "id": "a1", "log1": "live.xes", "log2": "ref.xes",
-///    "traces": [["receive", "check", "ship"]], ...match options}
-Result<AppendRequest> ParseAppendRequest(const std::string& line);
-
-/// A parsed top-k corpus query line. Exactly one of `members` / `corpus`
-/// is set.
+/// A parsed top-k corpus query. Exactly one of `members` / `corpus` is
+/// set.
 struct TopKRequest {
-  std::string id;
   std::string query;                 // the query log's path
   std::string format = "auto";
   size_t k = 5;
@@ -168,19 +165,72 @@ struct TopKRequest {
   MatchOptions options;
 };
 
-/// True when a parsed NDJSON line is a top-k query (has a `query` key);
-/// both services dispatch on this before the match-job path.
-bool IsTopKRequest(const JsonValue& doc);
+/// One request line, parsed once. The kind follows the dispatch rules
+/// both services share: `"cmd": "append"` is a streaming append job
+/// (docs/STREAMING.md: a match job plus either `traces`, an array of
+/// arrays of event names appended to log1, or `delta`, a log file whose
+/// traces are appended), any other `cmd` an admin command answered
+/// inline, a `query` key a top-k query, and anything else a match job.
+/// Only the payload of `kind` is filled.
+struct Request {
+  enum class Kind { kMatch, kTopK, kAppend, kAdmin };
+  Kind kind = Kind::kMatch;
 
-/// Parses one top-k query line.
-Result<TopKRequest> ParseTopKRequest(const std::string& line);
+  /// The client's id under the one id rule (see the header comment);
+  /// empty when absent.
+  std::string id;
+
+  /// Why the line is not a valid request of its kind; a line that is not
+  /// JSON at all is a match job failing with ParseError.
+  Status status;
+
+  std::string cmd;       // kAdmin: the command
+  JobRequest match;      // kMatch
+  TopKRequest topk;      // kTopK
+  AppendRequest append;  // kAppend
+};
+
+/// Parses one NDJSON line; never fails — problems land in
+/// Request::status.
+Request ParseRequest(const std::string& line);
+
+/// The typed outcome of a top-k query, before rendering.
+struct TopKAnswer {
+  std::vector<index::TopKHit> hits;
+  index::TopKStats stats;
+};
+
+/// The error response every service renders.
+std::string RenderError(const std::string& id, const Status& status);
+
+/// The ok response of a top-k query; `shards` >= 0 adds the number of
+/// shards a sharded router fanned the query out to.
+std::string RenderTopKResult(const std::string& id, size_t k,
+                             const TopKAnswer& answer, double millis,
+                             int shards = -1);
+
+/// The interval block of a stats response — "snapshot",
+/// "interval_seconds" and "rates" (counter deltas over the seconds since
+/// the previous call) — shared by both services' stats commands.
+class StatsIntervals {
+ public:
+  void WriteJson(const MetricsRegistry& metrics, JsonWriter* w);
+
+ private:
+  std::mutex mu_;
+  MetricsSnapshot last_;
+  bool has_last_ = false;
+};
 
 /// \brief The batch matching service.
 ///
 /// HandleJobLine is the pure per-job path (parse -> load via cache ->
 /// match -> render), safe to call from any thread; RunStream drives it
 /// concurrently from an NDJSON stream. Results are emitted in
-/// completion order — clients correlate by id.
+/// completion order — clients correlate by id. Every job kind runs
+/// through one wrapper that owns the request id, the per-job trace and
+/// root span, the timer, the outcome counters, the flight record and the
+/// in-flight count.
 class BatchMatchService {
  public:
   explicit BatchMatchService(const ServiceOptions& options);
@@ -190,6 +240,16 @@ class BatchMatchService {
   /// result line (without trailing newline). Never fails: malformed
   /// requests render as status:"error" results.
   std::string HandleJobLine(const std::string& line);
+
+  /// HandleJobLine for a line already parsed (the sharded router's typed
+  /// hand-off).
+  std::string HandleRequest(Request request);
+
+  /// A top-k query the sharded router parsed once, restricted to this
+  /// shard's members: runs through the job wrapper like HandleRequest
+  /// and fills `answer` instead of rendering. Returns the rendered error
+  /// response when the query failed, empty otherwise.
+  std::string QueryTopKShard(Request request, TopKAnswer* answer);
 
   /// Reads lines from `in` until EOF, schedules match jobs on the pool,
   /// and writes one result line per job to `out` as jobs complete.
@@ -224,7 +284,7 @@ class BatchMatchService {
   /// Seconds since the service was constructed.
   double UptimeSeconds() const { return uptime_.ElapsedSeconds(); }
 
-  /// Jobs currently inside HandleMatchJob (racy snapshot; the sharded
+  /// Jobs currently inside the job wrapper (racy snapshot; the sharded
   /// router reads this for per-shard health).
   int64_t jobs_in_flight() const {
     return jobs_in_flight_.load(std::memory_order_relaxed);
@@ -243,9 +303,17 @@ class BatchMatchService {
   std::string RenderStats(const std::string& id);
   std::string RenderHealth(const std::string& id);
   std::string RenderSlow(const std::string& id);
-  std::string HandleMatchJob(const std::string& line);
-  std::string HandleTopKJob(const std::string& line);
-  std::string HandleAppendJob(const std::string& line);
+
+  struct Job;  // what a job body sees of the wrapper (.cc)
+
+  // The one job wrapper: bookkeeping around the body of `request`'s
+  // kind, each of which returns its rendered ok response. A top-k
+  // `answer` is filled instead of rendered when non-null.
+  std::string RunJob(Request request, TopKAnswer* answer);
+  Result<std::string> RunMatch(JobRequest& request, const Job& job);
+  Result<std::string> RunAppend(AppendRequest& request, const Job& job);
+  Result<std::string> RunTopK(TopKRequest& request, const Job& job,
+                              TopKAnswer* answer);
 
   /// Refreshes cached corpus indexes containing `path` after an append:
   /// the member is re-added from `log` (the session's appended state) so
@@ -274,11 +342,7 @@ class BatchMatchService {
   std::atomic<uint64_t> next_request_seq_{1};
   std::atomic<int64_t> jobs_in_flight_{0};
 
-  // Previous stats snapshot, so consecutive {"cmd":"stats"} calls report
-  // interval rates (counter deltas / elapsed seconds).
-  std::mutex stats_mu_;
-  MetricsSnapshot last_stats_;
-  bool has_last_stats_ = false;
+  StatsIntervals stats_intervals_;
 
   // Tiny MRU cache of built corpus indexes (shared so concurrent top-k
   // jobs read one immutable index). An index over a 1k-member corpus is

@@ -1,17 +1,13 @@
 #include "serve/sharded_service.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <future>
-#include <map>
 #include <unordered_map>
 #include <utility>
 
 #include "index/corpus_io.h"
 #include "obs/context.h"
 #include "serve/log_cache.h"
-#include "util/json_parser.h"
 #include "util/json_writer.h"
 #include "util/log.h"
 
@@ -20,75 +16,28 @@ namespace serve {
 
 namespace {
 
-// Admin command of a parsed line, or empty when it is a match job.
-std::string AdminCommandOf(const JsonValue& doc) {
-  return doc.is_object() ? doc.GetString("cmd", "") : "";
-}
-
-std::string RenderError(const std::string& id, const Status& status) {
+// An admission refusal: "overloaded" once a shard's inflight budget is
+// spent, "draining" after Drain(). `shard` < 0 leaves the shard out (a
+// draining top-k fan-out has none).
+std::string RenderRefusal(const std::string& id, bool overloaded, int shard,
+                          size_t max_inflight) {
   JsonWriter w;
   w.BeginObject();
   w.Key("id");
   w.String(id);
   w.Key("status");
-  w.String("error");
-  w.Key("code");
-  w.String(StatusCodeToString(status.code()));
-  w.Key("error");
-  w.String(status.message());
-  w.EndObject();
-  return w.str();
-}
-
-// The per-job option keys a topk sub-request must carry verbatim so
-// every shard parses the same MatchOptions the single service would.
-constexpr const char* kTopKOptionKeys[] = {
-    "labels",    "alpha",          "c",
-    "engine",    "iterations",     "composites",
-    "delta",     "selection",      "min_similarity",
-    "min_edge_frequency"};
-
-std::string SubRequestLine(const JsonValue& doc, const TopKRequest& request,
-                           const std::vector<std::string>& members) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(request.id);
-  w.Key("query");
-  w.String(request.query);
-  w.Key("topk");
-  w.Int(static_cast<long long>(request.k));
-  w.Key("format");
-  w.String(request.format);
-  w.Key("brute_force");
-  w.Bool(request.brute_force);
-  w.Key("members");
-  w.BeginArray();
-  for (const std::string& m : members) w.String(m);
-  w.EndArray();
-  for (const char* key : kTopKOptionKeys) {
-    const JsonValue* value = doc.Find(key);
-    if (value == nullptr) continue;
-    w.Key(key);
-    if (value->is_string()) {
-      w.String(value->string_value());
-    } else if (value->is_number()) {
-      w.Number(value->number_value());
-    } else if (value->is_bool()) {
-      w.Bool(value->bool_value());
-    } else {
-      w.Null();  // preserved for the shard's parser to reject uniformly
-    }
+  w.String(overloaded ? "overloaded" : "draining");
+  if (shard >= 0) {
+    w.Key("shard");
+    w.Int(shard);
   }
+  w.Key("error");
+  w.String(overloaded ? "shard " + std::to_string(shard) +
+                            " at admission capacity (" +
+                            std::to_string(max_inflight) + " jobs in flight)"
+                      : "service is draining; resubmit elsewhere");
   w.EndObject();
   return w.str();
-}
-
-double ScoreFromBits(const std::string& hex) {
-  const unsigned long long bits = std::strtoull(hex.c_str(), nullptr, 16);
-  double score = 0.0;
-  std::memcpy(&score, &bits, sizeof(score));
-  return score;
 }
 
 }  // namespace
@@ -189,37 +138,33 @@ int ShardedMatchService::ShardForPath(const std::string& path) const {
 
 void ShardedMatchService::HandleLine(const std::string& line,
                                      net::EmitFn emit) {
-  Result<JsonValue> doc = ParseJson(line);
-  if (!doc.ok()) {
-    // Unroutable bytes: answered inline through shard 0's renderer so
-    // malformed input gets the same error shape as the single service.
-    ObsIncrement(options_.obs, "net.protocol_errors");
-    emit(shards_[0]->service->HandleJobLine(line));
+  Request request = ParseRequest(line);
+  if (request.kind == Request::Kind::kAdmin) {
+    emit(HandleAdmin(request.cmd, request.id));
     return;
   }
-  // Append lines are jobs, not admin probes: they carry log1/log2, so
-  // they fall through to ParseJobRequest below and route to the shard
-  // owning log1 — the same shard every match for that pair routes to,
-  // which is what keeps each streaming session on exactly one shard.
-  const std::string cmd = AdminCommandOf(*doc);
-  if (!cmd.empty() && cmd != "append") {
-    emit(HandleAdmin(cmd, doc->GetString("id", "")));
+  if (!request.status.ok()) {
+    // Unroutable — bytes that are not JSON, or a job without its logs or
+    // with bad options: answered inline by shard 0's job wrapper, so
+    // malformed input gets the single service's error shape and counters.
+    if (request.status.IsParseError()) {
+      ObsIncrement(options_.obs, "net.protocol_errors");
+    }
+    emit(shards_[0]->service->HandleRequest(std::move(request)));
     return;
   }
-  if (IsTopKRequest(*doc)) {
-    HandleTopK(line, emit);
-    return;
-  }
-
-  Result<JobRequest> request = ParseJobRequest(line);
-  if (!request.ok()) {
-    // Parseable but invalid (missing logs, bad options): no routing key,
-    // answered inline with the single service's error rendering.
-    emit(shards_[0]->service->HandleJobLine(line));
+  if (request.kind == Request::Kind::kTopK) {
+    HandleTopK(std::move(request), emit);
     return;
   }
 
-  Shard& shard = *shards_[ring_.ShardFor(CanonicalPath(request->log1))];
+  // Appends route like matches, by the canonical path of log1 — the same
+  // shard every match for that pair routes to, which is what keeps each
+  // streaming session on exactly one shard.
+  const std::string& log1 = request.kind == Request::Kind::kAppend
+                                ? request.append.log1
+                                : request.match.log1;
+  Shard& shard = *shards_[ring_.ShardFor(CanonicalPath(log1))];
   if (shard.routed != nullptr) shard.routed->Increment();
 
   if (draining()) {
@@ -227,54 +172,23 @@ void ShardedMatchService::HandleLine(const std::string& line,
       shard.rejected_draining->Increment();
     }
     ObsIncrement(options_.obs, "net.jobs_rejected_draining");
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id");
-    w.String(request->id);
-    w.Key("status");
-    w.String("draining");
-    w.Key("shard");
-    w.Int(shard.index);
-    w.Key("error");
-    w.String("service is draining; resubmit elsewhere");
-    w.EndObject();
-    emit(w.str());
+    emit(RenderRefusal(request.id, false, shard.index, shard.max_inflight));
     return;
   }
 
   // Admission control at the network boundary: a bounded inflight budget
   // per shard, shedding with an explicit response instead of buffering.
+  const std::string id = request.id;
   const int64_t admitted =
       shard.inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
-  bool accepted = admitted <= static_cast<int64_t>(shard.max_inflight);
-  if (accepted) {
-    const std::string job_line = line;
-    net::EmitFn job_emit = emit;
-    accepted = shard.service->pool().TrySubmit(
-        [this, &shard, job_line, job_emit] {
-          EmitJobResponse(shard, job_line, job_emit);
-        });
-  }
-  if (!accepted) {
+  if (admitted > static_cast<int64_t>(shard.max_inflight) ||
+      !shard.service->pool().TrySubmit(
+          [this, &shard, request = std::move(request), emit]() mutable {
+            emit(shard.service->HandleRequest(std::move(request)));
+            FinishShardJob(shard);
+          })) {
     shard.inflight.fetch_sub(1, std::memory_order_acq_rel);
-    if (shard.rejected_overloaded != nullptr) {
-      shard.rejected_overloaded->Increment();
-    }
-    ObsIncrement(options_.obs, "net.jobs_rejected_overloaded");
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id");
-    w.String(request->id);
-    w.Key("status");
-    w.String("overloaded");
-    w.Key("shard");
-    w.Int(shard.index);
-    w.Key("error");
-    w.String("shard " + std::to_string(shard.index) +
-             " at admission capacity (" +
-             std::to_string(shard.max_inflight) + " jobs in flight)");
-    w.EndObject();
-    emit(w.str());
+    emit(Shed(shard, id));
     return;
   }
   if (shard.inflight_gauge != nullptr) {
@@ -286,40 +200,40 @@ void ShardedMatchService::HandleLine(const std::string& line,
   }
 }
 
-void ShardedMatchService::EmitJobResponse(Shard& shard,
-                                          const std::string& line,
-                                          const net::EmitFn& emit) {
-  emit(shard.service->HandleJobLine(line));
-  FinishShardJob(shard);
+std::string ShardedMatchService::Shed(Shard& shard, const std::string& id) {
+  if (shard.rejected_overloaded != nullptr) {
+    shard.rejected_overloaded->Increment();
+  }
+  ObsIncrement(options_.obs, "net.jobs_rejected_overloaded");
+  return RenderRefusal(id, true, shard.index, shard.max_inflight);
 }
 
 void ShardedMatchService::FinishShardJob(Shard& shard) {
+  if (shard.queue_depth_gauge != nullptr) {
+    shard.queue_depth_gauge->Set(
+        static_cast<double>(shard.service->pool().QueueDepth()));
+  }
+  // Decrement and wake under the drain mutex: once WaitDrained sees zero
+  // in flight the destructor frees the mutex and the condition variable,
+  // so nothing here may touch them after the unlock.
+  std::lock_guard<std::mutex> lock(drain_mu_);
   const int64_t now =
       shard.inflight.fetch_sub(1, std::memory_order_acq_rel) - 1;
   if (shard.inflight_gauge != nullptr) {
     shard.inflight_gauge->Set(static_cast<double>(now));
   }
-  if (shard.queue_depth_gauge != nullptr) {
-    shard.queue_depth_gauge->Set(
-        static_cast<double>(shard.service->pool().QueueDepth()));
-  }
-  // Publish the decrement under the drain mutex so WaitDrained's
-  // predicate re-check cannot miss the final completion.
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-  }
   drain_cv_.notify_all();
 }
 
-// Shared state of one fanned-out top-k query: per-shard responses land
-// in their slot; the last completion merges and emits.
+// Shared state of one fanned-out top-k query: per-shard answers land in
+// their slot; the last completion merges and emits.
 struct ShardedMatchService::TopKAggregate {
   std::mutex mu;
   size_t remaining = 0;
-  std::vector<std::string> responses;  // one slot per involved shard
+  std::vector<TopKAnswer> answers;  // one slot per involved shard
+  std::vector<std::string> errors;  // a failed shard's error response
   std::string id;
   size_t k = 5;
-  size_t shards_involved = 0;
   // Member path -> position in the resolved full member list: the merge
   // tie-breaker that reproduces the single service's index order.
   std::unordered_map<std::string, size_t> global_index;
@@ -327,58 +241,37 @@ struct ShardedMatchService::TopKAggregate {
   Timer timer;
 };
 
-void ShardedMatchService::HandleTopK(const std::string& line,
+void ShardedMatchService::HandleTopK(Request request,
                                      const net::EmitFn& emit) {
-  Result<TopKRequest> request = ParseTopKRequest(line);
-  if (!request.ok()) {
-    // Parseable but invalid: answered inline with the single service's
-    // error rendering.
-    emit(shards_[0]->service->HandleJobLine(line));
-    return;
-  }
-  Result<JsonValue> doc = ParseJson(line);  // for verbatim option relay
-  if (!doc.ok()) {
-    emit(RenderError(request->id, doc.status()));
-    return;
-  }
-
   // Resolve the full member list router-side: both the partition and the
   // merge tie-break need the same order the single service would use.
-  std::vector<std::string> members = request->members;
-  if (!request->corpus.empty()) {
+  TopKRequest& topk = request.topk;
+  if (!topk.corpus.empty()) {
     Result<std::vector<std::string>> listed =
-        index::ListCorpusFiles(request->corpus);
+        index::ListCorpusFiles(topk.corpus);
     if (!listed.ok()) {
-      emit(RenderError(request->id, listed.status()));
+      emit(RenderError(request.id, listed.status()));
       return;
     }
-    members = *std::move(listed);
+    topk.members = *std::move(listed);
+    topk.corpus.clear();
   }
 
   if (draining()) {
     ObsIncrement(options_.obs, "net.jobs_rejected_draining");
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id");
-    w.String(request->id);
-    w.Key("status");
-    w.String("draining");
-    w.Key("error");
-    w.String("service is draining; resubmit elsewhere");
-    w.EndObject();
-    emit(w.str());
+    emit(RenderRefusal(request.id, false, -1, 0));
     return;
   }
 
   std::vector<std::vector<std::string>> shard_members(shards_.size());
   auto aggregate = std::make_shared<TopKAggregate>();
-  aggregate->id = request->id;
-  aggregate->k = request->k;
+  aggregate->id = request.id;
+  aggregate->k = topk.k;
   aggregate->emit = emit;
-  for (size_t g = 0; g < members.size(); ++g) {
-    aggregate->global_index.emplace(members[g], g);
-    const int s = ring_.ShardFor(CanonicalPath(members[g]));
-    shard_members[static_cast<size_t>(s)].push_back(members[g]);
+  for (size_t g = 0; g < topk.members.size(); ++g) {
+    aggregate->global_index.emplace(topk.members[g], g);
+    const int s = ring_.ShardFor(CanonicalPath(topk.members[g]));
+    shard_members[static_cast<size_t>(s)].push_back(topk.members[g]);
   }
   std::vector<int> involved;
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -399,45 +292,34 @@ void ShardedMatchService::HandleTopK(const std::string& line,
       shards_[static_cast<size_t>(involved[j])]->inflight.fetch_sub(
           1, std::memory_order_acq_rel);
     }
-    if (shard.rejected_overloaded != nullptr) {
-      shard.rejected_overloaded->Increment();
-    }
-    ObsIncrement(options_.obs, "net.jobs_rejected_overloaded");
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id");
-    w.String(request->id);
-    w.Key("status");
-    w.String("overloaded");
-    w.Key("shard");
-    w.Int(shard.index);
-    w.Key("error");
-    w.String("shard " + std::to_string(shard.index) +
-             " at admission capacity (" +
-             std::to_string(shard.max_inflight) + " jobs in flight)");
-    w.EndObject();
-    emit(w.str());
+    emit(Shed(shard, request.id));
     return;
   }
 
   aggregate->remaining = involved.size();
-  aggregate->shards_involved = involved.size();
-  aggregate->responses.resize(involved.size());
+  aggregate->answers.resize(involved.size());
+  aggregate->errors.resize(involved.size());
   for (size_t i = 0; i < involved.size(); ++i) {
     Shard* shard = shards_[static_cast<size_t>(involved[i])].get();
-    std::string sub_line =
-        SubRequestLine(*doc, *request,
-                       shard_members[static_cast<size_t>(involved[i])]);
-    auto run = [this, shard, aggregate, i, sub_line] {
-      std::string response = shard->service->HandleJobLine(sub_line);
-      FinishShardJob(*shard);
+    // Each shard gets the typed request — every option included — over
+    // its own member subset.
+    Request sub = request;
+    sub.topk.members =
+        std::move(shard_members[static_cast<size_t>(involved[i])]);
+    // The last shard to answer merges and emits before releasing its
+    // slot, so WaitDrained also waits for the merged response.
+    auto run = [this, shard, aggregate, i, sub]() {
+      TopKAnswer answer;
+      std::string error = shard->service->QueryTopKShard(sub, &answer);
       bool last = false;
       {
         std::lock_guard<std::mutex> lock(aggregate->mu);
-        aggregate->responses[i] = std::move(response);
+        aggregate->answers[i] = std::move(answer);
+        aggregate->errors[i] = std::move(error);
         last = --aggregate->remaining == 0;
       }
-      if (last) aggregate->emit(MergeTopKResponses(*aggregate));
+      if (last) aggregate->emit(MergeTopK(aggregate.get()));
+      FinishShardJob(*shard);
     };
     // The slot is reserved; a full task queue degrades to running the
     // sub-query on this thread instead of shedding the whole fan-out.
@@ -445,105 +327,38 @@ void ShardedMatchService::HandleTopK(const std::string& line,
   }
 }
 
-std::string ShardedMatchService::MergeTopKResponses(
-    const TopKAggregate& aggregate) const {
-  struct MergedHit {
-    std::string member;
-    double score = 0.0;
-    std::string score_bits;
-    long long correspondences = 0;
-    size_t global_index = 0;
-  };
-  std::vector<MergedHit> hits;
-  long long candidates = 0, pruned = 0, exact = 0, aborted = 0;
-  bool brute_force = false;
-  for (const std::string& response : aggregate.responses) {
-    Result<JsonValue> doc = ParseJson(response);
-    if (!doc.ok()) return RenderError(aggregate.id, doc.status());
-    if (doc->GetString("status", "") != "ok") {
-      // A failed shard fails the query; its rendered error already
-      // carries the request id and status code.
-      return response;
-    }
-    const JsonValue* index_stats = doc->Find("index");
-    if (index_stats != nullptr) {
-      candidates += static_cast<long long>(
-          index_stats->GetNumber("candidates_retrieved", 0));
-      pruned += static_cast<long long>(
-          index_stats->GetNumber("pruned_by_bound", 0));
-      exact +=
-          static_cast<long long>(index_stats->GetNumber("exact_runs", 0));
-      aborted +=
-          static_cast<long long>(index_stats->GetNumber("aborted_runs", 0));
-      brute_force = brute_force || index_stats->GetBool("brute_force", false);
-    }
-    const JsonValue* shard_hits = doc->Find("hits");
-    if (shard_hits == nullptr || !shard_hits->is_array()) continue;
-    for (const JsonValue& h : shard_hits->array_items()) {
-      MergedHit hit;
-      hit.member = h.GetString("member", "");
-      hit.score_bits = h.GetString("score_bits", "0");
-      hit.score = ScoreFromBits(hit.score_bits);
-      hit.correspondences =
-          static_cast<long long>(h.GetNumber("correspondences", 0));
-      auto g = aggregate.global_index.find(hit.member);
-      hit.global_index = g != aggregate.global_index.end()
+std::string ShardedMatchService::MergeTopK(TopKAggregate* aggregate) {
+  TopKAnswer merged;
+  for (size_t i = 0; i < aggregate->answers.size(); ++i) {
+    // A failed shard fails the query; its rendered error already carries
+    // the request id and status code.
+    if (!aggregate->errors[i].empty()) return aggregate->errors[i];
+    TopKAnswer& answer = aggregate->answers[i];
+    index::TopKStats& stats = merged.stats;
+    stats.candidates_retrieved += answer.stats.candidates_retrieved;
+    stats.pruned_by_bound += answer.stats.pruned_by_bound;
+    stats.exact_runs += answer.stats.exact_runs;
+    stats.aborted_runs += answer.stats.aborted_runs;
+    stats.used_brute_force =
+        stats.used_brute_force || answer.stats.used_brute_force;
+    for (index::TopKHit& hit : answer.hits) {
+      auto g = aggregate->global_index.find(hit.name);
+      hit.member_index = g != aggregate->global_index.end()
                              ? g->second
-                             : aggregate.global_index.size();
-      hits.push_back(std::move(hit));
+                             : aggregate->global_index.size();
+      merged.hits.push_back(std::move(hit));
     }
   }
-  std::sort(hits.begin(), hits.end(),
-            [](const MergedHit& a, const MergedHit& b) {
+  // (score desc, global member order): the single service's ranking.
+  std::sort(merged.hits.begin(), merged.hits.end(),
+            [](const index::TopKHit& a, const index::TopKHit& b) {
               if (a.score != b.score) return a.score > b.score;
-              return a.global_index < b.global_index;
+              return a.member_index < b.member_index;
             });
-  if (hits.size() > aggregate.k) hits.resize(aggregate.k);
-
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(aggregate.id);
-  w.Key("status");
-  w.String("ok");
-  w.Key("millis");
-  w.Number(aggregate.timer.ElapsedMillis());
-  w.Key("k");
-  w.Int(static_cast<long long>(aggregate.k));
-  w.Key("shards");
-  w.Int(static_cast<long long>(aggregate.shards_involved));
-  w.Key("hits");
-  w.BeginArray();
-  for (size_t i = 0; i < hits.size(); ++i) {
-    w.BeginObject();
-    w.Key("member");
-    w.String(hits[i].member);
-    w.Key("rank");
-    w.Int(static_cast<long long>(i + 1));
-    w.Key("score");
-    w.Number(hits[i].score);
-    w.Key("score_bits");
-    w.String(hits[i].score_bits);
-    w.Key("correspondences");
-    w.Int(hits[i].correspondences);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("index");
-  w.BeginObject();
-  w.Key("candidates_retrieved");
-  w.Int(candidates);
-  w.Key("pruned_by_bound");
-  w.Int(pruned);
-  w.Key("exact_runs");
-  w.Int(exact);
-  w.Key("aborted_runs");
-  w.Int(aborted);
-  w.Key("brute_force");
-  w.Bool(brute_force);
-  w.EndObject();
-  w.EndObject();
-  return w.str();
+  if (merged.hits.size() > aggregate->k) merged.hits.resize(aggregate->k);
+  return RenderTopKResult(aggregate->id, aggregate->k, merged,
+                          aggregate->timer.ElapsedMillis(),
+                          static_cast<int>(aggregate->answers.size()));
 }
 
 std::string ShardedMatchService::HandleLineSync(const std::string& line) {
@@ -616,29 +431,7 @@ std::string ShardedMatchService::RenderStats(const std::string& id) {
   w.Key("uptime_seconds");
   w.Number(uptime_.ElapsedSeconds());
   if (options_.obs != nullptr) {
-    MetricsSnapshot snapshot = CaptureMetricsSnapshot(options_.obs->metrics);
-    std::map<std::string, double> rates;
-    double interval = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      if (has_last_stats_) {
-        rates = DiffRates(last_stats_, snapshot);
-        interval = snapshot.at_seconds - last_stats_.at_seconds;
-      }
-      last_stats_ = snapshot;
-      has_last_stats_ = true;
-    }
-    w.Key("snapshot");
-    snapshot.WriteJson(&w);
-    w.Key("interval_seconds");
-    w.Number(interval);
-    w.Key("rates");
-    w.BeginObject();
-    for (const auto& [name, rate] : rates) {
-      w.Key(name);
-      w.Number(rate);
-    }
-    w.EndObject();
+    stats_intervals_.WriteJson(options_.obs->metrics, &w);
   }
   w.Key("router");
   w.BeginObject();

@@ -15,14 +15,16 @@
 // so serve.* totals aggregate, and the router adds per-shard
 // serve.shard.<i>.* instruments for balance monitoring.
 //
-// Top-k corpus queries (the `query`-keyed lines of docs/CORPUS.md) fan
-// out instead of routing to one shard: the router partitions the member
-// list by each member's consistent-hash owner, reserves admission on
-// every involved shard (all-or-nothing, with rollback), runs one
-// sub-query per shard over its member subset, and merges the per-shard
-// top-k lists by (score desc, global member order) — scores travel as
-// exact IEEE-754 bit strings, so the merged ranking is the ranking the
-// single-process service would have produced over the whole corpus.
+// Every line is parsed once (serve::ParseRequest); shards receive the
+// typed request, never a re-serialized line. Top-k corpus queries (the
+// `query`-keyed lines of docs/CORPUS.md) fan out instead of routing to
+// one shard: the router partitions the member list by each member's
+// consistent-hash owner, reserves admission on every involved shard
+// (all-or-nothing, with rollback), hands each shard a copy of the query
+// over its member subset, and merges the typed per-shard hits by (score
+// desc, global member order) — the exact doubles, so the merged ranking
+// is the ranking the single-process service would have produced over
+// the whole corpus.
 //
 // Admin commands (stats/health/slow) answer inline with aggregated
 // documents plus a "shards" breakdown; the new `drain` command (and
@@ -43,7 +45,6 @@
 
 #include "net/hash_ring.h"
 #include "net/tcp_server.h"
-#include "obs/metrics_snapshot.h"
 #include "serve/service.h"
 #include "util/timer.h"
 
@@ -147,11 +148,12 @@ class ShardedMatchService : public net::LineHandler {
   struct Shard;
   struct TopKAggregate;
 
-  void EmitJobResponse(Shard& shard, const std::string& line,
-                       const net::EmitFn& emit);
-  void HandleTopK(const std::string& line, const net::EmitFn& emit);
+  void HandleTopK(Request request, const net::EmitFn& emit);
+  // Counts a job `shard` has no admission budget left for and renders
+  // its overloaded response.
+  std::string Shed(Shard& shard, const std::string& id);
   void FinishShardJob(Shard& shard);
-  std::string MergeTopKResponses(const TopKAggregate& aggregate) const;
+  static std::string MergeTopK(TopKAggregate* aggregate);
   std::string HandleAdmin(const std::string& cmd, const std::string& id);
   std::string RenderStats(const std::string& id);
   std::string RenderHealth(const std::string& id);
@@ -172,11 +174,7 @@ class ShardedMatchService : public net::LineHandler {
   mutable std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
-  // Interval rates for the aggregated stats command, as in the single
-  // service.
-  std::mutex stats_mu_;
-  MetricsSnapshot last_stats_;
-  bool has_last_stats_ = false;
+  StatsIntervals stats_intervals_;
 };
 
 }  // namespace serve

@@ -81,8 +81,6 @@ uint64_t StreamOptionsFingerprint(const MatchOptions& options) {
       .Add("max_iterations", static_cast<uint64_t>(options.ems.max_iterations))
       .Add("label_measure", static_cast<uint64_t>(options.label_measure))
       .Add("min_edge_frequency", options.min_edge_frequency)
-      .Add("selection", static_cast<uint64_t>(options.selection))
-      .Add("min_match_similarity", options.min_match_similarity)
       .Add("match_composites", options.match_composites)
       .Finish();
 }
@@ -101,7 +99,6 @@ struct StreamSessionManager::Session {
   uint64_t base_hash1 = 0;  // on-disk content hashes at session creation
   uint64_t base_hash2 = 0;
   uint64_t options_fingerprint = 0;
-  MatchOptions options;
 
   EventLog log1;
   EventLog log2;
@@ -167,8 +164,6 @@ StreamSessionManager::GetOrCreate(const AppendRequest& request, bool* created,
   session->canon2 = canon2;
   session->format1 = format1;
   session->format2 = format2;
-  session->options = request.options;
-  session->options.obs = ObsOptions{};  // per-job contexts attach per call
   session->options_fingerprint = fp;
 
   auto log1 = LoadEventLogThroughStore(store_, request.log1, request.format,
@@ -254,13 +249,17 @@ Result<StreamAppendOutcome> StreamSessionManager::Append(
                                 session.seed_matches_current_graphs &&
                                 delta.appended_traces == 0;
 
-  MatchOptions match_options = session.options;
+  MatchOptions match_options = request.options;
   match_options.obs.context = job_obs;
   StreamAppendOutcome outcome;
-  auto match = MatchWithGraphsWarm(
-      match_options, session.log1, session.log2, session.graph1->graph(),
-      session.graph2, session.seed.valid ? &session.seed : nullptr,
-      assume_unchanged, &session.seed, &outcome.match_stats);
+  PipelineInputs inputs;
+  inputs.seed = &session.seed;
+  inputs.assume_unchanged = assume_unchanged;
+  inputs.next_seed = &session.seed;
+  inputs.stats = &outcome.match_stats;
+  auto match =
+      MatchGraphs(match_options, session.log1, session.log2,
+                  session.graph1->graph(), session.graph2, inputs);
   if (!match.ok()) return match.status();
   session.seed_matches_current_graphs = true;
   session.appends += 1;
@@ -292,7 +291,7 @@ Result<StreamAppendOutcome> StreamSessionManager::Append(
   return outcome;
 }
 
-std::optional<Result<StreamMatchOutcome>> StreamSessionManager::TryMatch(
+std::optional<Result<MatchResult>> StreamSessionManager::TryMatch(
     const JobRequest& request, ObsContext* job_obs) {
   if (!ValidateStreamOptions(request.options).ok()) return std::nullopt;
   const std::string canon1 = CanonicalPath(request.log1);
@@ -338,19 +337,18 @@ std::optional<Result<StreamMatchOutcome>> StreamSessionManager::TryMatch(
   // on-disk file, which never sees the appended traces: serving from the
   // session (one all-clean warm iteration, byte-identical to the last
   // fixpoint) is what fixes the append-then-match stale-parse bug.
-  MatchOptions match_options = session->options;
+  // Selection runs with this request's options, not the session's.
+  MatchOptions match_options = request.options;
   match_options.obs.context = job_obs;
-  StreamMatchOutcome outcome;
-  auto match = MatchWithGraphsWarm(
-      match_options, session->log1, session->log2, session->graph1->graph(),
-      session->graph2, &session->seed, /*assume_unchanged=*/true,
-      /*next_seed=*/nullptr, &outcome.match_stats);
-  if (!match.ok()) return Result<StreamMatchOutcome>(match.status());
-  outcome.match = std::move(*match);
+  PipelineInputs inputs;
+  inputs.seed = &session->seed;
+  inputs.assume_unchanged = true;
+  Result<MatchResult> match =
+      MatchGraphs(match_options, session->log1, session->log2,
+                  session->graph1->graph(), session->graph2, inputs);
   lock.unlock();
-
-  ObsIncrement(obs_, "stream.session_matches");
-  return Result<StreamMatchOutcome>(std::move(outcome));
+  if (match.ok()) ObsIncrement(obs_, "stream.session_matches");
+  return match;
 }
 
 size_t StreamSessionManager::live_sessions() const {

@@ -1,9 +1,10 @@
 // Streaming ingestion sessions for the batch matching service: one
-// session per (log pair, options) holds the appended-to event log, the
-// incrementally maintained dependency graph, and the warm-start seed of
-// the last EMS fixpoint. An {"cmd": "append"} wire request folds a batch
-// of traces into the session and warm re-matches in a fraction of the
-// cold iteration count (docs/STREAMING.md).
+// session per (log pair, graph and fixpoint options) holds the
+// appended-to event log, the incrementally maintained dependency graph,
+// and the warm-start seed of the last EMS fixpoint. An {"cmd": "append"}
+// wire request folds a batch of traces into the session and warm
+// re-matches in a fraction of the cold iteration count
+// (docs/STREAMING.md).
 //
 // Sessions are also the authority for plain match jobs over a pair they
 // cover: after an append, the file on disk is stale relative to the
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "core/matcher.h"
-#include "core/warm_match.h"
 #include "graph/streaming_graph.h"
 #include "log/event_log.h"
 #include "util/status.h"
@@ -43,7 +43,6 @@ struct JobRequest;
 /// an empty batch is allowed and resumes/creates the session without
 /// changing it.
 struct AppendRequest {
-  std::string id;
   std::string log1;  // the log the batch appends to (session routing key)
   std::string log2;
   std::string format = "auto";
@@ -68,16 +67,11 @@ struct StreamAppendOutcome {
   EventLog log_snapshot;
 };
 
-/// A match served from a live session (byte-identical to the session's
-/// last fixpoint, one warm iteration).
-struct StreamMatchOutcome {
-  MatchResult match;
-  WarmMatchStats match_stats;
-};
-
-/// Fingerprint of every MatchOptions field that affects a session's
-/// graphs, similarity, or selection — part of the session key and of the
-/// persisted seed's artifact key.
+/// Fingerprint of every MatchOptions field that shapes a session's
+/// graphs or its EMS fixpoint — part of the session key and of the
+/// persisted seed's artifact key. Selection options (strategy, minimum
+/// similarity, prob) are left out: every match a session serves selects
+/// with its own request's options.
 uint64_t StreamOptionsFingerprint(const MatchOptions& options);
 
 /// \brief Registry of live streaming sessions.
@@ -94,18 +88,22 @@ class StreamSessionManager {
 
   /// Folds one append batch into the pair's session (creating it from
   /// the on-disk files — through the artifact store when available — on
-  /// first touch) and warm re-matches. Requires the exact engine and no
+  /// first touch) and warm re-matches, selecting with the request's
+  /// options. Requires the exact engine and no
   /// composites. `job_obs` (may be null) receives the match's span tree.
   Result<StreamAppendOutcome> Append(const AppendRequest& request,
                                      ObsContext* job_obs);
 
   /// Serves a match from a live session when one covers the request's
-  /// pair with the same options and the backing files are unchanged on
-  /// disk since session start; nullopt sends the caller down the normal
-  /// cache path. A session whose backing file WAS rewritten on disk is
-  /// dropped here (the disk state wins over lost in-memory appends).
-  std::optional<Result<StreamMatchOutcome>> TryMatch(
-      const JobRequest& request, ObsContext* job_obs);
+  /// pair with the same graph and fixpoint options and the backing files
+  /// are unchanged on disk since session start, selecting with the
+  /// request's own options; nullopt sends the caller down the normal
+  /// cache path. The similarity is the session's last fixpoint
+  /// (byte-identical, one warm iteration). A session whose backing file
+  /// WAS rewritten on disk is dropped here (the disk state wins over
+  /// lost in-memory appends).
+  std::optional<Result<MatchResult>> TryMatch(const JobRequest& request,
+                                              ObsContext* job_obs);
 
   size_t live_sessions() const;
 

@@ -168,11 +168,12 @@ std::string EncodeLabelCache(const CachedLabelSimilarity& cache);
 Status DecodeLabelCacheInto(std::string_view snapshot,
                             CachedLabelSimilarity* cache);
 
-/// Warm-start seed (src/core/warm_match.h): both per-direction EMS
+/// Warm-start seed (src/core/matcher.h): both per-direction EMS
 /// fixpoint matrices plus the chain's cold-iteration baseline. The store
-/// keys these by the content hashes of BOTH logs and the match-option
-/// fingerprint, so a restarted server only resumes a seed produced by
-/// the exact state it is re-matching. Only valid seeds encode.
+/// keys these by the content hashes of BOTH logs and the fingerprint of
+/// the graph- and fixpoint-shaping match options, so a restarted server
+/// only resumes a seed produced by the exact state it is re-matching.
+/// Only valid seeds encode.
 std::string EncodeWarmSeed(const WarmSeed& seed);
 Result<WarmSeed> DecodeWarmSeed(std::string_view snapshot);
 

@@ -243,7 +243,8 @@ TEST(EmsKernelTest, AbortCallbackComposesWithDeltaSkip) {
   for (EmsKernel kernel : {EmsKernel::kNaive, EmsKernel::kOptimized}) {
     bool aborted = false;
     RunControls controls;
-    controls.should_abort = [](int k, const SimilarityMatrix&) {
+    controls.should_abort = [](Direction, int k, const SimilarityMatrix&,
+                             const SimilarityMatrix*) {
       return k >= 3;
     };
     controls.aborted = &aborted;

@@ -1,7 +1,10 @@
 #include "core/ems_similarity.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "obs/context.h"
 #include "paper_example.h"
 #include "text/label_similarity.h"
 
@@ -19,6 +22,12 @@ EmsOptions Opts(Direction dir = Direction::kForward) {
   opts.c = 0.8;
   opts.direction = dir;
   return opts;
+}
+
+bool BitIdentical(const SimilarityMatrix& a, const SimilarityMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
 }
 
 TEST(EmsSimilarityTest, ValuesStayInUnitInterval) {
@@ -212,7 +221,8 @@ TEST(EmsSimilarityTest, AbortCallbackStopsIteration) {
   DependencyGraph g2 = BuildPaperGraph2();
   bool aborted = false;
   RunControls controls;
-  controls.should_abort = [](int k, const SimilarityMatrix&) {
+  controls.should_abort = [](Direction, int k, const SimilarityMatrix&,
+                             const SimilarityMatrix*) {
     return k >= 2;
   };
   controls.aborted = &aborted;
@@ -220,6 +230,75 @@ TEST(EmsSimilarityTest, AbortCallbackStopsIteration) {
   (void)sim.ComputeControlled(Direction::kForward, controls);
   EXPECT_TRUE(aborted);
   EXPECT_EQ(sim.stats().iterations, 2);
+}
+
+// The abort hook rides the standard kBoth Compute: one that never fires
+// changes no bit of the matrix or the stats.
+TEST(EmsSimilarityTest, ComputeHookThatNeverFiresIsBitIdentical) {
+  DependencyGraph g1 = BuildPaperGraph1();
+  DependencyGraph g2 = BuildPaperGraph2();
+  EmsSimilarity plain(g1, g2, Opts(Direction::kBoth));
+  const SimilarityMatrix want = plain.Compute();
+
+  bool aborted = true;
+  int calls = 0;
+  RunControls controls;
+  controls.aborted = &aborted;
+  controls.should_abort = [&calls](Direction, int, const SimilarityMatrix&,
+                                   const SimilarityMatrix*) {
+    ++calls;
+    return false;
+  };
+  EmsSimilarity hooked(g1, g2, Opts(Direction::kBoth));
+  const SimilarityMatrix got = hooked.Compute(&controls);
+  EXPECT_FALSE(aborted);
+  EXPECT_GT(calls, 0);
+  EXPECT_TRUE(BitIdentical(got, want));
+  EXPECT_EQ(hooked.stats().iterations, plain.stats().iterations);
+  EXPECT_EQ(hooked.stats().formula_evaluations,
+            plain.stats().formula_evaluations);
+  EXPECT_EQ(hooked.stats().pairs_pruned_converged,
+            plain.stats().pairs_pruned_converged);
+  EXPECT_EQ(hooked.stats().pairs_skipped_unchanged,
+            plain.stats().pairs_skipped_unchanged);
+}
+
+// A hook firing in the backward phase sees the finished forward matrix,
+// sets `aborted`, and is counted as one aborted run.
+TEST(EmsSimilarityTest, ComputeHookFiringInBackwardPhaseSeesForward) {
+  DependencyGraph g1 = BuildPaperGraph1();
+  DependencyGraph g2 = BuildPaperGraph2();
+  EmsSimilarity forward_only(g1, g2, Opts(Direction::kForward));
+  const SimilarityMatrix forward = forward_only.Compute();
+
+  bool aborted = false;
+  bool forward_phase_saw_null = true;
+  bool backward_saw_forward = false;
+  RunControls controls;
+  controls.aborted = &aborted;
+  controls.should_abort = [&](Direction direction, int k,
+                              const SimilarityMatrix&,
+                              const SimilarityMatrix* finished_forward) {
+    if (direction == Direction::kForward) {
+      forward_phase_saw_null =
+          forward_phase_saw_null && finished_forward == nullptr;
+      return false;
+    }
+    backward_saw_forward = finished_forward != nullptr &&
+                           BitIdentical(*finished_forward, forward);
+    return k >= 1;
+  };
+  ObsContext obs;
+  EmsOptions opts = Opts(Direction::kBoth);
+  opts.obs = &obs;
+  EmsSimilarity sim(g1, g2, opts);
+  (void)sim.Compute(&controls);
+  EXPECT_TRUE(aborted);
+  EXPECT_TRUE(forward_phase_saw_null);
+  EXPECT_TRUE(backward_saw_forward);
+  EXPECT_EQ(sim.stats().iterations, forward_only.stats().iterations);
+  EXPECT_EQ(obs.metrics.CounterValue("ems.runs"), 1u);
+  EXPECT_EQ(obs.metrics.CounterValue("ems.aborted_runs"), 1u);
 }
 
 }  // namespace

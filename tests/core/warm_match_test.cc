@@ -1,9 +1,9 @@
 // Warm-start matching: seeded EMS runs must land on the same fixpoint as
 // cold runs (byte-identical on acyclic instances under run_to_horizon,
-// and on identical-state resumes in one iteration), and the warm match
-// pipeline must save iterations on cyclic instances while reporting the
-// same correspondences.
-#include "core/warm_match.h"
+// and on identical-state resumes in one iteration), and the pair
+// pipeline warm-started from a seed must save iterations on cyclic
+// instances while reporting the same correspondences.
+#include "core/matcher.h"
 
 #include <bit>
 #include <cstdint>
@@ -59,13 +59,12 @@ TEST(WarmMatchTest, SeededRunToHorizonIsByteIdenticalToCold) {
 
   EmsOptions cold_opts;
   cold_opts.run_to_horizon = true;
-  cold_opts.capture_direction_matrices = true;
   EmsSimilarity cold(g1, g2, cold_opts);
   SimilarityMatrix cold_result = cold.Compute();
-  ASSERT_NE(cold.captured_forward(), nullptr);
-  ASSERT_NE(cold.captured_backward(), nullptr);
-  SimilarityMatrix seed_fwd = *cold.captured_forward();
-  SimilarityMatrix seed_bwd = *cold.captured_backward();
+  SimilarityMatrix seed_fwd, seed_bwd;
+  cold.TakeDirectionMatrices(&seed_fwd, &seed_bwd);
+  ASSERT_EQ(seed_fwd.rows(), g1.NumNodes());
+  ASSERT_EQ(seed_bwd.rows(), g1.NumNodes());
 
   // Perturb the seed: any starting matrix must land on the same bits
   // once every pair has been iterated through its horizon.
@@ -94,13 +93,12 @@ TEST(WarmMatchTest, AllCleanHintsResumeInOneIteration) {
   DependencyGraph g2 = DependencyGraph::Build(log2);
 
   EmsOptions opts;
-  opts.capture_direction_matrices = true;
   EmsSimilarity cold(g1, g2, opts);
   SimilarityMatrix cold_result = cold.Compute();
   const int cold_iters = cold.stats().iterations;
   EXPECT_GT(cold_iters, 1);
-  SimilarityMatrix seed_fwd = *cold.captured_forward();
-  SimilarityMatrix seed_bwd = *cold.captured_backward();
+  SimilarityMatrix seed_fwd, seed_bwd;
+  cold.TakeDirectionMatrices(&seed_fwd, &seed_bwd);
 
   std::vector<uint8_t> clean_rows(g1.NumNodes(), 0);
   std::vector<uint8_t> clean_cols(g2.NumNodes(), 0);
@@ -127,12 +125,11 @@ TEST(WarmMatchTest, SeedWithoutHintsConvergesToSameFixpointOnCycles) {
 
   EmsOptions opts;
   opts.epsilon = 1e-9;
-  opts.capture_direction_matrices = true;
   EmsSimilarity cold(g1, g2, opts);
   SimilarityMatrix cold_result = cold.Compute();
   const int cold_iters = cold.stats().iterations;
-  SimilarityMatrix seed_fwd = *cold.captured_forward();
-  SimilarityMatrix seed_bwd = *cold.captured_backward();
+  SimilarityMatrix seed_fwd, seed_bwd;
+  cold.TakeDirectionMatrices(&seed_fwd, &seed_bwd);
 
   // Re-running seeded with the fixpoint (null hints: everything marked
   // changed) must converge far faster and stay within epsilon.
@@ -163,9 +160,11 @@ TEST(WarmMatchTest, PipelineColdThenAppendSavesIterations) {
 
   WarmSeed seed;
   WarmMatchStats cold_stats;
-  Result<MatchResult> cold = MatchWithGraphsWarm(
-      options, log1, log2, stream1.graph(), g2, nullptr,
-      /*assume_unchanged=*/false, &seed, &cold_stats);
+  PipelineInputs cold_inputs;
+  cold_inputs.next_seed = &seed;
+  cold_inputs.stats = &cold_stats;
+  Result<MatchResult> cold =
+      MatchGraphs(options, log1, log2, stream1.graph(), g2, cold_inputs);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_FALSE(cold_stats.warm);
   EXPECT_TRUE(seed.valid);
@@ -178,9 +177,12 @@ TEST(WarmMatchTest, PipelineColdThenAppendSavesIterations) {
 
   WarmSeed next;
   WarmMatchStats warm_stats;
-  Result<MatchResult> warm = MatchWithGraphsWarm(
-      options, log1, log2, stream1.graph(), g2, &seed,
-      /*assume_unchanged=*/false, &next, &warm_stats);
+  PipelineInputs warm_inputs;
+  warm_inputs.seed = &seed;
+  warm_inputs.next_seed = &next;
+  warm_inputs.stats = &warm_stats;
+  Result<MatchResult> warm =
+      MatchGraphs(options, log1, log2, stream1.graph(), g2, warm_inputs);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_TRUE(warm_stats.warm);
   EXPECT_LE(warm_stats.iterations, seed.cold_iterations);
@@ -192,9 +194,10 @@ TEST(WarmMatchTest, PipelineColdThenAppendSavesIterations) {
   // Exactness: the warm result equals a cold recompute on the appended
   // logs to within the stop threshold.
   WarmMatchStats ref_stats;
-  Result<MatchResult> ref = MatchWithGraphsWarm(
-      options, log1, log2, stream1.graph(), g2, nullptr,
-      /*assume_unchanged=*/false, nullptr, &ref_stats);
+  PipelineInputs ref_inputs;
+  ref_inputs.stats = &ref_stats;
+  Result<MatchResult> ref =
+      MatchGraphs(options, log1, log2, stream1.graph(), g2, ref_inputs);
   ASSERT_TRUE(ref.ok());
   EXPECT_LE(warm->similarity.MaxAbsDifference(ref->similarity),
             options.ems.epsilon);
@@ -209,14 +212,19 @@ TEST(WarmMatchTest, AssumeUnchangedResumeIsByteIdentical) {
 
   MatchOptions options;
   WarmSeed seed;
-  Result<MatchResult> cold = MatchWithGraphsWarm(
-      options, log1, log2, g1, g2, nullptr, false, &seed, nullptr);
+  PipelineInputs cold_inputs;
+  cold_inputs.next_seed = &seed;
+  Result<MatchResult> cold =
+      MatchGraphs(options, log1, log2, g1, g2, cold_inputs);
   ASSERT_TRUE(cold.ok());
 
   WarmMatchStats stats;
-  Result<MatchResult> resumed = MatchWithGraphsWarm(
-      options, log1, log2, g1, g2, &seed, /*assume_unchanged=*/true,
-      nullptr, &stats);
+  PipelineInputs resume;
+  resume.seed = &seed;
+  resume.assume_unchanged = true;
+  resume.stats = &stats;
+  Result<MatchResult> resumed =
+      MatchGraphs(options, log1, log2, g1, g2, resume);
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(stats.iterations, 1);
   ExpectMatricesBitIdentical(resumed->similarity, cold->similarity);
@@ -238,14 +246,17 @@ TEST(WarmMatchTest, RejectsCompositeAndEstimatedPipelines) {
   DependencyGraph g2 = DependencyGraph::Build(log2);
   MatchOptions composites;
   composites.match_composites = true;
-  EXPECT_TRUE(MatchWithGraphsWarm(composites, log1, log2, g1, g2, nullptr,
-                                  false, nullptr, nullptr)
+  EXPECT_TRUE(MatchGraphs(composites, log1, log2, g1, g2)
                   .status()
                   .IsInvalidArgument());
+  // The estimated engine runs cold, as Matcher::Match runs it; a warm
+  // chain (here: a next-seed slot) is rejected.
   MatchOptions estimated;
   estimated.engine = SimilarityEngine::kEstimated;
-  EXPECT_TRUE(MatchWithGraphsWarm(estimated, log1, log2, g1, g2, nullptr,
-                                  false, nullptr, nullptr)
+  WarmSeed next;
+  PipelineInputs chain;
+  chain.next_seed = &next;
+  EXPECT_TRUE(MatchGraphs(estimated, log1, log2, g1, g2, chain)
                   .status()
                   .IsInvalidArgument());
 }

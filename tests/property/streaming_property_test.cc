@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/warm_match.h"
+#include "core/matcher.h"
 #include "graph/dependency_graph.h"
 #include "graph/streaming_graph.h"
 #include "log/event_log.h"
@@ -122,9 +122,11 @@ TEST_P(StreamingProperty, AcyclicWarmChainIsByteIdenticalToCold) {
   DependencyGraph graph2 = DependencyGraph::Build(pair.log2);
 
   WarmSeed seed;
+  PipelineInputs chain;
+  chain.seed = &seed;
+  chain.next_seed = &seed;
   Result<MatchResult> first =
-      MatchWithGraphsWarm(mopts, log, pair.log2, stream.graph(), graph2,
-                          nullptr, false, &seed, nullptr);
+      MatchGraphs(mopts, log, pair.log2, stream.graph(), graph2, chain);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
 
   for (const auto& batch : RandomBatches(popts, p.seed * 131 + 3, 4)) {
@@ -132,14 +134,12 @@ TEST_P(StreamingProperty, AcyclicWarmChainIsByteIdenticalToCold) {
     (void)stream.ApplyAppend(delta.first_new_trace);
 
     Result<MatchResult> warm =
-        MatchWithGraphsWarm(mopts, log, pair.log2, stream.graph(), graph2,
-                            &seed, false, &seed, nullptr);
+        MatchGraphs(mopts, log, pair.log2, stream.graph(), graph2, chain);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
     DependencyGraph rebuilt = DependencyGraph::Build(log);
     Result<MatchResult> cold =
-        MatchWithGraphsWarm(mopts, log, pair.log2, rebuilt, graph2, nullptr,
-                            false, nullptr, nullptr);
+        MatchGraphs(mopts, log, pair.log2, rebuilt, graph2);
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
     ASSERT_TRUE(BitIdentical(warm->similarity, cold->similarity))
@@ -169,9 +169,13 @@ TEST_P(StreamingProperty, AcyclicWarmChainIsByteIdenticalToCold) {
   resume_opts.ems.run_to_horizon = false;
   WarmSeed next;
   WarmMatchStats resume_stats;
-  Result<MatchResult> resumed = MatchWithGraphsWarm(
-      resume_opts, log, pair.log2, stream.graph(), graph2, &*decoded,
-      /*assume_unchanged=*/true, &next, &resume_stats);
+  PipelineInputs resume;
+  resume.seed = &*decoded;
+  resume.assume_unchanged = true;
+  resume.next_seed = &next;
+  resume.stats = &resume_stats;
+  Result<MatchResult> resumed = MatchGraphs(
+      resume_opts, log, pair.log2, stream.graph(), graph2, resume);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resume_stats.iterations, 1);
   EXPECT_TRUE(resume_stats.warm);

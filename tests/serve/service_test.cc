@@ -554,29 +554,59 @@ TEST(BatchMatchServiceTest, CancelledServiceReportsCancelledJobs) {
   EXPECT_NE(line.find("Cancelled"), std::string::npos);
 }
 
-TEST(ParseTopKRequestTest, ParsesAndValidates) {
-  Result<TopKRequest> request = ParseTopKRequest(
+TEST(ParseRequestTest, ParsesAndValidatesTopK) {
+  Request request = ParseRequest(
       R"({"id":"t1","query":"q.txt","topk":3,"members":["a.txt","b.txt"],)"
       R"("alpha":0.4,"labels":"qgram"})");
-  ASSERT_TRUE(request.ok());
-  EXPECT_EQ(request->id, "t1");
-  EXPECT_EQ(request->query, "q.txt");
-  EXPECT_EQ(request->k, 3u);
-  EXPECT_EQ(request->members,
+  ASSERT_TRUE(request.status.ok());
+  ASSERT_EQ(request.kind, Request::Kind::kTopK);
+  EXPECT_EQ(request.id, "t1");
+  EXPECT_EQ(request.topk.query, "q.txt");
+  EXPECT_EQ(request.topk.k, 3u);
+  EXPECT_EQ(request.topk.members,
             (std::vector<std::string>{"a.txt", "b.txt"}));
-  EXPECT_DOUBLE_EQ(request->options.ems.alpha, 0.4);
-  EXPECT_FALSE(request->brute_force);
+  EXPECT_DOUBLE_EQ(request.topk.options.ems.alpha, 0.4);
+  EXPECT_FALSE(request.topk.brute_force);
 
-  EXPECT_FALSE(ParseTopKRequest(R"({"query":"q.txt"})").ok());  // no corpus
+  EXPECT_FALSE(ParseRequest(R"({"query":"q.txt"})").status.ok());  // no corpus
   EXPECT_FALSE(  // both member sources
-      ParseTopKRequest(
-          R"({"query":"q","members":["a"],"corpus":"/c"})")
-          .ok());
-  EXPECT_FALSE(ParseTopKRequest(R"({"query":"q","members":[]})").ok());
-  EXPECT_FALSE(
-      ParseTopKRequest(R"({"query":"q","members":[1]})").ok());
-  EXPECT_FALSE(
-      ParseTopKRequest(R"({"topk":2,"members":["a"]})").ok());  // no query
+      ParseRequest(R"({"query":"q","members":["a"],"corpus":"/c"})")
+          .status.ok());
+  EXPECT_FALSE(ParseRequest(R"({"query":"q","members":[]})").status.ok());
+  EXPECT_FALSE(ParseRequest(R"({"query":"q","members":[1]})").status.ok());
+  EXPECT_FALSE(  // no query: not a top-k line, and no logs for a match
+      ParseRequest(R"({"topk":2,"members":["a"]})").status.ok());
+}
+
+// One id rule for every request kind: a numeric id renders as its
+// integer text on a match, a top-k query, an append and an admin
+// command alike.
+TEST(BatchMatchServiceTest, NumericIdsRenderAsIntegerTextOnEveryKind) {
+  const std::string log1 =
+      WriteTraceLog("service_numeric_id_1.txt", "a;b;c\na;c;b\n");
+  const std::string log2 =
+      WriteTraceLog("service_numeric_id_2.txt", "a;b;c\nb;a;c\n");
+  ServiceOptions options;
+  options.threads = 1;
+  BatchMatchService service(options);
+  const std::string pair = R"("log1":")" + log1 + R"(","log2":")" + log2 +
+                           R"(","labels":"none")";
+
+  const std::string match = service.HandleJobLine(R"({"id":7,)" + pair + "}");
+  const std::string topk = service.HandleJobLine(
+      R"({"id":8,"query":")" + log1 + R"(","topk":1,"members":[")" + log2 +
+      R"("]})");
+  const std::string append = service.HandleJobLine(
+      R"({"cmd":"append","id":9,)" + pair + R"(,"traces":[["a","b"]]})");
+  const std::string admin =
+      service.HandleJobLine(R"({"cmd":"health","id":10})");
+  EXPECT_EQ(match.rfind(R"({"id":"7","status":"ok")", 0), 0u) << match;
+  EXPECT_EQ(topk.rfind(R"({"id":"8","status":"ok")", 0), 0u) << topk;
+  EXPECT_EQ(append.rfind(R"({"id":"9","status":"ok")", 0), 0u) << append;
+  EXPECT_EQ(admin.rfind(R"({"id":"10","status":"ok")", 0), 0u) << admin;
+
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
 }
 
 // topk over an explicit member list: the indexed and the brute-forced
@@ -713,45 +743,62 @@ TEST(BatchMatchServiceTest, AppendJobReportsStreamFieldsAndWarms) {
 // Regression for the stale-parse hazard: a match job after an append
 // must be answered from the session's grown state, never from the
 // parsed-log cache entry of the original file (which no longer reflects
-// the pair being served).
+// the pair being served) — whatever selection options the match asks
+// for, and selecting with those options, not the session's.
 TEST(BatchMatchServiceTest, MatchAfterAppendServesSessionStateNotStaleParse) {
-  const std::string log1 =
-      WriteTraceLog("service_append_stale_1.txt", "a;b\na;b\n");
-  const std::string log2 =
-      WriteTraceLog("service_append_stale_2.txt", "a;b;c\na;c;b\n");
+  struct Input {
+    std::string options;  // extra match-line fields
+    bool prob;            // the response must carry posteriors
+  };
+  const std::vector<Input> inputs = {{"", false},
+                                     {R"(,"prob":true)", true},
+                                     {R"(,"selection":"greedy")", false},
+                                     {R"(,"min_similarity":0.06)", false}};
+  for (const Input& input : inputs) {
+    SCOPED_TRACE("match options: " + input.options);
+    const std::string log1 =
+        WriteTraceLog("service_append_stale_1.txt", "a;b\na;b\n");
+    const std::string log2 =
+        WriteTraceLog("service_append_stale_2.txt", "a;b;c\na;c;b\n");
 
-  ObsContext obs;
-  ServiceOptions options;
-  options.threads = 1;
-  options.obs = &obs;
-  BatchMatchService service(options);
+    ObsContext obs;
+    ServiceOptions options;
+    options.threads = 1;
+    options.obs = &obs;
+    BatchMatchService service(options);
 
-  const std::string pair =
-      R"("log1":")" + log1 + R"(","log2":")" + log2 + R"(")";
-  // Prime the parsed-log cache with the original two-trace file.
-  const std::string before =
-      service.HandleJobLine(R"({"id":"m1",)" + pair + "}");
-  EXPECT_NE(before.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_EQ(before.find("\"c\""), std::string::npos)
-      << "log1 has no 'c' yet: " << before;
+    const std::string pair =
+        R"("log1":")" + log1 + R"(","log2":")" + log2 + R"(")";
+    // Prime the parsed-log cache with the original two-trace file.
+    const std::string before = service.HandleJobLine(
+        R"({"id":"m1",)" + pair + input.options + "}");
+    EXPECT_NE(before.find("\"status\":\"ok\""), std::string::npos);
+    EXPECT_EQ(before.find("\"c\""), std::string::npos)
+        << "log1 has no 'c' yet: " << before;
 
-  // The append introduces 'c' into log 1 — in the session only, the
-  // file on disk is untouched (and still cached).
-  const std::string append = service.HandleJobLine(
-      R"({"cmd":"append","id":"a1",)" + pair +
-      R"(,"traces":[["a","c","b"],["a","c","b"]]})");
-  EXPECT_NE(append.find("\"status\":\"ok\""), std::string::npos) << append;
-  EXPECT_NE(append.find("\"new_events\":1"), std::string::npos) << append;
+    // The append introduces 'c' into log 1 — in the session only, the
+    // file on disk is untouched (and still cached).
+    const std::string append = service.HandleJobLine(
+        R"({"cmd":"append","id":"a1",)" + pair +
+        R"(,"traces":[["a","c","b"],["a","c","b"]]})");
+    EXPECT_NE(append.find("\"status\":\"ok\""), std::string::npos)
+        << append;
+    EXPECT_NE(append.find("\"new_events\":1"), std::string::npos) << append;
 
-  const std::string after =
-      service.HandleJobLine(R"({"id":"m2",)" + pair + "}");
-  EXPECT_NE(after.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(after.find("\"c\""), std::string::npos)
-      << "match after append served the stale parse: " << after;
-  EXPECT_EQ(obs.metrics.CounterValue("stream.session_matches"), 1u);
+    const std::string after = service.HandleJobLine(
+        R"({"id":"m2",)" + pair + input.options + "}");
+    EXPECT_NE(after.find("\"status\":\"ok\""), std::string::npos);
+    EXPECT_NE(after.find("\"c\""), std::string::npos)
+        << "match after append served the stale parse: " << after;
+    EXPECT_EQ(obs.metrics.CounterValue("stream.session_matches"), 1u);
+    EXPECT_EQ(after.find("\"confidence\"") != std::string::npos, input.prob)
+        << after;
+    EXPECT_EQ(after.find("\"prob\":{") != std::string::npos, input.prob)
+        << after;
 
-  std::remove(log1.c_str());
-  std::remove(log2.c_str());
+    std::remove(log1.c_str());
+    std::remove(log2.c_str());
+  }
 }
 
 // Restart resume: a new service pointed at the same --cache-dir picks a

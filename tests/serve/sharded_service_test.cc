@@ -231,6 +231,53 @@ TEST_F(ShardedServiceTest, DrainRejectsNewJobsButAnswersAdmin) {
   router.WaitDrained();  // nothing in flight: returns immediately
 }
 
+// The one id rule reaches the router's own refusals: a numeric id is
+// echoed as its integer text on overloaded and draining responses, for
+// match and top-k lines alike.
+TEST_F(ShardedServiceTest, RefusalsRenderNumericIdsAsIntegerText) {
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.total_threads = 2;  // one worker per shard
+  options.max_inflight_per_shard = 1;
+  ShardedMatchService router(options);
+  const int shard = router.ShardForPath(log1_);
+  const std::string match = "{\"id\":7,\"log1\":\"" + log1_ +
+                            "\",\"log2\":\"" + log2_ +
+                            "\",\"labels\":\"none\"}";
+  const std::string topk = "{\"id\":8,\"query\":\"" + log2_ +
+                           "\",\"members\":[\"" + log1_ + "\"]}";
+
+  // Park the shard's worker and fill its single admission slot.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  ASSERT_TRUE(router.shard_service(shard).pool().Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  }));
+  router.HandleLine(JobLine("admitted"), [](const std::string&) {});
+  EXPECT_EQ(router.HandleLineSync(match).rfind(
+                R"({"id":"7","status":"overloaded")", 0),
+            0u);
+  EXPECT_EQ(router.HandleLineSync(topk).rfind(
+                R"({"id":"8","status":"overloaded")", 0),
+            0u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  router.WaitDrained();
+
+  router.Drain();
+  EXPECT_EQ(router.HandleLineSync(match).rfind(
+                R"({"id":"7","status":"draining")", 0),
+            0u);
+  EXPECT_EQ(router.HandleLineSync(topk).rfind(
+                R"({"id":"8","status":"draining")", 0),
+            0u);
+}
+
 TEST_F(ShardedServiceTest, StatsCarriesRouterAndPerShardBreakdown) {
   ShardedServiceOptions options;
   options.num_shards = 3;
@@ -273,53 +320,61 @@ TEST_F(ShardedServiceTest, TopKFanOutMergesToTheSingleServiceRanking) {
   for (const std::string& m : members) {
     member_list += (member_list.empty() ? "\"" : ",\"") + m + "\"";
   }
-  const std::string line = R"({"id":"tk1","query":")" + members[0] +
-                           R"(","topk":4,"members":[)" + member_list +
-                           R"(],"labels":"qgram","alpha":0.5})";
+  // Every option must reach the shards, prob ones included.
+  const std::vector<std::string> option_sets = {
+      R"("labels":"qgram","alpha":0.5)",
+      R"("labels":"qgram","alpha":0.5,"prob":true,)"
+      R"("prob_min_confidence":0.6)"};
+  for (const std::string& option_set : option_sets) {
+    SCOPED_TRACE(option_set);
+    const std::string line = R"({"id":"tk1","query":")" + members[0] +
+                             R"(","topk":4,"members":[)" + member_list +
+                             "]," + option_set + "}";
 
-  ShardedServiceOptions sharded_options;
-  sharded_options.num_shards = 2;
-  sharded_options.total_threads = 2;
-  ShardedMatchService router(sharded_options);
-  const std::string merged_line = router.HandleLineSync(line);
-  router.WaitDrained();
+    ShardedServiceOptions sharded_options;
+    sharded_options.num_shards = 2;
+    sharded_options.total_threads = 2;
+    ShardedMatchService router(sharded_options);
+    const std::string merged_line = router.HandleLineSync(line);
+    router.WaitDrained();
 
-  ServiceOptions plain_options;
-  plain_options.threads = 2;
-  BatchMatchService plain(plain_options);
-  const std::string plain_line = plain.HandleJobLine(line);
+    ServiceOptions plain_options;
+    plain_options.threads = 2;
+    BatchMatchService plain(plain_options);
+    const std::string plain_line = plain.HandleJobLine(line);
 
-  Result<JsonValue> merged = ParseJson(merged_line);
-  Result<JsonValue> single = ParseJson(plain_line);
-  ASSERT_TRUE(merged.ok()) << merged_line;
-  ASSERT_TRUE(single.ok()) << plain_line;
-  EXPECT_EQ(merged->GetString("status", ""), "ok") << merged_line;
-  EXPECT_EQ(single->GetString("status", ""), "ok") << plain_line;
-  // The hash ring decides the partition; at least one shard answered.
-  EXPECT_GE(merged->GetInt("shards", -1), 1);
+    Result<JsonValue> merged = ParseJson(merged_line);
+    Result<JsonValue> single = ParseJson(plain_line);
+    ASSERT_TRUE(merged.ok()) << merged_line;
+    ASSERT_TRUE(single.ok()) << plain_line;
+    EXPECT_EQ(merged->GetString("status", ""), "ok") << merged_line;
+    EXPECT_EQ(single->GetString("status", ""), "ok") << plain_line;
+    // The hash ring decides the partition; at least one shard answered.
+    EXPECT_GE(merged->GetInt("shards", -1), 1);
 
-  const JsonValue* mh = merged->Find("hits");
-  const JsonValue* sh = single->Find("hits");
-  ASSERT_NE(mh, nullptr);
-  ASSERT_NE(sh, nullptr);
-  ASSERT_EQ(mh->array_items().size(), 4u);
-  ASSERT_EQ(sh->array_items().size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    const JsonValue& a = mh->array_items()[i];
-    const JsonValue& b = sh->array_items()[i];
-    EXPECT_EQ(a.GetString("member", "?"), b.GetString("member", "!"))
-        << "rank " << i;
-    EXPECT_EQ(a.GetString("score_bits", "?"), b.GetString("score_bits", "!"))
-        << "rank " << i;
-    EXPECT_EQ(a.GetInt("rank", -1), static_cast<int>(i) + 1);
+    const JsonValue* mh = merged->Find("hits");
+    const JsonValue* sh = single->Find("hits");
+    ASSERT_NE(mh, nullptr);
+    ASSERT_NE(sh, nullptr);
+    ASSERT_EQ(mh->array_items().size(), 4u);
+    ASSERT_EQ(sh->array_items().size(), 4u);
+    for (size_t i = 0; i < 4; ++i) {
+      const JsonValue& a = mh->array_items()[i];
+      const JsonValue& b = sh->array_items()[i];
+      EXPECT_EQ(a.GetString("member", "?"), b.GetString("member", "!"))
+          << "rank " << i;
+      EXPECT_EQ(a.GetString("score_bits", "?"), b.GetString("score_bits", "!"))
+          << "rank " << i;
+      EXPECT_EQ(a.GetInt("rank", -1), static_cast<int>(i) + 1);
+    }
+    // The query is members[0]; its family twins must lead the ranking.
+    EXPECT_EQ(mh->array_items()[0].GetString("member", ""), members[0]);
+
+    // The merged stats aggregate every shard's candidates.
+    const JsonValue* stats = merged->Find("index");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->GetInt("candidates_retrieved", -1), 6);
   }
-  // The query is members[0]; its family twins must lead the ranking.
-  EXPECT_EQ(mh->array_items()[0].GetString("member", ""), members[0]);
-
-  // The merged stats aggregate every shard's candidates.
-  const JsonValue* stats = merged->Find("index");
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->GetInt("candidates_retrieved", -1), 6);
 
   for (const std::string& m : members) std::remove(m.c_str());
 }

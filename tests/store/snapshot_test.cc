@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/warm_match.h"
+#include "core/matcher.h"
 #include "graph/dependency_graph.h"
 #include "graph/dependency_graph_builder.h"
 #include "log/event_log.h"
