@@ -1,17 +1,18 @@
 // Fixpoint-kernel benchmark: times the EMS iteration to convergence on a
-// Figure-8-style scalability instance, comparing the naive reference
-// kernel against the optimized one (CSR + coefficient tables + fused scan
-// + delta-driven recomputation), serially and with 4 worker threads.
+// Figure-8-style scalability instance, comparing the naive test reference
+// (tests/core/ems_reference.h, serial) against the kernel (CSR +
+// frequency-class coefficient table + fused scan + delta-driven
+// recomputation), serially and with 4 worker threads.
 //
-// Doubles as an equivalence harness: every configuration's matrix is
-// checked bit-identical against the serial naive baseline, and the binary
-// exits nonzero on any mismatch — so the CI perf-smoke step also guards
-// the determinism contract.
+// Doubles as an equivalence harness: every kernel configuration's matrix
+// is checked bit-identical against the reference, and the binary exits
+// nonzero on any mismatch — so the CI perf-smoke step also guards the
+// determinism contract.
 //
 // When EMS_BENCH_JSON_DIR names a directory, writes BENCH_fixpoint.json
 // there (atomically, tmp + rename) with per-configuration timing,
 // per-iteration kernel throughput, and the single-thread speedup of the
-// optimized kernel over the naive one.
+// kernel over the reference.
 //
 // Flags: --events=N (default 80), --reps=N (default 5), --seed=N.
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/ems_reference.h"
 #include "core/ems_similarity.h"
 #include "graph/dependency_graph.h"
 #include "synth/dataset.h"
@@ -41,29 +43,31 @@ struct ConfigResult {
   double pair_updates_per_sec = 0.0;  // evaluations / best time
 };
 
+// `reference` runs the serial test reference instead of the kernel.
 ConfigResult RunConfig(const std::string& name, const DependencyGraph& g1,
-                       const DependencyGraph& g2, EmsKernel kernel,
-                       int threads, int reps, SimilarityMatrix* out) {
+                       const DependencyGraph& g2, bool reference, int threads,
+                       int reps, SimilarityMatrix* out) {
   ConfigResult r;
   r.name = name;
   double total = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     EmsOptions opts;
     opts.direction = Direction::kBoth;
-    opts.kernel = kernel;
     opts.num_threads = threads;
+    testing::ReferenceEms ref(g1, g2, opts);
     EmsSimilarity sim(g1, g2, opts);
     Timer timer;
-    SimilarityMatrix s = sim.Compute();
+    SimilarityMatrix s = reference ? ref.Compute() : sim.Compute();
     const double ms = timer.ElapsedMillis();
     total += ms;
     if (rep == 0 || ms < r.best_millis) r.best_millis = ms;
     if (rep == 0) {
+      const EmsStats& stats = reference ? ref.stats() : sim.stats();
       *out = s;
-      r.iterations = sim.stats().iterations;
-      r.formula_evaluations = sim.stats().formula_evaluations;
-      r.pairs_pruned = sim.stats().pairs_pruned_converged;
-      r.pairs_skipped = sim.stats().pairs_skipped_unchanged;
+      r.iterations = stats.iterations;
+      r.formula_evaluations = stats.formula_evaluations;
+      r.pairs_pruned = stats.pairs_pruned_converged;
+      r.pairs_skipped = stats.pairs_skipped_unchanged;
       r.coeff_table_bytes = sim.coefficient_table_bytes();
     }
   }
@@ -84,7 +88,8 @@ void WriteJson(const std::vector<ConfigResult>& results, int events,
   w.Key("figure");
   w.String("fixpoint");
   w.Key("description");
-  w.String("EMS fixpoint kernel: naive vs optimized, serial and 4 threads");
+  w.String("EMS fixpoint: naive test reference vs kernel, serial and 4 "
+           "threads");
   w.Key("events");
   w.Int(events);
   w.Key("reps");
@@ -151,7 +156,7 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("=====================================================\n");
-  std::printf("fixpoint — EMS kernel: naive vs optimized (%d events)\n",
+  std::printf("fixpoint — EMS: test reference vs kernel (%d events)\n",
               events);
   std::printf("=====================================================\n");
   const LogPair pair = MakeScalabilityPairs(events, 1, seed).front();
@@ -162,20 +167,20 @@ int Main(int argc, char** argv) {
 
   struct Config {
     const char* name;
-    EmsKernel kernel;
+    bool reference;
     int threads;
   };
   const Config configs[] = {
-      {"naive_1t", EmsKernel::kNaive, 1},
-      {"optimized_1t", EmsKernel::kOptimized, 1},
-      {"naive_4t", EmsKernel::kNaive, 4},
-      {"optimized_4t", EmsKernel::kOptimized, 4},
+      {"naive_1t", true, 1},
+      {"optimized_1t", false, 1},
+      {"optimized_4t", false, 4},
   };
+  constexpr size_t kConfigs = sizeof(configs) / sizeof(configs[0]);
 
   std::vector<ConfigResult> results;
-  std::vector<SimilarityMatrix> matrices(4);
-  for (size_t i = 0; i < 4; ++i) {
-    results.push_back(RunConfig(configs[i].name, g1, g2, configs[i].kernel,
+  std::vector<SimilarityMatrix> matrices(kConfigs);
+  for (size_t i = 0; i < kConfigs; ++i) {
+    results.push_back(RunConfig(configs[i].name, g1, g2, configs[i].reference,
                                 configs[i].threads, reps, &matrices[i]));
     const ConfigResult& r = results.back();
     std::printf(
@@ -187,9 +192,9 @@ int Main(int argc, char** argv) {
         r.pair_updates_per_sec);
   }
 
-  // Equivalence harness: every configuration must match the serial naive
-  // baseline to the last bit.
-  for (size_t i = 1; i < 4; ++i) {
+  // Equivalence harness: every kernel configuration must match the test
+  // reference to the last bit.
+  for (size_t i = 1; i < kConfigs; ++i) {
     const double diff = matrices[0].MaxAbsDifference(matrices[i]);
     if (diff != 0.0) {
       std::fprintf(stderr,

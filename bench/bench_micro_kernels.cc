@@ -44,40 +44,6 @@ void BM_EmsExact(benchmark::State& state) {
 }
 BENCHMARK(BM_EmsExact)->Arg(20)->Arg(50)->Arg(100);
 
-// The naive reference kernel on the same instances: BM_EmsExact /
-// BM_EmsExactNaive is the fixpoint speedup of the optimized kernel
-// (coefficient tables + panel + fused SIMD scan + delta skipping).
-void BM_EmsExactNaive(benchmark::State& state) {
-  LogPair pair = MakeBenchPair(static_cast<int>(state.range(0)));
-  DependencyGraph g1 = DependencyGraph::Build(pair.log1);
-  DependencyGraph g2 = DependencyGraph::Build(pair.log2);
-  for (auto _ : state) {
-    EmsOptions opts;
-    opts.kernel = EmsKernel::kNaive;
-    EmsSimilarity sim(g1, g2, opts);
-    SimilarityMatrix m = sim.Compute();
-    benchmark::DoNotOptimize(m.at(1, 1));
-  }
-}
-BENCHMARK(BM_EmsExactNaive)->Arg(20)->Arg(50)->Arg(100);
-
-// The optimized kernel without its precomputed coefficient tables
-// (on-the-fly fallback): the delta against BM_EmsExact is what the
-// table memory buys.
-void BM_EmsExactNoTables(benchmark::State& state) {
-  LogPair pair = MakeBenchPair(static_cast<int>(state.range(0)));
-  DependencyGraph g1 = DependencyGraph::Build(pair.log1);
-  DependencyGraph g2 = DependencyGraph::Build(pair.log2);
-  for (auto _ : state) {
-    EmsOptions opts;
-    opts.coeff_table_max_bytes = 0;
-    EmsSimilarity sim(g1, g2, opts);
-    SimilarityMatrix m = sim.Compute();
-    benchmark::DoNotOptimize(m.at(1, 1));
-  }
-}
-BENCHMARK(BM_EmsExactNoTables)->Arg(50)->Arg(100);
-
 // Same kernel with an ObsContext attached: the delta against BM_EmsExact
 // is the cost of enabled instrumentation (spans per direction + counter
 // flushes per run), and BM_EmsExact itself carries the disabled-path

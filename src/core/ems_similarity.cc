@@ -23,16 +23,16 @@ namespace {
 #endif
 
 // The edge-similarity coefficient C of Definition 2. Single definition
-// shared by EdgeCoefficient, the table builder, and the on-the-fly
-// fallback, so every path evaluates the exact same expression.
+// shared by EdgeCoefficient and the table builder, so both evaluate the
+// exact same expression.
 inline double EdgeCoeff(double c, double fa, double fb) {
   return c * (1.0 - std::fabs(fa - fb) / (fa + fb));
 }
 
-// The final blend of formula (1). Shared — and deliberately kept out of
-// line — by the naive and optimized kernels: one instruction sequence
-// rules out call-site-dependent floating-point contraction breaking the
-// kernels' bit-identity contract.
+// The final blend of formula (1), deliberately kept out of line: one
+// instruction sequence rules out call-site-dependent floating-point
+// contraction breaking bit-identity with the test reference
+// (tests/core/ems_reference.cc), which evaluates the same expression.
 EMS_NOINLINE double BlendPair(double alpha, double s12, double s21,
                               double label) {
   return alpha * (s12 + s21) / 2.0 + (1.0 - alpha) * label;
@@ -92,29 +92,31 @@ struct RowRangeResult {
 
 }  // namespace
 
-// Iteration-invariant per-direction state of the optimized kernel: both
-// graphs' adjacency for that direction flattened to CSR, and (memory
-// permitting) the precomputed C(fa, fb) blocks — for each real pair
-// (v1, v2) a deg(v1) x deg(v2) row-major block at
-// row_base[v1] + deg(v1) * col_base[v2].
+// Iteration-invariant per-direction state of the kernel: both graphs'
+// adjacency for that direction flattened to CSR, and C(fa, fb)
+// precomputed per frequency class. C depends only on the two edge
+// frequencies, and g1's real neighbor-list entries carry few distinct
+// ones (each is a trace count over the trace total), so `coeff` holds one
+// row per distinct g1 frequency, shaped like a panel row: entry k is C
+// against the k-th real g2 neighbor slot. Entry i of v1's list scans row
+// class1[offsets[v1] + i] from col_base[v2], beside the panel row of its
+// neighbor.
 struct EmsSimilarity::DirectionTables {
   CsrAdjacency a1;  // g1 neighbors (pre-sets forward, post-sets backward)
   CsrAdjacency a2;  // g2 neighbors
   int32_t max_degree2 = 0;
-  int32_t art2_entries = 0;    // neighbor-list entries of g2's artificial node
-  size_t panel_stride = 0;     // real g2 neighbor-list entries (panel row width)
-  bool have_coeff = false;
-  std::vector<double> coeff;
-  std::vector<size_t> row_base;  // per g1 node: offset of its first block
+  int32_t art2_entries = 0;  // neighbor-list entries of g2's artificial node
+  size_t panel_stride = 0;   // real g2 neighbor-list entries (panel row width)
+  std::vector<double> coeff;     // distinct g1 frequencies x panel_stride
+  std::vector<int32_t> class1;   // aligned with a1.neighbors: row of coeff
   std::vector<size_t> col_base;  // per g2 node: real entries before it
 };
 
 // Changed/dirty bitmaps of one RunDirection (delta-driven recomputation):
 // row_changed/col_changed describe the previous iteration, dirty1/dirty2
-// are derived marks for the current one, next_* collect the running
+// are the marks for the current one, next_* collect the running
 // iteration's changes.
 struct EmsSimilarity::DeltaState {
-  bool active = false;  // false for iteration 1 (no previous iteration)
   // True once panel_ holds the previous iteration's gathers for this
   // direction; rows whose row_changed bit is clear are then re-usable.
   bool panel_primed = false;
@@ -174,43 +176,6 @@ SimilarityMatrix EmsSimilarity::InitialMatrix() const {
   return s;
 }
 
-double EmsSimilarity::OneSide(Direction direction, const SimilarityMatrix& prev,
-                              NodeId v1, NodeId v2, bool transposed) const {
-  // s(v1, v2) = (1/|N(v1)|) * sum over v1' in N(v1) of
-  //             max over v2' in N(v2) of C(...) * S^{n-1}(v1', v2'),
-  // where N is the pre-set (forward) or post-set (backward). When
-  // `transposed`, the roles of the two graphs swap (s(v2, v1)) but matrix
-  // indexing stays (g1-node, g2-node).
-  const bool forward = direction == Direction::kForward;
-  const DependencyGraph& ga = transposed ? g2_ : g1_;
-  const DependencyGraph& gb = transposed ? g1_ : g2_;
-  const NodeId a = transposed ? v2 : v1;
-  const NodeId b = transposed ? v1 : v2;
-
-  const auto& nbrs_a = forward ? ga.Predecessors(a) : ga.Successors(a);
-  const auto& freq_a =
-      forward ? ga.PredecessorFrequencies(a) : ga.SuccessorFrequencies(a);
-  const auto& nbrs_b = forward ? gb.Predecessors(b) : gb.Successors(b);
-  const auto& freq_b =
-      forward ? gb.PredecessorFrequencies(b) : gb.SuccessorFrequencies(b);
-
-  if (nbrs_a.empty() || nbrs_b.empty()) return 0.0;
-
-  double sum = 0.0;
-  for (size_t i = 0; i < nbrs_a.size(); ++i) {
-    double best = 0.0;
-    for (size_t j = 0; j < nbrs_b.size(); ++j) {
-      double sim = transposed ? prev.at(nbrs_b[j], nbrs_a[i])
-                              : prev.at(nbrs_a[i], nbrs_b[j]);
-      if (sim <= 0.0) continue;
-      double coeff = EdgeCoefficient(freq_a[i], freq_b[j]);
-      best = std::max(best, coeff * sim);
-    }
-    sum += best;
-  }
-  return sum / static_cast<double>(nbrs_a.size());
-}
-
 const EmsSimilarity::DirectionTables& EmsSimilarity::TablesFor(
     Direction direction) {
   EMS_DCHECK(direction != Direction::kBoth);
@@ -226,50 +191,39 @@ const EmsSimilarity::DirectionTables& EmsSimilarity::TablesFor(
     t->a1 = g1_.ExportSuccessorCsr();
     t->a2 = g2_.ExportSuccessorCsr();
   }
-  const NodeId n1 = static_cast<NodeId>(g1_.NumNodes());
   const NodeId n2 = static_cast<NodeId>(g2_.NumNodes());
   for (NodeId v2 = 0; v2 < n2; ++v2) {
     t->max_degree2 = std::max(t->max_degree2, t->a2.Degree(v2));
   }
-  const int64_t e1 = t->a1.RealEntries(g1_.has_artificial());
-  const int64_t e2 = t->a2.RealEntries(g2_.has_artificial());
   t->art2_entries = g2_.has_artificial() ? t->a2.Degree(0) : 0;
-  t->panel_stride = static_cast<size_t>(e2);
-  // col_base powers both the coefficient-block addressing and the panel
-  // (gathered S^{n-1}) addressing, so it is built even when the
-  // coefficient tables do not fit the cap.
+  t->panel_stride =
+      static_cast<size_t>(t->a2.RealEntries(g2_.has_artificial()));
   t->col_base.assign(static_cast<size_t>(n2), 0);
   for (NodeId v2 = 1; v2 < n2; ++v2) {
     t->col_base[static_cast<size_t>(v2)] = static_cast<size_t>(
         t->a2.offsets[static_cast<size_t>(v2)] - t->art2_entries);
   }
-  // Coefficient tables need 8 * E1_real * E2_real bytes; fall back to
-  // on-the-fly coefficients when that exceeds the configured cap
-  // (division-based check to dodge overflow on adversarial sizes).
-  const int64_t cap_doubles =
-      static_cast<int64_t>(options_.coeff_table_max_bytes / sizeof(double));
-  const bool fits =
-      e1 == 0 || e2 == 0 || (cap_doubles > 0 && e2 <= cap_doubles / e1);
-  if (fits) {
-    t->coeff.reserve(static_cast<size_t>(e1 * e2));
-    t->row_base.assign(static_cast<size_t>(n1), 0);
-    for (NodeId v1 = 1; v1 < n1; ++v1) {
-      t->row_base[static_cast<size_t>(v1)] = t->coeff.size();
-      const int32_t d1 = t->a1.Degree(v1);
-      const double* f1 =
-          t->a1.frequencies.data() + t->a1.offsets[static_cast<size_t>(v1)];
-      for (NodeId v2 = 1; v2 < n2; ++v2) {
-        const int32_t d2 = t->a2.Degree(v2);
-        const double* f2 =
-            t->a2.frequencies.data() + t->a2.offsets[static_cast<size_t>(v2)];
-        for (int32_t i = 0; i < d1; ++i) {
-          for (int32_t j = 0; j < d2; ++j) {
-            t->coeff.push_back(EdgeCoeff(options_.c, f1[i], f2[j]));
-          }
-        }
-      }
+  // Frequency classes of g1's real entries, keyed by exact double
+  // equality: every class row is built from the very doubles it stands
+  // for, so the coefficients match a per-entry evaluation bit for bit.
+  const std::vector<double>& f1 = t->a1.frequencies;
+  const size_t first1 =
+      f1.size() - static_cast<size_t>(t->a1.RealEntries(g1_.has_artificial()));
+  std::vector<double> classes(f1.data() + first1, f1.data() + f1.size());
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+  t->class1.assign(f1.size(), 0);
+  for (size_t k = first1; k < f1.size(); ++k) {
+    t->class1[k] = static_cast<int32_t>(
+        std::lower_bound(classes.begin(), classes.end(), f1[k]) -
+        classes.begin());
+  }
+  const double* f2 = t->a2.frequencies.data() + t->art2_entries;
+  t->coeff.reserve(classes.size() * t->panel_stride);
+  for (double fa : classes) {
+    for (size_t k = 0; k < t->panel_stride; ++k) {
+      t->coeff.push_back(EdgeCoeff(options_.c, fa, f2[k]));
     }
-    t->have_coeff = true;
   }
   slot = std::move(t);
   return *slot;
@@ -277,11 +231,8 @@ const EmsSimilarity::DirectionTables& EmsSimilarity::TablesFor(
 
 size_t EmsSimilarity::coefficient_table_bytes() const {
   size_t total = 0;
-  if (forward_tables_ != nullptr && forward_tables_->have_coeff) {
-    total += forward_tables_->coeff.size() * sizeof(double);
-  }
-  if (backward_tables_ != nullptr && backward_tables_->have_coeff) {
-    total += backward_tables_->coeff.size() * sizeof(double);
+  for (const auto* t : {forward_tables_.get(), backward_tables_.get()}) {
+    if (t != nullptr) total += t->coeff.size() * sizeof(double);
   }
   return total;
 }
@@ -294,8 +245,7 @@ double EmsSimilarity::Iterate(Direction direction, int iteration,
                               DeltaState* delta) {
   const NodeId rows = static_cast<NodeId>(g1_.NumNodes());
   const NodeId cols = static_cast<NodeId>(g2_.NumNodes());
-  const bool optimized = options_.kernel == EmsKernel::kOptimized;
-  const DirectionTables* tables = optimized ? &TablesFor(direction) : nullptr;
+  const DirectionTables& t = TablesFor(direction);
 
   const int* l1 = nullptr;
   const int* l2 = nullptr;
@@ -313,66 +263,52 @@ double EmsSimilarity::Iterate(Direction direction, int iteration,
              .data();
   }
 
-  const bool use_delta = delta != nullptr && delta->active;
-  const uint8_t* dirty1 = use_delta ? delta->dirty1.data() : nullptr;
-  const uint8_t* dirty2 = use_delta ? delta->dirty2.data() : nullptr;
-  uint8_t* next_row_changed =
-      delta != nullptr ? delta->next_row_changed.data() : nullptr;
+  const uint8_t* dirty1 = delta->dirty1.data();
+  const uint8_t* dirty2 = delta->dirty2.data();
+  uint8_t* next_row_changed = delta->next_row_changed.data();
 
   const double* prev_data = prev.data().data();
   double* next_data = next->mutable_data();
   const double alpha = options_.alpha;
-  const double c = options_.c;
+  const size_t stride = t.panel_stride;
 
   // Gather S^{n-1} into the panel: panel row r holds prev(r, n2[k]) for
   // every real-node neighbor slot k of g2, so the fused scan below reads
   // coefficients and similarities as two contiguous streams. Pure copies
-  // of prev values — bit-identity is unaffected.
-  const double* panel_data = nullptr;
-  if (optimized && tables->panel_stride > 0) {
-    const size_t stride = tables->panel_stride;
-    panel_.resize(static_cast<size_t>(rows) * stride);
-    const NodeId* slots =
-        tables->a2.neighbors.data() + tables->art2_entries;
-    // Once primed, rows whose row_changed bit is clear are bit-identical
-    // to the previous iteration's prev, so their gathers are still valid.
-    const uint8_t* changed = (delta != nullptr && delta->panel_primed &&
-                              delta->active)
-                                 ? delta->row_changed.data()
-                                 : nullptr;
-    for (NodeId r = 0; r < rows; ++r) {
-      if (changed != nullptr && changed[static_cast<size_t>(r)] == 0) {
-        continue;
-      }
-      const double* pr = prev_data + static_cast<size_t>(r) * cols;
-      double* dst = panel_.data() + static_cast<size_t>(r) * stride;
-      for (size_t k = 0; k < stride; ++k) {
-        dst[k] = pr[slots[k]];
-      }
+  // of prev values — bit-identity is unaffected. Once primed, rows whose
+  // row_changed bit is clear are bit-identical to the previous
+  // iteration's prev, so their gathers are still valid.
+  panel_.resize(static_cast<size_t>(rows) * stride);
+  const NodeId* slots = t.a2.neighbors.data() + t.art2_entries;
+  for (NodeId r = 0; r < rows; ++r) {
+    if (delta->panel_primed &&
+        delta->row_changed[static_cast<size_t>(r)] == 0) {
+      continue;
     }
-    if (delta != nullptr) delta->panel_primed = true;
-    panel_data = panel_.data();
+    const double* pr = prev_data + static_cast<size_t>(r) * cols;
+    double* dst = panel_.data() + static_cast<size_t>(r) * stride;
+    for (size_t k = 0; k < stride; ++k) dst[k] = pr[slots[k]];
   }
+  delta->panel_primed = true;
+  const double* panel_data = panel_.data();
 
   auto run_rows = [&](NodeId row_begin, NodeId row_end,
                       RowRangeResult* result) {
     // Scratch for the fused scan's per-column maxima; one allocation per
     // chunk, reused across its pairs.
-    std::vector<double> col_best;
-    if (optimized) {
-      col_best.resize(
-          static_cast<size_t>(std::max<int32_t>(tables->max_degree2, 1)));
-    }
-    if (delta != nullptr) {
-      result->col_changed.assign(static_cast<size_t>(cols), 0);
-    }
+    std::vector<double> col_best(
+        static_cast<size_t>(std::max<int32_t>(t.max_degree2, 1)));
+    result->col_changed.assign(static_cast<size_t>(cols), 0);
     for (NodeId v1 = row_begin; v1 < row_end; ++v1) {
       if (g1_.IsArtificial(v1)) continue;
       const bool row_frozen =
           frozen_rows != nullptr && (*frozen_rows)[static_cast<size_t>(v1)];
-      const bool row_dirty =
-          !use_delta || dirty1[static_cast<size_t>(v1)] != 0;
+      const bool row_dirty = dirty1[static_cast<size_t>(v1)] != 0;
       const size_t row_off = static_cast<size_t>(v1) * cols;
+      const int32_t off1 = t.a1.offsets[static_cast<size_t>(v1)];
+      const int32_t d1 = t.a1.Degree(v1);
+      const NodeId* n1 = t.a1.neighbors.data() + off1;
+      const int32_t* class1 = t.class1.data() + off1;
       for (NodeId v2 = 0; v2 < cols; ++v2) {
         if (g2_.IsArtificial(v2)) continue;
         const size_t idx = row_off + static_cast<size_t>(v2);
@@ -388,8 +324,7 @@ double EmsSimilarity::Iterate(Direction direction, int iteration,
           ++result->pruned;
           continue;
         }
-        if (use_delta &&
-            !(row_dirty && dirty2[static_cast<size_t>(v2)] != 0)) {
+        if (!(row_dirty && dirty2[static_cast<size_t>(v2)] != 0)) {
           // Neither input neighborhood changed last iteration: the
           // re-evaluation would reproduce the previous value bit for
           // bit, so copy it forward instead.
@@ -397,77 +332,38 @@ double EmsSimilarity::Iterate(Direction direction, int iteration,
           ++result->skipped;
           continue;
         }
-        double value;
-        if (optimized) {
-          // Fused forward/transposed pass over the deg(v1) x deg(v2)
-          // block: one read of S^{n-1} per neighbor pair feeds both the
-          // row maxima (s12) and the column maxima (s21). Sums run in
-          // the naive kernel's index order; maxima are order-free.
-          const DirectionTables& t = *tables;
-          const int32_t d1 = t.a1.Degree(v1);
-          const int32_t d2 = t.a2.Degree(v2);
-          double s12 = 0.0;
-          double s21 = 0.0;
-          if (d1 > 0 && d2 > 0) {
-            const NodeId* n1 =
-                t.a1.neighbors.data() + t.a1.offsets[static_cast<size_t>(v1)];
-            const size_t cb_off = t.col_base[static_cast<size_t>(v2)];
-            double* cb = col_best.data();
-            for (int32_t j = 0; j < d2; ++j) cb[j] = 0.0;
-            double sum_rows = 0.0;
-            if (t.have_coeff) {
-              const double* block =
-                  t.coeff.data() + t.row_base[static_cast<size_t>(v1)] +
-                  static_cast<size_t>(d1) * cb_off;
-              for (int32_t i = 0; i < d1; ++i) {
-                const double* crow = block + static_cast<size_t>(i) * d2;
-                const double* prow = panel_data +
-                                     static_cast<size_t>(n1[i]) *
-                                         t.panel_stride +
-                                     cb_off;
-                sum_rows += MulMaxRow(crow, prow, cb, d2);
-              }
-            } else {
-              const double* f1 = t.a1.frequencies.data() +
-                                 t.a1.offsets[static_cast<size_t>(v1)];
-              const double* f2 = t.a2.frequencies.data() +
-                                 t.a2.offsets[static_cast<size_t>(v2)];
-              for (int32_t i = 0; i < d1; ++i) {
-                const double* prow = panel_data +
-                                     static_cast<size_t>(n1[i]) *
-                                         t.panel_stride +
-                                     cb_off;
-                double best = 0.0;
-                for (int32_t j = 0; j < d2; ++j) {
-                  // The divide only matters when s != 0 (matches the
-                  // naive kernel's early-out; maxes of non-negative
-                  // products are unaffected by skipped zeros).
-                  const double s = prow[j];
-                  if (s <= 0.0) continue;
-                  const double p = EdgeCoeff(c, f1[i], f2[j]) * s;
-                  best = std::max(best, p);
-                  cb[j] = std::max(cb[j], p);
-                }
-                sum_rows += best;
-              }
-            }
-            s12 = sum_rows / static_cast<double>(d1);
-            double sum_cols = 0.0;
-            for (int32_t j = 0; j < d2; ++j) sum_cols += cb[j];
-            s21 = sum_cols / static_cast<double>(d2);
+        // Fused forward/transposed pass over the deg(v1) x deg(v2)
+        // neighbor pairs: one read of S^{n-1} per pair feeds both the
+        // row maxima (s12) and the column maxima (s21). Sums run in
+        // neighbor-list order; maxima are order-free.
+        const int32_t d2 = t.a2.Degree(v2);
+        double s12 = 0.0;
+        double s21 = 0.0;
+        if (d1 > 0 && d2 > 0) {
+          const size_t cb_off = t.col_base[static_cast<size_t>(v2)];
+          double* cb = col_best.data();
+          for (int32_t j = 0; j < d2; ++j) cb[j] = 0.0;
+          double sum_rows = 0.0;
+          for (int32_t i = 0; i < d1; ++i) {
+            const double* crow =
+                t.coeff.data() + static_cast<size_t>(class1[i]) * stride +
+                cb_off;
+            const double* prow =
+                panel_data + static_cast<size_t>(n1[i]) * stride + cb_off;
+            sum_rows += MulMaxRow(crow, prow, cb, d2);
           }
-          value = BlendPair(alpha, s12, s21, LabelAt(v1, v2));
-        } else {
-          double s12 = OneSide(direction, prev, v1, v2, /*transposed=*/false);
-          double s21 = OneSide(direction, prev, v1, v2, /*transposed=*/true);
-          value = BlendPair(alpha, s12, s21, LabelAt(v1, v2));
+          s12 = sum_rows / static_cast<double>(d1);
+          double sum_cols = 0.0;
+          for (int32_t j = 0; j < d2; ++j) sum_cols += cb[j];
+          s21 = sum_cols / static_cast<double>(d2);
         }
+        const double value = BlendPair(alpha, s12, s21, LabelAt(v1, v2));
         ++result->evaluations;
         const double old = prev_data[idx];
         next_data[idx] = value;
         const double d = std::fabs(value - old);
         if (d > result->max_delta) result->max_delta = d;
-        if (delta != nullptr && value != old) {
+        if (value != old) {
           next_row_changed[v1] = 1;
           result->col_changed[static_cast<size_t>(v2)] = 1;
         }
@@ -485,10 +381,8 @@ double EmsSimilarity::Iterate(Direction direction, int iteration,
     stats_.formula_evaluations += r.evaluations;
     stats_.pairs_pruned_converged += r.pruned;
     stats_.pairs_skipped_unchanged += r.skipped;
-    if (delta != nullptr) {
-      for (size_t v2 = 0; v2 < r.col_changed.size(); ++v2) {
-        delta->next_col_changed[v2] |= r.col_changed[v2];
-      }
+    for (size_t v2 = 0; v2 < r.col_changed.size(); ++v2) {
+      delta->next_col_changed[v2] |= r.col_changed[v2];
     }
   };
 
@@ -582,36 +476,35 @@ SimilarityMatrix EmsSimilarity::RunDirection(Direction direction,
     *controls->aborted = false;
   }
 
-  DeltaState delta_state;
-  DeltaState* delta = nullptr;
-  if (options_.kernel == EmsKernel::kOptimized && options_.skip_unchanged) {
-    const size_t n1 = g1_.NumNodes();
-    const size_t n2 = g2_.NumNodes();
-    delta_state.row_changed.assign(n1, 0);
-    delta_state.col_changed.assign(n2, 0);
-    delta_state.dirty1.assign(n1, 0);
-    delta_state.dirty2.assign(n2, 0);
-    delta_state.next_row_changed.assign(n1, 0);
-    delta_state.next_col_changed.assign(n2, 0);
-    delta = &delta_state;
-    if (seed_matrix != nullptr) {
-      // Prime the change bitmaps from the caller's hints so iteration 1
-      // may copy pairs whose input neighborhoods are entirely clean
-      // (EmsSeed documents when a clear bit is sound). Absent hints mean
-      // everything changed; indices past a hint's length are new nodes.
-      auto prime = [](std::vector<uint8_t>* bits,
-                      const std::vector<uint8_t>* hint) {
-        for (size_t i = 0; i < bits->size(); ++i) {
-          (*bits)[i] = hint != nullptr && i < hint->size() ? (*hint)[i] : 1;
-        }
-      };
-      prime(&delta_state.row_changed, options_.seed->changed_rows);
-      prime(&delta_state.col_changed, options_.seed->changed_cols);
-      const DirectionTables& t = TablesFor(direction);
-      DeriveDirty(t.a1, delta_state.row_changed, &delta_state.dirty1);
-      DeriveDirty(t.a2, delta_state.col_changed, &delta_state.dirty2);
-      delta_state.active = true;
-    }
+  const size_t n1 = g1_.NumNodes();
+  const size_t n2 = g2_.NumNodes();
+  DeltaState delta;
+  delta.row_changed.assign(n1, 0);
+  delta.col_changed.assign(n2, 0);
+  delta.next_row_changed.assign(n1, 0);
+  delta.next_col_changed.assign(n2, 0);
+  if (seed_matrix != nullptr) {
+    // Prime the change bitmaps from the caller's hints so iteration 1
+    // may copy pairs whose input neighborhoods are entirely clean
+    // (EmsSeed documents when a clear bit is sound). Absent hints mean
+    // everything changed; indices past a hint's length are new nodes.
+    auto prime = [](std::vector<uint8_t>* bits,
+                    const std::vector<uint8_t>* hint) {
+      for (size_t i = 0; i < bits->size(); ++i) {
+        (*bits)[i] = hint != nullptr && i < hint->size() ? (*hint)[i] : 1;
+      }
+    };
+    prime(&delta.row_changed, options_.seed->changed_rows);
+    prime(&delta.col_changed, options_.seed->changed_cols);
+    delta.dirty1.resize(n1);
+    delta.dirty2.resize(n2);
+    const DirectionTables& t = TablesFor(direction);
+    DeriveDirty(t.a1, delta.row_changed, &delta.dirty1);
+    DeriveDirty(t.a2, delta.col_changed, &delta.dirty2);
+  } else {
+    // A cold start has no previous iteration: every pair is evaluated.
+    delta.dirty1.assign(n1, 1);
+    delta.dirty2.assign(n2, 1);
   }
 
   // With run_to_horizon, keep iterating at least through the largest
@@ -639,25 +532,20 @@ SimilarityMatrix EmsSimilarity::RunDirection(Direction direction,
   while (n < max_iterations) {
     ++n;
     double delta_max =
-        Iterate(direction, n, prev, &next, frozen_rows, frozen_cols, delta);
+        Iterate(direction, n, prev, &next, frozen_rows, frozen_cols, &delta);
     std::swap(prev, next);
-    if (delta != nullptr) {
-      // Promote this iteration's changed-entry flags and derive the next
-      // iteration's dirty marks: pair (v1, v2) must be re-evaluated only
-      // if some input row in N(v1) changed AND some input column in
-      // N(v2) changed (docs/PERFORMANCE.md explains why the conjunction
-      // is a sound over-approximation).
-      const DirectionTables& t = TablesFor(direction);
-      delta->row_changed.swap(delta->next_row_changed);
-      delta->col_changed.swap(delta->next_col_changed);
-      std::fill(delta->next_row_changed.begin(),
-                delta->next_row_changed.end(), 0);
-      std::fill(delta->next_col_changed.begin(),
-                delta->next_col_changed.end(), 0);
-      DeriveDirty(t.a1, delta->row_changed, &delta->dirty1);
-      DeriveDirty(t.a2, delta->col_changed, &delta->dirty2);
-      delta->active = true;
-    }
+    // Promote this iteration's changed-entry flags and derive the next
+    // iteration's dirty marks: pair (v1, v2) must be re-evaluated only if
+    // some input row in N(v1) changed AND some input column in N(v2)
+    // changed (docs/PERFORMANCE.md explains why the conjunction is a
+    // sound over-approximation).
+    const DirectionTables& t = TablesFor(direction);
+    delta.row_changed.swap(delta.next_row_changed);
+    delta.col_changed.swap(delta.next_col_changed);
+    std::fill(delta.next_row_changed.begin(), delta.next_row_changed.end(), 0);
+    std::fill(delta.next_col_changed.begin(), delta.next_col_changed.end(), 0);
+    DeriveDirty(t.a1, delta.row_changed, &delta.dirty1);
+    DeriveDirty(t.a2, delta.col_changed, &delta.dirty2);
     if (controls != nullptr && controls->should_abort &&
         controls->should_abort(direction, n, prev, forward)) {
       if (controls->aborted != nullptr) *controls->aborted = true;
@@ -771,18 +659,6 @@ SimilarityMatrix EmsSimilarity::ComputePartial(Direction direction,
   SimilarityMatrix result = RunDirection(direction, iterations, &iters);
   stats_.iterations = iters;
   FlushStatsToObs();
-  return result;
-}
-
-SimilarityMatrix ComputeEmsSimilarity(const EventLog& log1,
-                                      const EventLog& log2,
-                                      const EmsOptions& options,
-                                      EmsStats* stats) {
-  DependencyGraph g1 = DependencyGraph::Build(log1);
-  DependencyGraph g2 = DependencyGraph::Build(log2);
-  EmsSimilarity sim(g1, g2, options);
-  SimilarityMatrix result = sim.Compute();
-  if (stats != nullptr) *stats = sim.stats();
   return result;
 }
 

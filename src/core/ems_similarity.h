@@ -29,21 +29,6 @@ enum class Direction {
   kBoth,      // average of the two (the production configuration)
 };
 
-/// Which iteration kernel evaluates formula (1). Both produce
-/// bit-identical matrices (pinned by tests/core/ems_kernel_test.cc);
-/// the naive kernel is retained as the equivalence reference and as the
-/// baseline the fixpoint benchmark measures speedups against.
-enum class EmsKernel {
-  /// CSR adjacency scans, precomputed edge-coefficient tables, a fused
-  /// forward/transposed pass, and delta-driven recomputation
-  /// (docs/PERFORMANCE.md).
-  kOptimized,
-  /// The straightforward per-pair OneSide evaluation of the seed
-  /// implementation: recomputes every coefficient and every non-pruned
-  /// pair each iteration.
-  kNaive,
-};
-
 /// Parameters of the EMS similarity.
 struct EmsOptions {
   /// Weight of the structural component vs the label component
@@ -83,24 +68,6 @@ struct EmsOptions {
   /// Observability sink (spans + counters); null (default) disables
   /// instrumentation with near-zero overhead. Borrowed, not owned.
   ObsContext* obs = nullptr;
-
-  /// Iteration kernel; kNaive is the retained reference implementation.
-  EmsKernel kernel = EmsKernel::kOptimized;
-
-  /// Delta-driven recomputation (optimized kernel only): a pair whose
-  /// forward and backward input neighborhoods saw no change in the
-  /// previous iteration is copied instead of re-evaluated — the
-  /// recomputation would be bit-identical, so results are unchanged.
-  /// Skips are counted in EmsStats::pairs_skipped_unchanged.
-  bool skip_unchanged = true;
-
-  /// Memory cap, in bytes per direction, for the precomputed
-  /// edge-coefficient tables of the optimized kernel. A direction needs
-  /// 8 * E1_real * E2_real bytes (E = neighbor-list entries over real
-  /// nodes); beyond the cap the kernel falls back to computing
-  /// coefficients on the fly (still CSR + fused + delta-skipping).
-  /// 0 disables the tables outright.
-  size_t coeff_table_max_bytes = 64ull << 20;
 
   /// Warm-start seed (borrowed, not owned); null = cold start from S^0.
   /// See EmsSeed for the soundness contract.
@@ -170,9 +137,11 @@ struct EmsStats {
   /// summed over iterations and directions.
   uint64_t pairs_pruned_converged = 0;
 
-  /// Pair updates skipped by delta-driven recomputation (the pair's
-  /// input neighborhoods were unchanged), summed over iterations and
-  /// directions. Always 0 for the naive kernel or skip_unchanged=false.
+  /// Pair updates skipped by delta-driven recomputation, summed over
+  /// iterations and directions: a pair whose forward and backward input
+  /// neighborhoods saw no change in the previous iteration is copied
+  /// instead of re-evaluated, since the re-evaluation would reproduce it
+  /// bit for bit (docs/PERFORMANCE.md).
   uint64_t pairs_skipped_unchanged = 0;
 
   void Add(const EmsStats& other) {
@@ -269,34 +238,31 @@ class EmsSimilarity {
   double EdgeCoefficient(double fa, double fb) const;
 
   /// Bytes held by the precomputed coefficient tables across the
-  /// directions built so far; 0 for the naive kernel, when the cap
-  /// forced the on-the-fly fallback, or before the first run.
+  /// directions built so far: 8 * D1 * E2 per direction, where D1 counts
+  /// the distinct edge frequencies of g1's real neighbor-list entries and
+  /// E2 the real neighbor-list entries of g2. 0 before the first run.
   size_t coefficient_table_bytes() const;
 
   const EmsOptions& options() const { return options_; }
 
  private:
-  struct DirectionTables;  // CSR adjacency + coefficient blocks (.cc)
+  struct DirectionTables;  // CSR adjacency + coefficient table (.cc)
   struct DeltaState;       // changed/dirty bitmaps of one run (.cc)
 
-  // Lazily builds (once) and returns the optimized kernel's tables for
-  // one direction.
+  // Lazily builds (once) and returns the kernel's tables for one
+  // direction.
   const DirectionTables& TablesFor(Direction direction);
 
   // One full pass of formula (1) for `direction`, reading `prev` and
   // writing `next`. `iteration` is 1-based; returns the max delta.
   // Pairs in frozen rows/columns (may be null) are copied, not recomputed.
-  // `delta` (null for the naive kernel) carries the changed-entry bitmaps
-  // driving skip_unchanged and is updated with this iteration's changes.
+  // `delta` carries the changed-entry bitmaps that drive delta skipping
+  // and is updated with this iteration's changes.
   double Iterate(Direction direction, int iteration,
                  const SimilarityMatrix& prev, SimilarityMatrix* next,
                  const std::vector<bool>* frozen_rows,
                  const std::vector<bool>* frozen_cols,
                  DeltaState* delta);
-
-  // One-side similarity s(v1, v2) (or s(v2, v1) when `transposed`).
-  double OneSide(Direction direction, const SimilarityMatrix& prev, NodeId v1,
-                 NodeId v2, bool transposed) const;
 
   SimilarityMatrix InitialMatrix() const;
   // `forward` is handed to the abort hook (the finished forward matrix of
@@ -330,18 +296,11 @@ class EmsSimilarity {
   std::unique_ptr<exec::ThreadPool> owned_pool_;
   std::unique_ptr<DirectionTables> forward_tables_;
   std::unique_ptr<DirectionTables> backward_tables_;
-  // Per-iteration scratch of the optimized kernel: S^{n-1} gathered once
-  // per row into g2 neighbor-slot order, so the innermost scan reads both
-  // its operands contiguously instead of gathering per cell. Reused
-  // across iterations and directions.
+  // Per-iteration scratch of the kernel: S^{n-1} gathered once per row
+  // into g2 neighbor-slot order, so the innermost scan reads both its
+  // operands contiguously instead of gathering per cell. Reused across
+  // iterations and directions.
   std::vector<double> panel_;
 };
-
-/// Convenience wrapper: computes the EMS similarity matrix between two
-/// event logs end-to-end (builds graphs with artificial events).
-SimilarityMatrix ComputeEmsSimilarity(const EventLog& log1,
-                                      const EventLog& log2,
-                                      const EmsOptions& options = {},
-                                      EmsStats* stats = nullptr);
 
 }  // namespace ems

@@ -42,8 +42,9 @@ struct CsrAdjacency {
     return offsets[static_cast<size_t>(v) + 1] -
            offsets[static_cast<size_t>(v)];
   }
-  /// Total neighbor entries over the real (non-artificial) nodes — the
-  /// row-dimension budget of per-pair coefficient tables.
+  /// Total neighbor entries over the real (non-artificial) nodes; they
+  /// come last, after the artificial node's. The EMS kernel's panel and
+  /// coefficient-table rows hold one slot per real entry of g2.
   int64_t RealEntries(bool has_artificial) const {
     int64_t total = static_cast<int64_t>(neighbors.size());
     if (has_artificial) total -= Degree(0);

@@ -57,6 +57,9 @@ Status ParseMatchOptions(const JsonValue& job, MatchOptions* out) {
   else if (engine == "estimated") out->engine = SimilarityEngine::kEstimated;
   else return Status::InvalidArgument("unknown engine '" + engine + "'");
   out->estimation_iterations = job.GetInt("iterations", 5);
+  if (out->estimation_iterations < 0) {
+    return Status::InvalidArgument("iterations must be >= 0");
+  }
   out->match_composites = job.GetBool("composites", false);
   out->composite.delta = job.GetNumber("delta", out->composite.delta);
   const std::string selection = job.GetString("selection", "hungarian");

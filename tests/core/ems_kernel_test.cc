@@ -1,17 +1,22 @@
-// The optimized EMS iteration kernel (CSR adjacency, precomputed
-// coefficient tables, fused forward/transposed scan, delta-driven
-// recomputation) must be bit-identical to the retained naive reference
-// kernel: same matrices to the last bit, same iteration counts — across
-// random graphs, serially and with 4 threads, with and without the
-// coefficient tables, and composed with every RunControls mechanism.
+// The EMS iteration kernel (CSR adjacency, frequency-class coefficient
+// table, fused forward/transposed scan, delta-driven recomputation) must
+// be bit-identical to the naive test reference (core/ems_reference.h):
+// same matrices to the last bit, same iteration counts — across random
+// graphs, serially and with 4 threads, on graphs whose edges share
+// frequencies, and composed with every RunControls mechanism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/ems_reference.h"
 #include "core/ems_similarity.h"
 #include "paper_example.h"
 #include "synth/dataset.h"
 
 namespace ems {
 namespace {
+
+using testing::ReferenceEms;
 
 LogPair RandomPair(Testbed testbed, int activities, uint64_t seed) {
   PairOptions opts;
@@ -31,21 +36,44 @@ DependencyGraph CyclicGraph(double scale) {
       {{0, 1, 0.6 * scale}, {1, 2, 0.5}, {2, 0, 0.4 * scale}, {2, 3, 0.3}});
 }
 
+// Two graphs whose real edges repeat a handful of frequencies, so the
+// coefficient table has fewer rows than g1 has real neighbor-list
+// entries (D1 < E1).
+DependencyGraph SharedFrequencyGraph(double f) {
+  return DependencyGraph::FromExplicit(
+      {"a", "b", "c", "d", "e"}, {1.0, f, f, 0.5, 0.5},
+      {{0, 1, f}, {0, 2, f}, {1, 3, 0.5}, {2, 3, 0.5}, {1, 4, f},
+       {2, 4, f}, {3, 4, 0.5}});
+}
+
+// Real neighbor-list entries (E) and their distinct frequencies (D).
+struct EntryCounts {
+  size_t entries = 0;
+  size_t distinct = 0;
+};
+
+EntryCounts CountRealEntries(const CsrAdjacency& adj) {
+  std::vector<double> f(adj.frequencies.begin() + adj.offsets[1],
+                        adj.frequencies.end());
+  std::sort(f.begin(), f.end());
+  EntryCounts counts;
+  counts.entries = f.size();
+  counts.distinct = static_cast<size_t>(
+      std::unique(f.begin(), f.end()) - f.begin());
+  return counts;
+}
+
 void ExpectKernelsBitIdentical(const DependencyGraph& g1,
                                const DependencyGraph& g2,
                                EmsOptions base,
                                const std::vector<std::vector<double>>* labels =
                                    nullptr) {
-  EmsOptions naive = base;
-  naive.kernel = EmsKernel::kNaive;
-  EmsOptions optimized = base;
-  optimized.kernel = EmsKernel::kOptimized;
-  EmsSimilarity sim_naive(g1, g2, naive, labels);
-  EmsSimilarity sim_opt(g1, g2, optimized, labels);
-  SimilarityMatrix a = sim_naive.Compute();
-  SimilarityMatrix b = sim_opt.Compute();
+  ReferenceEms reference(g1, g2, base, labels);
+  EmsSimilarity sim(g1, g2, base, labels);
+  SimilarityMatrix a = reference.Compute();
+  SimilarityMatrix b = sim.Compute();
   EXPECT_EQ(a.MaxAbsDifference(b), 0.0);
-  EXPECT_EQ(sim_naive.stats().iterations, sim_opt.stats().iterations);
+  EXPECT_EQ(reference.stats().iterations, sim.stats().iterations);
 }
 
 TEST(EmsKernelTest, BitIdenticalOnRandomGraphsSerial) {
@@ -84,14 +112,20 @@ TEST(EmsKernelTest, BitIdenticalOnRandomGraphsFourThreads) {
             sim_parallel.stats().pairs_skipped_unchanged);
 }
 
-TEST(EmsKernelTest, BitIdenticalWithoutCoefficientTables) {
-  LogPair pair = RandomPair(Testbed::kDsFB, 20, 7);
-  DependencyGraph g1 = DependencyGraph::Build(pair.log1);
-  DependencyGraph g2 = DependencyGraph::Build(pair.log2);
-  EmsOptions opts;
-  opts.direction = Direction::kBoth;
-  opts.coeff_table_max_bytes = 0;  // force the on-the-fly fallback
-  ExpectKernelsBitIdentical(g1, g2, opts);
+TEST(EmsKernelTest, BitIdenticalWhenEdgesShareFrequencies) {
+  DependencyGraph g1 = SharedFrequencyGraph(0.6);
+  DependencyGraph g2 = SharedFrequencyGraph(0.7);
+  for (const CsrAdjacency& adj :
+       {g1.ExportPredecessorCsr(), g1.ExportSuccessorCsr()}) {
+    const EntryCounts counts = CountRealEntries(adj);
+    EXPECT_LT(counts.distinct, counts.entries);
+  }
+  for (int threads : {1, 4}) {
+    EmsOptions opts;
+    opts.direction = Direction::kBoth;
+    opts.num_threads = threads;
+    ExpectKernelsBitIdentical(g1, g2, opts);
+  }
 }
 
 TEST(EmsKernelTest, BitIdenticalWithLabelsAndAlpha) {
@@ -126,16 +160,12 @@ TEST(EmsKernelTest, ComputePartialBitIdentical) {
   DependencyGraph g1 = DependencyGraph::Build(pair.log1);
   DependencyGraph g2 = DependencyGraph::Build(pair.log2);
   for (int iterations : {1, 3, 6}) {
-    EmsOptions naive;
-    naive.kernel = EmsKernel::kNaive;
-    EmsOptions optimized;
-    optimized.kernel = EmsKernel::kOptimized;
-    EmsSimilarity sim_naive(g1, g2, naive);
-    EmsSimilarity sim_opt(g1, g2, optimized);
-    SimilarityMatrix a = sim_naive.ComputePartial(Direction::kForward,
+    EmsOptions opts;
+    ReferenceEms reference(g1, g2, opts);
+    EmsSimilarity sim(g1, g2, opts);
+    SimilarityMatrix a = reference.ComputePartial(Direction::kForward,
                                                   iterations);
-    SimilarityMatrix b = sim_opt.ComputePartial(Direction::kForward,
-                                                iterations);
+    SimilarityMatrix b = sim.ComputePartial(Direction::kForward, iterations);
     EXPECT_EQ(a.MaxAbsDifference(b), 0.0) << iterations << " iterations";
   }
 }
@@ -146,40 +176,49 @@ TEST(EmsKernelTest, DeltaSkipSavesEvaluationsWithoutChangingResults) {
   DependencyGraph g2 = DependencyGraph::Build(pair.log2);
   // Pruning disabled: on a DAG Proposition-2 pruning is checked first and
   // absorbs the very pairs whose neighborhoods stabilized, so delta-skip
-  // savings only become visible on their own.
-  EmsOptions with;
-  with.direction = Direction::kBoth;
-  with.skip_unchanged = true;
-  with.prune_converged = false;
-  EmsOptions without = with;
-  without.skip_unchanged = false;
-  EmsSimilarity sim_with(g1, g2, with);
-  EmsSimilarity sim_without(g1, g2, without);
-  SimilarityMatrix a = sim_with.Compute();
-  SimilarityMatrix b = sim_without.Compute();
+  // savings only become visible on their own. The reference never skips,
+  // so it evaluates every pair of every iteration.
+  EmsOptions opts;
+  opts.direction = Direction::kBoth;
+  opts.prune_converged = false;
+  EmsSimilarity sim(g1, g2, opts);
+  ReferenceEms reference(g1, g2, opts);
+  SimilarityMatrix a = sim.Compute();
+  SimilarityMatrix b = reference.Compute();
   EXPECT_EQ(a.MaxAbsDifference(b), 0.0);
-  EXPECT_GT(sim_with.stats().pairs_skipped_unchanged, 0u);
-  EXPECT_EQ(sim_without.stats().pairs_skipped_unchanged, 0u);
-  EXPECT_LT(sim_with.stats().formula_evaluations,
-            sim_without.stats().formula_evaluations);
+  EXPECT_GT(sim.stats().pairs_skipped_unchanged, 0u);
+  EXPECT_EQ(reference.stats().pairs_skipped_unchanged, 0u);
+  EXPECT_LT(sim.stats().formula_evaluations,
+            reference.stats().formula_evaluations);
 }
 
-TEST(EmsKernelTest, CoefficientTableMemoryReportedAndCapped) {
-  DependencyGraph g1 = testing::BuildPaperGraph1();
-  DependencyGraph g2 = testing::BuildPaperGraph2();
+TEST(EmsKernelTest, CoefficientTableHoldsOneRowPerFrequencyClass) {
+  LogPair pair = RandomPair(Testbed::kDsFB, 30, 3);
+  DependencyGraph g1 = DependencyGraph::Build(pair.log1);
+  DependencyGraph g2 = DependencyGraph::Build(pair.log2);
   EmsOptions opts;
   opts.direction = Direction::kBoth;
   EmsSimilarity sim(g1, g2, opts);
   EXPECT_EQ(sim.coefficient_table_bytes(), 0u);  // lazily built
   (void)sim.Compute();
-  EXPECT_GT(sim.coefficient_table_bytes(), 0u);
 
-  EmsOptions capped = opts;
-  capped.coeff_table_max_bytes = 8;  // too small for any real graph pair
-  EmsSimilarity sim_capped(g1, g2, capped);
-  SimilarityMatrix a = sim_capped.Compute();
-  EXPECT_EQ(sim_capped.coefficient_table_bytes(), 0u);
-  EXPECT_EQ(a.MaxAbsDifference(sim.Compute()), 0.0);
+  // 8 * D1 * E2 per direction, never more than the 8 * E1 * E2 of one
+  // coefficient per neighbor pair.
+  size_t class_bytes = 0;
+  size_t pair_bytes = 0;
+  const CsrAdjacency a1[] = {g1.ExportPredecessorCsr(),
+                             g1.ExportSuccessorCsr()};
+  const CsrAdjacency a2[] = {g2.ExportPredecessorCsr(),
+                             g2.ExportSuccessorCsr()};
+  for (int d = 0; d < 2; ++d) {
+    const EntryCounts c1 = CountRealEntries(a1[d]);
+    const EntryCounts c2 = CountRealEntries(a2[d]);
+    class_bytes += sizeof(double) * c1.distinct * c2.entries;
+    pair_bytes += sizeof(double) * c1.entries * c2.entries;
+  }
+  EXPECT_GT(class_bytes, 0u);
+  EXPECT_EQ(sim.coefficient_table_bytes(), class_bytes);
+  EXPECT_LE(class_bytes, pair_bytes);
 }
 
 // RunControls interactions (frozen rows + frozen cols + Proposition-2
@@ -201,27 +240,30 @@ TEST(EmsKernelTest, RunControlsComposeOnCyclicGraph) {
     }
   }
 
-  auto run = [&](EmsKernel kernel, bool skip_unchanged, int threads,
-                 EmsStats* stats) {
+  RunControls controls;
+  controls.frozen_rows = &rows;
+  controls.frozen_cols = &cols;
+  controls.frozen_values = &values;
+  auto options = [](int threads) {
     EmsOptions opts;
-    opts.kernel = kernel;
-    opts.skip_unchanged = skip_unchanged;
     opts.prune_converged = true;
     opts.num_threads = threads;
-    RunControls controls;
-    controls.frozen_rows = &rows;
-    controls.frozen_cols = &cols;
-    controls.frozen_values = &values;
-    EmsSimilarity sim(g1, g2, opts);
+    return opts;
+  };
+  auto run = [&](int threads, EmsStats* stats) {
+    EmsSimilarity sim(g1, g2, options(threads));
     SimilarityMatrix s = sim.ComputeControlled(Direction::kForward, controls);
     if (stats != nullptr) *stats = sim.stats();
     return s;
   };
 
-  EmsStats naive_stats, opt_stats;
-  SimilarityMatrix naive = run(EmsKernel::kNaive, false, 1, &naive_stats);
-  SimilarityMatrix opt = run(EmsKernel::kOptimized, true, 1, &opt_stats);
-  SimilarityMatrix opt4 = run(EmsKernel::kOptimized, true, 4, nullptr);
+  ReferenceEms reference(g1, g2, options(1));
+  SimilarityMatrix naive =
+      reference.ComputeControlled(Direction::kForward, controls);
+  const EmsStats naive_stats = reference.stats();
+  EmsStats opt_stats;
+  SimilarityMatrix opt = run(1, &opt_stats);
+  SimilarityMatrix opt4 = run(4, nullptr);
   EXPECT_EQ(naive.MaxAbsDifference(opt), 0.0);
   EXPECT_EQ(naive.MaxAbsDifference(opt4), 0.0);
   EXPECT_EQ(naive_stats.iterations, opt_stats.iterations);
@@ -240,7 +282,7 @@ TEST(EmsKernelTest, RunControlsComposeOnCyclicGraph) {
 TEST(EmsKernelTest, AbortCallbackComposesWithDeltaSkip) {
   DependencyGraph g1 = CyclicGraph(1.0);
   DependencyGraph g2 = CyclicGraph(0.7);
-  for (EmsKernel kernel : {EmsKernel::kNaive, EmsKernel::kOptimized}) {
+  auto expect_abort_at_three = [](auto* sim) {
     bool aborted = false;
     RunControls controls;
     controls.should_abort = [](Direction, int k, const SimilarityMatrix&,
@@ -248,13 +290,14 @@ TEST(EmsKernelTest, AbortCallbackComposesWithDeltaSkip) {
       return k >= 3;
     };
     controls.aborted = &aborted;
-    EmsOptions opts;
-    opts.kernel = kernel;
-    EmsSimilarity sim(g1, g2, opts);
-    (void)sim.ComputeControlled(Direction::kForward, controls);
+    (void)sim->ComputeControlled(Direction::kForward, controls);
     EXPECT_TRUE(aborted);
-    EXPECT_EQ(sim.stats().iterations, 3);
-  }
+    EXPECT_EQ(sim->stats().iterations, 3);
+  };
+  ReferenceEms reference(g1, g2, EmsOptions{});
+  EmsSimilarity sim(g1, g2, EmsOptions{});
+  expect_abort_at_three(&reference);
+  expect_abort_at_three(&sim);
 }
 
 }  // namespace

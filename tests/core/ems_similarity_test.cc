@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ems_reference.h"
 #include "obs/context.h"
 #include "paper_example.h"
 #include "text/label_similarity.h"
@@ -91,17 +92,16 @@ TEST(EmsSimilarityTest, IdenticalGraphsPreferDiagonal) {
 TEST(EmsSimilarityTest, PruningDoesNotChangeResult) {
   DependencyGraph g1 = BuildPaperGraph1();
   DependencyGraph g2 = BuildPaperGraph2();
-  // Delta-skipping disabled to isolate Proposition-2 pruning: with it on,
-  // unchanged-neighborhood skips can soak up the same pairs pruning would
-  // save (their interaction is covered by ems_kernel_test).
+  // The test reference isolates Proposition-2 pruning: it never
+  // delta-skips, whereas the kernel's unchanged-neighborhood skips can
+  // soak up the same pairs pruning would save (their interaction is
+  // covered by ems_kernel_test).
   EmsOptions with = Opts(Direction::kBoth);
   with.prune_converged = true;
-  with.skip_unchanged = false;
   EmsOptions without = Opts(Direction::kBoth);
   without.prune_converged = false;
-  without.skip_unchanged = false;
-  EmsSimilarity sim_with(g1, g2, with);
-  EmsSimilarity sim_without(g1, g2, without);
+  testing::ReferenceEms sim_with(g1, g2, with);
+  testing::ReferenceEms sim_without(g1, g2, without);
   SimilarityMatrix a = sim_with.Compute();
   SimilarityMatrix b = sim_without.Compute();
   EXPECT_LT(a.MaxAbsDifference(b), 1e-9);
@@ -187,16 +187,17 @@ TEST(EmsSimilarityTest, EdgeCoefficientBounds) {
   EXPECT_LT(mid, 0.8);
 }
 
-TEST(EmsSimilarityTest, LogPipelineConvenienceWrapper) {
+TEST(EmsSimilarityTest, ComputesOnGraphsBuiltFromLogs) {
   EventLog log1 = BuildPaperLog1();
   EventLog log2 = BuildPaperLog2();
-  EmsStats stats;
-  SimilarityMatrix s = ComputeEmsSimilarity(log1, log2, Opts(Direction::kBoth),
-                                            &stats);
+  DependencyGraph g1 = DependencyGraph::Build(log1);
+  DependencyGraph g2 = DependencyGraph::Build(log2);
+  EmsSimilarity sim(g1, g2, Opts(Direction::kBoth));
+  SimilarityMatrix s = sim.Compute();
   EXPECT_EQ(s.rows(), log1.NumEvents() + 1);
   EXPECT_EQ(s.cols(), log2.NumEvents() + 1);
-  EXPECT_GT(stats.iterations, 0);
-  EXPECT_GT(stats.formula_evaluations, 0u);
+  EXPECT_GT(sim.stats().iterations, 0);
+  EXPECT_GT(sim.stats().formula_evaluations, 0u);
 }
 
 TEST(EmsSimilarityTest, FrozenRowsAreRespected) {

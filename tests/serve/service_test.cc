@@ -216,6 +216,10 @@ TEST(ParseJobRequestTest, RejectsBadRequests) {
       ParseJobRequest(R"({"log1":"a","log2":"b","engine":"warp"})").ok());
   EXPECT_FALSE(
       ParseJobRequest(R"({"log1":"a","log2":"b","selection":"best"})").ok());
+  EXPECT_FALSE(ParseJobRequest(
+                   R"({"log1":"a","log2":"b","engine":"estimated",)"
+                   R"("iterations":-4})")
+                   .ok());
 }
 
 TEST(BatchMatchServiceTest, HandlesJobsAndRendersErrors) {

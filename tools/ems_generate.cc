@@ -23,14 +23,17 @@
 //   --seed=N             master seed (default 2014)
 //   --format=xes|mxml|csv|trace  export format (default xes)
 //
+// OUTPUT_DIR is created, parents included, when it does not exist.
 // Each pair becomes <dir>/pairK_a.<ext>, <dir>/pairK_b.<ext>, and
 // <dir>/pairK_truth.tsv (left<TAB>right per correspondence link); with
 // --append also <dir>/pairK_a_append<j>.<ext> per batch, ready to feed
 // the serve layer's {"cmd": "append"} as `delta` files
 // (docs/STREAMING.md).
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 
 #include "log/log_io.h"
 #include "log/mxml.h"
@@ -116,6 +119,14 @@ int main(int argc, char** argv) {
   if (dir.empty()) {
     std::fprintf(stderr, "usage: %s [options] OUTPUT_DIR\n", argv[0]);
     return 2;
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    const Status s = Status::IOError("cannot create directory '" + dir +
+                                     "': " + ec.message());
+    std::fprintf(stderr, "export failed: %s\n", s.ToString().c_str());
+    return 1;
   }
   Testbed tb = testbed == "dsf"   ? Testbed::kDsF
                : testbed == "dsb" ? Testbed::kDsB

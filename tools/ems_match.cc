@@ -169,6 +169,9 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     else if (ParseFlag(arg, "engine", &value)) flags.engine = value;
     else if (ParseFlag(arg, "iterations", &value)) {
       flags.iterations = std::atoi(value.c_str());
+      if (flags.iterations < 0) {
+        return Status::InvalidArgument("--iterations must be >= 0");
+      }
     } else if (ParseFlag(arg, "delta", &value)) {
       flags.delta = std::atof(value.c_str());
     } else if (ParseFlag(arg, "selection", &value)) flags.selection = value;
