@@ -2,14 +2,13 @@
 // "find common parts for simplification and reuse" application of the
 // paper's introduction. Pipeline: match events across the heterogeneous
 // logs, translate one log into the other's vocabulary, quantify
-// cross-log conformance, mine both causal nets, and emit a Graphviz
-// rendering of the matched graphs.
+// cross-log conformance, and emit a Graphviz rendering of the matched
+// graphs.
 #include <cstdio>
 #include <fstream>
 
 #include "core/match_report.h"
 #include "core/translation.h"
-#include "discovery/heuristic_miner.h"
 #include "graph/dot_export.h"
 #include "synth/dataset.h"
 
@@ -56,18 +55,6 @@ int main(int argc, char** argv) {
               "F %.2f\n\n",
               unified.trace_coverage_1in2, unified.trace_coverage_2in1,
               unified.f_conformance);
-
-  // Mine both causal nets (what a process analyst would inspect next).
-  CausalNet net1 = MineHeuristicNet(pair.log1);
-  CausalNet net2 = MineHeuristicNet(pair.log2);
-  std::printf("mined causal nets: A has %zu edges, B has %zu edges\n",
-              net1.edges.size(), net2.edges.size());
-  size_t and_splits = 0;
-  for (bool b : net1.and_split) and_splits += b;
-  std::printf("A: %zu start / %zu end activities, %zu AND-splits, %zu "
-              "short loops\n\n",
-              net1.start_activities.size(), net1.end_activities.size(),
-              and_splits, net1.loops2.size());
 
   std::printf("match report (JSON):\n%s\n",
               MatchResultToJson(*match).c_str());

@@ -584,8 +584,8 @@ Result<CompositeMatchResult> CompositeMatcher::Match() {
         step_ems.Add(slot.stats.ems);
         step_runs += slot.stats.ems_runs;
         stats_.Add(slot.stats);
-        ObsObserve(options_.obs, "composite.candidate_eval_millis",
-                   slot.millis);
+        ObsObserveQuantile(options_.obs, "composite.candidate_eval_millis",
+                           slot.millis);
         if (slot.pruned) {
           ++stats_.candidates_pruned_by_bound;
           ++step_pruned;

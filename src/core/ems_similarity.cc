@@ -574,8 +574,8 @@ void EmsSimilarity::FlushStatsToObs(const RunControls* controls) const {
                stats_.pairs_skipped_unchanged);
   ObsSetGauge(obs, "ems.coefficient_table_bytes",
               static_cast<double>(coefficient_table_bytes()));
-  ObsObserve(obs, "ems.iterations_per_run",
-             static_cast<double>(stats_.iterations));
+  ObsObserveQuantile(obs, "ems.iterations_per_run",
+                     static_cast<double>(stats_.iterations));
 }
 
 SimilarityMatrix EmsSimilarity::ComputeControlled(Direction direction,

@@ -20,8 +20,8 @@ ThreadPool::ThreadPool(const ThreadPoolOptions& options)
     MetricsRegistry& m = options.obs->metrics;
     tasks_submitted_ = m.GetCounter("exec.pool.tasks_submitted");
     tasks_completed_ = m.GetCounter("exec.pool.tasks_completed");
-    task_millis_ = m.GetHistogram("exec.pool.task_millis");
-    queue_depth_ = m.GetHistogram("exec.pool.queue_depth");
+    task_millis_ = m.GetQuantileHistogram("exec.pool.task_millis");
+    queue_depth_ = m.GetQuantileHistogram("exec.pool.queue_depth");
     queued_tasks_ = m.GetGauge("exec.pool.queued_tasks");
   }
   const int n = EffectiveThreads(options.num_threads);

@@ -17,7 +17,7 @@ namespace ems {
 struct ObsContext;
 class Counter;
 class Gauge;
-class Histogram;
+class QuantileHistogram;
 
 namespace exec {
 
@@ -90,8 +90,8 @@ class ThreadPool {
   // Instruments resolved once at construction; null when obs is null.
   Counter* tasks_submitted_ = nullptr;
   Counter* tasks_completed_ = nullptr;
-  Histogram* task_millis_ = nullptr;
-  Histogram* queue_depth_ = nullptr;
+  QuantileHistogram* task_millis_ = nullptr;
+  QuantileHistogram* queue_depth_ = nullptr;
   // Live queue depth (exec.pool.queued_tasks), refreshed on submit and
   // task completion — the admission-control signal a health endpoint
   // reads, where the histogram above records the distribution.

@@ -31,12 +31,8 @@ inline void ObsSetGauge(ObsContext* obs, std::string_view name, double value) {
   if (obs != nullptr) obs->metrics.GetGauge(name)->Set(value);
 }
 
-/// Null-safe histogram observation (default buckets).
-inline void ObsObserve(ObsContext* obs, std::string_view name, double value) {
-  if (obs != nullptr) obs->metrics.GetHistogram(name)->Observe(value);
-}
-
-/// Null-safe quantile-histogram observation (log-scale latency buckets).
+/// Null-safe quantile-histogram observation (log-scale buckets; the one
+/// distribution instrument, for latencies and counts alike).
 inline void ObsObserveQuantile(ObsContext* obs, std::string_view name,
                                double value) {
   if (obs != nullptr) obs->metrics.GetQuantileHistogram(name)->Observe(value);

@@ -41,12 +41,6 @@ void AppendType(std::string* out, const std::string& name, const char* type) {
   *out += '\n';
 }
 
-std::string LeLabel(double bound) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "le=\"%.12g\"", bound);
-  return buf;
-}
-
 }  // namespace
 
 std::string SanitizeMetricName(std::string_view raw) {
@@ -78,21 +72,6 @@ std::string RenderExpositionText(const MetricsRegistry& registry) {
     const std::string name = SanitizeMetricName(raw);
     AppendType(&out, name, "gauge");
     AppendSample(&out, name, "", g.value());
-  });
-  registry.ForEachHistogram([&](const std::string& raw, const Histogram& h) {
-    const std::string name = SanitizeMetricName(raw);
-    AppendType(&out, name, "histogram");
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < h.bounds().size(); ++i) {
-      cumulative += h.bucket_count(i);
-      AppendSample(&out, name + "_bucket", LeLabel(h.bounds()[i]),
-                   static_cast<double>(cumulative));
-    }
-    cumulative += h.bucket_count(h.bounds().size());
-    AppendSample(&out, name + "_bucket", "le=\"+Inf\"",
-                 static_cast<double>(cumulative));
-    AppendSample(&out, name + "_sum", "", h.sum());
-    AppendSample(&out, name + "_count", "", static_cast<double>(h.count()));
   });
   registry.ForEachQuantileHistogram(
       [&](const std::string& raw, const QuantileHistogram& h) {

@@ -1,8 +1,9 @@
 // Prometheus-style text exposition of a MetricsRegistry — the scrape
 // format alongside the existing JSON export. Counters render as
-// `<name>_total`, fixed-bucket histograms as cumulative `_bucket{le=..}`
-// series with `_sum`/`_count`, and quantile histograms as summaries with
-// `{quantile="0.5"|"0.9"|"0.99"}` sample lines. Metric names are
+// `<name>_total`, gauges as plain samples, and quantile histograms (the
+// registry's one distribution kind) as summaries with
+// `{quantile="0.5"|"0.9"|"0.99"}` sample lines plus `_sum`/`_count`; no
+// `histogram`-typed family is emitted. Metric names are
 // sanitized to [a-zA-Z_][a-zA-Z0-9_]* (dots become underscores), and
 // integer-valued gauges print as integers, never scientific notation.
 // The format is linted in CI by scripts/check_exposition.py.

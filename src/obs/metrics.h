@@ -1,5 +1,6 @@
-// Pipeline metrics: named counters, gauges, and fixed-bucket histograms
-// behind a registry. Increments are lock-free (std::atomic, relaxed) so
+// Pipeline metrics: named counters, gauges, and log-scale quantile
+// histograms (quantile_histogram.h, the one distribution kind) behind a
+// registry. Increments are lock-free (std::atomic, relaxed) so
 // instruments can live in hot loops; the registry itself takes a mutex
 // only on name lookup, so hot paths should resolve their instrument once
 // and increment through the pointer (instruments are never deallocated
@@ -14,7 +15,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/quantile_histogram.h"
 
@@ -49,41 +49,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: bucket i counts observations <= bounds[i];
-/// one overflow bucket counts the rest. Bounds are fixed at creation.
-class Histogram {
- public:
-  /// `bounds` must be strictly increasing and non-empty.
-  explicit Histogram(std::vector<double> bounds);
-
-  void Observe(double v);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-
-  /// Count in bucket i (i == bounds().size() is the overflow bucket).
-  uint64_t bucket_count(size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<uint64_t>[]> counts_raw_;
-  std::atomic<uint64_t>* counts_;  // bounds_.size() + 1 entries
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Default histogram buckets: a coarse exponential ladder suitable for
-/// iteration counts and millisecond timings alike.
-const std::vector<double>& DefaultHistogramBounds();
-
-/// The value at quantile `q` of a fixed-bucket histogram, interpolated
-/// within the containing bucket. 0 when the histogram is empty.
-double HistogramQuantile(const Histogram& hist, double q);
-
 /// True when a gauge value should render as an integer (queue depths,
 /// byte counts): integral and exactly representable, so neither JSON nor
 /// exposition output ever shows `3e+09` for a byte gauge.
@@ -106,16 +71,9 @@ class MetricsRegistry {
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
 
-  /// `bounds` applies only when the histogram does not exist yet.
-  Histogram* GetHistogram(std::string_view name,
-                          const std::vector<double>& bounds =
-                              DefaultHistogramBounds());
-
-  /// `options` applies only when the quantile histogram does not exist
-  /// yet (log-scale latency instrument; see quantile_histogram.h).
-  QuantileHistogram* GetQuantileHistogram(
-      std::string_view name,
-      const QuantileHistogramOptions& options = QuantileHistogramOptions());
+  /// The distribution instrument (latencies, iteration counts, queue
+  /// depths), with the default log-scale bucket layout.
+  QuantileHistogram* GetQuantileHistogram(std::string_view name);
 
   /// The counter's current value, or 0 when it was never created.
   uint64_t CounterValue(std::string_view name) const;
@@ -130,15 +88,13 @@ class MetricsRegistry {
       const std::function<void(const std::string&, const Counter&)>& fn) const;
   void ForEachGauge(
       const std::function<void(const std::string&, const Gauge&)>& fn) const;
-  void ForEachHistogram(
-      const std::function<void(const std::string&, const Histogram&)>& fn)
-      const;
   void ForEachQuantileHistogram(
       const std::function<void(const std::string&, const QuantileHistogram&)>&
           fn) const;
 
-  /// Emits {"counters": {...}, "gauges": {...}, "histograms": {...}} as
-  /// one JSON object value (the caller provides the surrounding key).
+  /// Emits CaptureMetricsSnapshot(*this) through MetricsSnapshot::WriteJson
+  /// as one JSON object value (the caller provides the surrounding key),
+  /// so a report and a stats response render the registry alike.
   void WriteJson(JsonWriter* w) const;
 
   /// Convenience: the WriteJson document as a standalone string.
@@ -148,7 +104,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<QuantileHistogram>, std::less<>>
       quantile_histograms_;
 };

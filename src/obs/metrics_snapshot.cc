@@ -20,6 +20,10 @@ void WriteHistogramStats(const HistogramStats& h, JsonWriter* w) {
   w->Int(static_cast<long long>(h.count));
   w->Key("sum");
   w->Number(h.sum);
+  w->Key("min");
+  w->Number(h.min);
+  w->Key("max");
+  w->Number(h.max);
   w->Key("p50");
   w->Number(h.p50);
   w->Key("p90");
@@ -40,20 +44,13 @@ MetricsSnapshot CaptureMetricsSnapshot(const MetricsRegistry& registry) {
   registry.ForEachGauge([&](const std::string& name, const Gauge& g) {
     snapshot.gauges.emplace(name, g.value());
   });
-  registry.ForEachHistogram([&](const std::string& name, const Histogram& h) {
-    HistogramStats stats;
-    stats.count = h.count();
-    stats.sum = h.sum();
-    stats.p50 = HistogramQuantile(h, 0.50);
-    stats.p90 = HistogramQuantile(h, 0.90);
-    stats.p99 = HistogramQuantile(h, 0.99);
-    snapshot.histograms.emplace(name, stats);
-  });
   registry.ForEachQuantileHistogram(
       [&](const std::string& name, const QuantileHistogram& h) {
         HistogramStats stats;
         stats.count = h.count();
         stats.sum = h.sum();
+        stats.min = h.min_value();
+        stats.max = h.max_value();
         stats.p50 = h.Quantile(0.50);
         stats.p90 = h.Quantile(0.90);
         stats.p99 = h.Quantile(0.99);
@@ -96,13 +93,6 @@ void MetricsSnapshot::WriteJson(JsonWriter* w) const {
     } else {
       w->Number(value);
     }
-  }
-  w->EndObject();
-  w->Key("histograms");
-  w->BeginObject();
-  for (const auto& [name, stats] : histograms) {
-    w->Key(name);
-    WriteHistogramStats(stats, w);
   }
   w->EndObject();
   w->Key("quantile_histograms");

@@ -16,10 +16,12 @@ namespace ems {
 
 class JsonWriter;
 
-/// Digest of one histogram (fixed-bucket or quantile) at capture time.
+/// Digest of one quantile histogram at capture time.
 struct HistogramStats {
   uint64_t count = 0;
   double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
@@ -33,13 +35,14 @@ struct MetricsSnapshot {
 
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramStats> histograms;
   std::map<std::string, HistogramStats> quantile_histograms;
 
   /// Emits this snapshot as one JSON object value: {"at_seconds": ..,
-  /// "counters": {..}, "gauges": {..}, "histograms": {..},
-  /// "quantile_histograms": {..}}. Integer-valued gauges render as
-  /// integers.
+  /// "counters": {..}, "gauges": {..}, "quantile_histograms": {name:
+  /// {"count", "sum", "min", "max", "p50", "p90", "p99"}}}. The one
+  /// writer of a registry: `--metrics-out` reports and the stats
+  /// command's "snapshot" both come from here. Integer-valued gauges
+  /// render as integers.
   void WriteJson(JsonWriter* w) const;
 };
 

@@ -95,7 +95,11 @@ double QuantileHistogram::Quantile(double q) const {
   for (size_t i = 0; i <= bounds_.size(); ++i) {
     counts[i] = counts_[i].load(std::memory_order_relaxed);
   }
-  return QuantileFromBucketCounts(bounds_, counts, q);
+  // max-then-min, not std::clamp: a scrape racing the first observation
+  // may read min > max for an instant.
+  return std::min(
+      std::max(QuantileFromBucketCounts(bounds_, counts, q), min_value()),
+      max_value());
 }
 
 double QuantileFromBucketCounts(const std::vector<double>& bounds,

@@ -1,13 +1,14 @@
-// Log-scale quantile histogram: the latency instrument of the live
-// telemetry plane. Fixed log-spaced buckets cover [min_value, max_value)
-// with a configurable resolution per doubling, plus an underflow and an
-// overflow bucket; Observe is lock-free (one relaxed fetch_add per
-// observation), and p50/p90/p99 are extracted exactly from the bucket
-// counts — "exact" meaning deterministic given the counts, with relative
-// value error bounded by the bucket width (~9% at the default 8 buckets
-// per doubling). Unlike the fixed-bucket Histogram (metrics.h), which is
-// sized for iteration counts, this one spans microseconds to hours of
-// wall time without choosing bounds per instrument.
+// Log-scale quantile histogram: the registry's one distribution
+// instrument (metrics.h), for latencies and counts alike. Fixed
+// log-spaced buckets cover [min_value, max_value) with a configurable
+// resolution per doubling, plus an underflow and an overflow bucket;
+// Observe is lock-free (one relaxed fetch_add per observation), and
+// p50/p90/p99 are extracted exactly from the bucket counts — "exact"
+// meaning deterministic given the counts, with relative value error
+// bounded by the bucket width (~9% at the default 8 buckets per
+// doubling), and never outside the observed [min, max]. The default
+// range spans microseconds to hours of wall time, and iteration counts
+// or queue depths, without choosing bounds per instrument.
 #pragma once
 
 #include <atomic>
@@ -54,9 +55,10 @@ class QuantileHistogram {
   double min_value() const;
   double max_value() const;
 
-  /// The value at quantile `q` in [0, 1], interpolated within the
-  /// containing bucket (geometrically, matching the log spacing).
-  /// Returns 0 when the histogram is empty.
+  /// The value at quantile `q` in [0, 1]: QuantileFromBucketCounts over
+  /// the bucket counts, clamped to [min_value(), max_value()] so the
+  /// bucket estimate never leaves the observed range (one observation
+  /// reads back as itself). Returns 0 when the histogram is empty.
   double Quantile(double q) const;
 
   /// Total bucket count: log-spaced buckets + underflow + overflow.
@@ -88,10 +90,11 @@ class QuantileHistogram {
   std::atomic<bool> any_{false};
 };
 
-/// Quantile extraction shared with the fixed-bucket Histogram: given
-/// bucket upper bounds (the last, overflow bucket has no bound) and
-/// counts (bounds.size() + 1 entries), returns the value at quantile `q`
-/// with linear interpolation inside the containing bucket. 0 when empty.
+/// The bucket math behind QuantileHistogram::Quantile, before its clamp:
+/// given bucket upper bounds (the last, overflow bucket has no bound)
+/// and counts (bounds.size() + 1 entries), returns the value at quantile
+/// `q` with linear interpolation inside the containing bucket; the
+/// overflow bucket reports its lower edge. 0 when empty.
 double QuantileFromBucketCounts(const std::vector<double>& bounds,
                                 const std::vector<uint64_t>& counts, double q);
 

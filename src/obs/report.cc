@@ -110,26 +110,11 @@ std::string PipelineReport::RenderText() const {
   }
   if (obs != nullptr) {
     bool any_histogram = false;
-    auto header = [&] {
-      if (!any_histogram) out += "histograms:\n";
-      any_histogram = true;
-    };
-    obs->metrics.ForEachHistogram(
-        [&](const std::string& name, const Histogram& h) {
-          if (h.count() == 0) return;
-          header();
-          std::snprintf(line, sizeof(line),
-                        "  %s: count=%llu p50=%.3f p90=%.3f p99=%.3f\n",
-                        name.c_str(),
-                        static_cast<unsigned long long>(h.count()),
-                        HistogramQuantile(h, 0.50), HistogramQuantile(h, 0.90),
-                        HistogramQuantile(h, 0.99));
-          out += line;
-        });
     obs->metrics.ForEachQuantileHistogram(
         [&](const std::string& name, const QuantileHistogram& h) {
           if (h.count() == 0) return;
-          header();
+          if (!any_histogram) out += "histograms:\n";
+          any_histogram = true;
           std::snprintf(line, sizeof(line),
                         "  %s: count=%llu p50=%.3f p90=%.3f p99=%.3f\n",
                         name.c_str(),

@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -7,6 +8,8 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <string_view>
+#include <type_traits>
 
 #include "exec/parallel.h"
 #include "index/corpus_io.h"
@@ -30,8 +33,43 @@ exec::ThreadPoolOptions PoolOptions(const ServiceOptions& options) {
   return pool;
 }
 
-Status ParseMatchOptions(const JsonValue& job, MatchOptions* out) {
-  const std::string labels = job.GetString("labels", "qgram");
+// Reads request key `key` into `*out`; an absent key leaves `*out` (the
+// default) untouched. A key present with another JSON type, null
+// included, is InvalidArgument naming it: what the client sent never
+// turns silently into a default.
+template <typename T>
+Status ReadKey(const JsonValue& doc, std::string_view key, T* out) {
+  const JsonValue* v = doc.Find(key);
+  if (v == nullptr) return Status::OK();
+  const char* expected = nullptr;
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (v->is_string()) *out = v->string_value();
+    else expected = "a string";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (v->is_bool()) *out = v->bool_value();
+    else expected = "true or false";
+  } else if constexpr (std::is_same_v<T, int>) {
+    // Range-checked before narrowing: 2^32 + 5 must not wrap to 5.
+    if (v->is_number() && std::fabs(v->number_value()) <= INT_MAX) {
+      *out = static_cast<int>(std::lround(v->number_value()));
+    } else {
+      expected = "a number within int range";
+    }
+  } else {
+    static_assert(std::is_same_v<T, double>);
+    if (v->is_number()) *out = v->number_value();
+    else expected = "a number";
+  }
+  if (expected == nullptr) return Status::OK();
+  return Status::InvalidArgument("'" + std::string(key) + "' must be " +
+                                 expected);
+}
+
+// The options every request kind shares. `delta` is the composite
+// threshold except in an append, where it names the batch file.
+Status ParseMatchOptions(const JsonValue& job, bool append, MatchOptions* out) {
+  std::string labels = "qgram";
+  EMS_RETURN_NOT_OK(ReadKey(job, "labels", &labels));
   if (labels == "none") out->label_measure = LabelMeasure::kNone;
   else if (labels == "qgram") out->label_measure = LabelMeasure::kQGramCosine;
   else if (labels == "levenshtein") {
@@ -43,26 +81,30 @@ Status ParseMatchOptions(const JsonValue& job, MatchOptions* out) {
   } else {
     return Status::InvalidArgument("unknown label measure '" + labels + "'");
   }
-  out->ems.alpha = job.GetNumber(
-      "alpha", out->label_measure == LabelMeasure::kNone ? 1.0 : 0.5);
+  out->ems.alpha = 0.5;
+  EMS_RETURN_NOT_OK(ReadKey(job, "alpha", &out->ems.alpha));
+  // As in ems_match: without labels, structure is all there is.
+  if (out->label_measure == LabelMeasure::kNone) out->ems.alpha = 1.0;
   if (out->ems.alpha < 0.0 || out->ems.alpha > 1.0) {
     return Status::InvalidArgument("alpha must be in [0, 1]");
   }
-  out->ems.c = job.GetNumber("c", 0.8);
+  EMS_RETURN_NOT_OK(ReadKey(job, "c", &out->ems.c));
   if (out->ems.c <= 0.0 || out->ems.c >= 1.0) {
     return Status::InvalidArgument("c must be in (0, 1)");
   }
-  const std::string engine = job.GetString("engine", "exact");
+  std::string engine = "exact";
+  EMS_RETURN_NOT_OK(ReadKey(job, "engine", &engine));
   if (engine == "exact") out->engine = SimilarityEngine::kExact;
   else if (engine == "estimated") out->engine = SimilarityEngine::kEstimated;
   else return Status::InvalidArgument("unknown engine '" + engine + "'");
-  out->estimation_iterations = job.GetInt("iterations", 5);
+  EMS_RETURN_NOT_OK(ReadKey(job, "iterations", &out->estimation_iterations));
   if (out->estimation_iterations < 0) {
     return Status::InvalidArgument("iterations must be >= 0");
   }
-  out->match_composites = job.GetBool("composites", false);
-  out->composite.delta = job.GetNumber("delta", out->composite.delta);
-  const std::string selection = job.GetString("selection", "hungarian");
+  EMS_RETURN_NOT_OK(ReadKey(job, "composites", &out->match_composites));
+  if (!append) EMS_RETURN_NOT_OK(ReadKey(job, "delta", &out->composite.delta));
+  std::string selection = "hungarian";
+  EMS_RETURN_NOT_OK(ReadKey(job, "selection", &selection));
   if (selection == "hungarian") {
     out->selection = SelectionStrategy::kMaxTotalSimilarity;
   } else if (selection == "greedy") {
@@ -72,27 +114,26 @@ Status ParseMatchOptions(const JsonValue& job, MatchOptions* out) {
   } else {
     return Status::InvalidArgument("unknown selection '" + selection + "'");
   }
-  out->min_match_similarity =
-      job.GetNumber("min_similarity", out->min_match_similarity);
-  out->min_edge_frequency =
-      job.GetNumber("min_edge_frequency", out->min_edge_frequency);
+  EMS_RETURN_NOT_OK(ReadKey(job, "min_similarity", &out->min_match_similarity));
+  EMS_RETURN_NOT_OK(
+      ReadKey(job, "min_edge_frequency", &out->min_edge_frequency));
   // Probabilistic matching (src/prob/): {"prob":true} switches the job
   // to EM posterior selection; the knobs mirror ems_match's --prob-*.
-  out->prob.enabled = job.GetBool("prob", false);
-  out->prob.temperature = job.GetNumber("prob_temp", out->prob.temperature);
+  EMS_RETURN_NOT_OK(ReadKey(job, "prob", &out->prob.enabled));
+  EMS_RETURN_NOT_OK(ReadKey(job, "prob_temp", &out->prob.temperature));
   if (out->prob.temperature <= 0.0) {
     return Status::InvalidArgument("prob_temp must be > 0");
   }
-  out->prob.rtole = job.GetNumber("prob_tol", out->prob.rtole);
+  EMS_RETURN_NOT_OK(ReadKey(job, "prob_tol", &out->prob.rtole));
   if (out->prob.rtole <= 0.0) {
     return Status::InvalidArgument("prob_tol must be > 0");
   }
-  out->prob.max_iterations = job.GetInt("prob_iters", out->prob.max_iterations);
+  EMS_RETURN_NOT_OK(ReadKey(job, "prob_iters", &out->prob.max_iterations));
   if (out->prob.max_iterations < 1) {
     return Status::InvalidArgument("prob_iters must be >= 1");
   }
-  out->prob.min_confidence =
-      job.GetNumber("prob_min_confidence", out->prob.min_confidence);
+  EMS_RETURN_NOT_OK(
+      ReadKey(job, "prob_min_confidence", &out->prob.min_confidence));
   if (out->prob.min_confidence < 0.0 || out->prob.min_confidence > 1.0) {
     return Status::InvalidArgument("prob_min_confidence must be in [0, 1]");
   }
@@ -251,23 +292,23 @@ Status ParseJob(const JsonValue& doc, JobRequest* request) {
     return Status::InvalidArgument("job request must be a JSON object");
   }
   request->id = IdOf(doc);
-  request->log1 = doc.GetString("log1", "");
-  request->log2 = doc.GetString("log2", "");
+  EMS_RETURN_NOT_OK(ReadKey(doc, "log1", &request->log1));
+  EMS_RETURN_NOT_OK(ReadKey(doc, "log2", &request->log2));
   if (request->log1.empty() || request->log2.empty()) {
     return Status::InvalidArgument("job needs 'log1' and 'log2' paths");
   }
-  request->format = doc.GetString("format", "auto");
-  return ParseMatchOptions(doc, &request->options);
+  EMS_RETURN_NOT_OK(ReadKey(doc, "format", &request->format));
+  return ParseMatchOptions(doc, /*append=*/false, &request->options);
 }
 
 Status ParseAppend(const JsonValue& doc, AppendRequest* request) {
-  request->log1 = doc.GetString("log1", "");
-  request->log2 = doc.GetString("log2", "");
+  EMS_RETURN_NOT_OK(ReadKey(doc, "log1", &request->log1));
+  EMS_RETURN_NOT_OK(ReadKey(doc, "log2", &request->log2));
   if (request->log1.empty() || request->log2.empty()) {
     return Status::InvalidArgument("append needs 'log1' and 'log2' paths");
   }
-  request->format = doc.GetString("format", "auto");
-  request->delta = doc.GetString("delta", "");
+  EMS_RETURN_NOT_OK(ReadKey(doc, "format", &request->format));
+  EMS_RETURN_NOT_OK(ReadKey(doc, "delta", &request->delta));
   const JsonValue* traces = doc.Find("traces");
   if (traces != nullptr) {
     if (!traces->is_array()) {
@@ -289,19 +330,20 @@ Status ParseAppend(const JsonValue& doc, AppendRequest* request) {
       request->traces.push_back(std::move(names));
     }
   }
-  return ParseMatchOptions(doc, &request->options);
+  return ParseMatchOptions(doc, /*append=*/true, &request->options);
 }
 
 Status ParseTopK(const JsonValue& doc, TopKRequest* request) {
-  request->query = doc.GetString("query", "");
+  EMS_RETURN_NOT_OK(ReadKey(doc, "query", &request->query));
   if (request->query.empty()) {
     return Status::InvalidArgument("topk request needs a 'query' log path");
   }
-  const int k = doc.GetInt("topk", 5);
+  int k = 5;
+  EMS_RETURN_NOT_OK(ReadKey(doc, "topk", &k));
   if (k < 0) return Status::InvalidArgument("'topk' must be >= 0");
   request->k = static_cast<size_t>(k);
   const JsonValue* members = doc.Find("members");
-  request->corpus = doc.GetString("corpus", "");
+  EMS_RETURN_NOT_OK(ReadKey(doc, "corpus", &request->corpus));
   if ((members != nullptr) == !request->corpus.empty()) {
     return Status::InvalidArgument(
         "topk request needs exactly one of 'members' or 'corpus'");
@@ -318,9 +360,9 @@ Status ParseTopK(const JsonValue& doc, TopKRequest* request) {
       request->members.push_back(item.string_value());
     }
   }
-  request->format = doc.GetString("format", "auto");
-  request->brute_force = doc.GetBool("brute_force", false);
-  return ParseMatchOptions(doc, &request->options);
+  EMS_RETURN_NOT_OK(ReadKey(doc, "format", &request->format));
+  EMS_RETURN_NOT_OK(ReadKey(doc, "brute_force", &request->brute_force));
+  return ParseMatchOptions(doc, /*append=*/false, &request->options);
 }
 
 }  // namespace
@@ -574,10 +616,12 @@ std::string BatchMatchService::RunJob(Request request, TopKAnswer* answer) {
   jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
   Timer timer;
 
-  // Every job gets a request id — the client's, or an assigned req-N —
-  // propagated into the job's span tree and the flight recorder.
+  // Every job gets a request id — the client's, even on a line that
+  // fails validation, or an assigned req-N when the line is not JSON or
+  // carries none — propagated into the job's span tree and the flight
+  // recorder.
   const std::string request_id =
-      request.status.ok() && !request.id.empty()
+      !request.id.empty()
           ? request.id
           : "req-" + std::to_string(next_request_seq_.fetch_add(
                          1, std::memory_order_relaxed));
@@ -614,7 +658,6 @@ std::string BatchMatchService::RunJob(Request request, TopKAnswer* answer) {
   const double millis = timer.ElapsedMillis();
   const bool ok = failure.ok();
   ObsIncrement(options_.obs, ok ? "serve.jobs_ok" : "serve.jobs_failed");
-  ObsObserve(options_.obs, "serve.job_millis", millis);
   // Per-outcome latency quantiles: the stats command's p50/p90/p99.
   ObsObserveQuantile(options_.obs,
                      ok ? "serve.latency_ms.ok" : "serve.latency_ms.error",

@@ -29,9 +29,16 @@
 // sharded router hands shards the request it parsed, so every option,
 // prob included, works unchanged under --shards/--tcp.
 //
+// Typed options: every key above is optional, but one present with the
+// wrong JSON type (null included) is InvalidArgument naming the key,
+// never a silent default. "labels": "none" forces "alpha" to 1, as in
+// ems_match. In an append (docs/STREAMING.md) "delta" is the batch
+// file's path, not the composite threshold.
+//
 // Ids: a string "id" is echoed as sent and a number as its integer text
-// (7 -> "7"), on every request kind; jobs without one (or whose line
-// does not parse) get an assigned "req-N".
+// (7 -> "7"), on every request kind and on a line that fails
+// validation; lines without one (or that are not JSON) get an assigned
+// "req-N".
 //
 // Top-k corpus queries ride the same protocol, dispatched on the
 // `query` key (docs/CORPUS.md): rank the members of a corpus against

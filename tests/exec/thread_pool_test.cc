@@ -63,7 +63,8 @@ TEST(ThreadPoolTest, RecordsMetricsWhenObserved) {
   }
   EXPECT_EQ(obs.metrics.CounterValue("exec.pool.tasks_submitted"), 10u);
   EXPECT_EQ(obs.metrics.CounterValue("exec.pool.tasks_completed"), 10u);
-  EXPECT_EQ(obs.metrics.GetHistogram("exec.pool.task_millis")->count(), 10u);
+  EXPECT_EQ(
+      obs.metrics.GetQuantileHistogram("exec.pool.task_millis")->count(), 10u);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

@@ -90,6 +90,9 @@ TEST(MetricsExportTest, EmsMatchWritesPipelineReportJson) {
   EXPECT_NE(report.find("\"ems.coefficient_table_bytes\""), std::string::npos);
   EXPECT_NE(report.find("\"graph.builds\":2"), std::string::npos);
   EXPECT_NE(report.find("\"total_millis\""), std::string::npos);
+  // One EMS run: its iteration count is a quantile histogram.
+  EXPECT_NE(report.find("\"ems.iterations_per_run\":{\"count\":1,"),
+            std::string::npos);
   // The EmsStats block mirrors the delta-skip counter too.
   EXPECT_NE(report.find("\"pairs_skipped_unchanged\""), std::string::npos);
 
@@ -186,6 +189,8 @@ TEST(MetricsExportTest, CompositeModeExportsCompositeCounters) {
   EXPECT_NE(report.find("\"text.label_cache_hits\""), std::string::npos);
   EXPECT_NE(report.find("\"text.label_cache_misses\""), std::string::npos);
   EXPECT_NE(report.find("\"composite.candidates_evaluated_parallel\""),
+            std::string::npos);
+  EXPECT_NE(report.find("\"composite.candidate_eval_millis\""),
             std::string::npos);
 
   std::remove(log1.c_str());

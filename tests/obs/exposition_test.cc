@@ -42,21 +42,6 @@ TEST(ExpositionTest, IntegralGaugesPrintWithoutExponent) {
   EXPECT_NE(text.find("load 0.5\n"), std::string::npos);
 }
 
-TEST(ExpositionTest, HistogramBucketsAreCumulativeWithInf) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("lat", {1.0, 10.0});
-  h->Observe(0.5);
-  h->Observe(5.0);
-  h->Observe(100.0);  // overflow
-  const std::string text = RenderExpositionText(registry);
-  EXPECT_NE(text.find("# TYPE lat histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"1\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"10\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_count 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum 105.5\n"), std::string::npos);
-}
-
 TEST(ExpositionTest, QuantileHistogramsRenderAsSummaries) {
   MetricsRegistry registry;
   QuantileHistogram* q = registry.GetQuantileHistogram("serve.latency_ms.ok");

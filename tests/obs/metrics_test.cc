@@ -28,21 +28,6 @@ TEST(GaugeTest, LastWriteWins) {
   EXPECT_EQ(g.value(), -1.25);
 }
 
-TEST(HistogramTest, BucketsObservationsByUpperBound) {
-  Histogram h({1.0, 5.0, 10.0});
-  h.Observe(0.5);   // <= 1       -> bucket 0
-  h.Observe(1.0);   // <= 1       -> bucket 0 (inclusive upper bound)
-  h.Observe(3.0);   // <= 5       -> bucket 1
-  h.Observe(10.0);  // <= 10      -> bucket 2
-  h.Observe(99.0);  // overflow   -> bucket 3
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 3.0 + 10.0 + 99.0);
-}
-
 TEST(MetricsRegistryTest, GetReturnsStablePointerPerName) {
   MetricsRegistry registry;
   Counter* a = registry.GetCounter("ems.iterations");
@@ -52,8 +37,14 @@ TEST(MetricsRegistryTest, GetReturnsStablePointerPerName) {
   EXPECT_EQ(registry.CounterValue("ems.iterations"), 7u);
   EXPECT_EQ(registry.CounterValue("never.created"), 0u);
   registry.GetGauge("g");
-  registry.GetHistogram("h");
+  QuantileHistogram* h = registry.GetQuantileHistogram("h");
+  EXPECT_EQ(registry.GetQuantileHistogram("h"), h);
   EXPECT_EQ(registry.NumInstruments(), 3u);
+  h->Observe(4.0);
+  const std::string json = registry.ToJson();
+  EXPECT_NE(json.find("\"h\":{\"count\":1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"min\":4,\"max\":4,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"p99\":4}"), std::string::npos) << json;
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsAreLossless) {
@@ -77,29 +68,25 @@ TEST(MetricsRegistryTest, JsonExportIsSortedAndComplete) {
   registry.GetCounter("zeta")->Increment(2);
   registry.GetCounter("alpha")->Increment(1);
   registry.GetGauge("load")->Set(0.5);
-  Histogram* h = registry.GetHistogram("lat", {1.0, 10.0});
+  QuantileHistogram* h = registry.GetQuantileHistogram("lat");
   h->Observe(0.5);
   h->Observe(100.0);
   std::string json = registry.ToJson();
   // Sorted keys -> deterministic output.
   EXPECT_LT(json.find("\"alpha\""), json.find("\"zeta\""));
+  EXPECT_NE(json.find("\"at_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"quantile_histograms\""), std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"alpha\":1"), std::string::npos);
   EXPECT_NE(json.find("\"zeta\":2"), std::string::npos);
-  // Histogram exports counts, sum, bounds, and buckets.
-  EXPECT_NE(json.find("\"count\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"bounds\""), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\""), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, HistogramBoundsFixedOnFirstUse) {
-  MetricsRegistry registry;
-  Histogram* h1 = registry.GetHistogram("h", {1.0, 2.0});
-  Histogram* h2 = registry.GetHistogram("h", {99.0});
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h2->bounds().size(), 2u);
+  // The quantile digest: count, sum, min, max, p50, p90, p99.
+  EXPECT_NE(json.find("\"lat\":{\"count\":2,\"sum\":100.5,\"min\":0.5,"
+                      "\"max\":100,\"p50\":"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"p99\":100}"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -74,8 +74,18 @@ TEST(QuantileHistogramTest, OverflowBucketCatchesLargeValues) {
   h.Observe(2e9);
   EXPECT_EQ(h.bucket_count(overflow), 2u);
   EXPECT_EQ(std::isinf(h.bucket_upper_bound(overflow)), true);
-  // Overflow quantiles report the bucket's lower edge, never infinity.
-  EXPECT_EQ(h.Quantile(1.0), h.bucket_upper_bound(overflow - 1));
+  // Overflow quantiles never report infinity: the bucket's lower edge
+  // (QuantileFromBucketCountsNearestRank pins that rule) is raised to the
+  // observed minimum by the clamp.
+  EXPECT_TRUE(std::isfinite(h.Quantile(1.0)));
+  EXPECT_EQ(h.Quantile(1.0), 1e9);
+}
+
+TEST(QuantileHistogramTest, SingleObservationReadsBackAsItself) {
+  QuantileHistogram h;
+  h.Observe(0.494);  // a bucket's interpolated estimate would read 0.512
+  EXPECT_EQ(h.Quantile(0.5), 0.494);
+  EXPECT_EQ(h.Quantile(0.99), 0.494);
 }
 
 TEST(QuantileHistogramTest, TracksSumCountMinMax) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -191,8 +192,8 @@ TEST(LogCacheTest, ByteBudgetBoundsResidentLogsAndExportsGauge) {
 TEST(ParseJobRequestTest, ParsesFullRequest) {
   Result<JobRequest> request = ParseJobRequest(
       R"({"id":"j9","log1":"a.xes","log2":"b.csv","labels":"none",)"
-      R"("c":0.7,"engine":"estimated","iterations":3,"selection":"greedy",)"
-      R"("min_similarity":0.1})");
+      R"("alpha":0.3,"c":0.7,"engine":"estimated","iterations":3,)"
+      R"("selection":"greedy","min_similarity":0.1})");
   ASSERT_TRUE(request.ok());
   EXPECT_EQ(request->id, "j9");
   EXPECT_EQ(request->log1, "a.xes");
@@ -220,6 +221,28 @@ TEST(ParseJobRequestTest, RejectsBadRequests) {
                    R"({"log1":"a","log2":"b","engine":"estimated",)"
                    R"("iterations":-4})")
                    .ok());
+  // A present key of the wrong JSON type, or an int key beyond int
+  // range, is an error naming the key, never a silent default.
+  const std::vector<std::pair<std::string, std::string>> wrong_types = {
+      {"alpha", R"("0.9")"}, {"prob", R"("true")"}, {"labels", "5"},
+      {"c", "null"}, {"iterations", "4294967301"}};
+  for (const auto& [key, value] : wrong_types) {
+    Result<JobRequest> request = ParseJobRequest(
+        R"({"log1":"a","log2":"b",")" + key + "\":" + value + "}");
+    ASSERT_FALSE(request.ok()) << key;
+    EXPECT_TRUE(request.status().IsInvalidArgument()) << key;
+    EXPECT_NE(request.status().message().find("'" + key + "'"),
+              std::string::npos)
+        << request.status().message();
+  }
+  // In an append, `delta` is the batch file: a string, not a threshold.
+  Request append = ParseRequest(
+      R"({"cmd":"append","log1":"a","log2":"b","delta":"batch.txt"})");
+  ASSERT_TRUE(append.status.ok()) << append.status.ToString();
+  EXPECT_EQ(append.append.delta, "batch.txt");
+  EXPECT_FALSE(
+      ParseRequest(R"({"cmd":"append","log1":"a","log2":"b","delta":0.1})")
+          .status.ok());
 }
 
 TEST(BatchMatchServiceTest, HandlesJobsAndRendersErrors) {
@@ -583,8 +606,8 @@ TEST(ParseRequestTest, ParsesAndValidatesTopK) {
 }
 
 // One id rule for every request kind: a numeric id renders as its
-// integer text on a match, a top-k query, an append and an admin
-// command alike.
+// integer text on a match, a top-k query, an append, an admin command
+// and a line that fails validation alike.
 TEST(BatchMatchServiceTest, NumericIdsRenderAsIntegerTextOnEveryKind) {
   const std::string log1 =
       WriteTraceLog("service_numeric_id_1.txt", "a;b;c\na;c;b\n");
@@ -604,10 +627,14 @@ TEST(BatchMatchServiceTest, NumericIdsRenderAsIntegerTextOnEveryKind) {
       R"({"cmd":"append","id":9,)" + pair + R"(,"traces":[["a","b"]]})");
   const std::string admin =
       service.HandleJobLine(R"({"cmd":"health","id":10})");
+  const std::string invalid =
+      service.HandleJobLine(R"({"id":11,)" + pair + R"(,"c":2})");
   EXPECT_EQ(match.rfind(R"({"id":"7","status":"ok")", 0), 0u) << match;
   EXPECT_EQ(topk.rfind(R"({"id":"8","status":"ok")", 0), 0u) << topk;
   EXPECT_EQ(append.rfind(R"({"id":"9","status":"ok")", 0), 0u) << append;
   EXPECT_EQ(admin.rfind(R"({"id":"10","status":"ok")", 0), 0u) << admin;
+  EXPECT_EQ(invalid.rfind(R"({"id":"11","status":"error")", 0), 0u)
+      << invalid;
 
   std::remove(log1.c_str());
   std::remove(log2.c_str());

@@ -141,8 +141,14 @@ TEST_F(ShardedServiceTest, MalformedLinesRenderErrorsInline) {
       << not_json;
   const std::string no_logs =
       router.HandleLineSync("{\"id\":\"x\",\"log1\":\"only-one.xes\"}");
-  EXPECT_NE(no_logs.find("\"status\":\"error\""), std::string::npos)
+  EXPECT_EQ(no_logs.rfind(R"({"id":"x","status":"error")", 0), 0u)
       << no_logs;
+  // Shard 0's wrapper answers invalid lines with the client's id too.
+  const std::string bad_options = router.HandleLineSync(
+      "{\"id\":7,\"log1\":\"" + log1_ + "\",\"log2\":\"" + log2_ +
+      "\",\"alpha\":1.5}");
+  EXPECT_EQ(bad_options.rfind(R"({"id":"7","status":"error")", 0), 0u)
+      << bad_options;
   EXPECT_EQ(router.obs()->metrics.CounterValue("net.protocol_errors"), 1u);
 }
 

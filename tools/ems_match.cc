@@ -51,7 +51,8 @@
 //   --tsv                         machine-readable tab-separated output
 //   --json                        JSON output (correspondences + stats)
 //   --metrics-out=PATH            write a PipelineReport JSON (span tree,
-//                                 counters, gauges, histograms) to PATH
+//                                 counters, gauges, quantile histograms)
+//                                 to PATH
 //   --trace-out=PATH              write Chrome trace_event JSON to PATH
 //                                 (open in chrome://tracing / Perfetto)
 //   --cache-dir=PATH              persistent artifact store
