@@ -14,7 +14,6 @@
 #include "exec/thread_pool.h"
 #include "graph/dependency_graph_builder.h"
 #include "obs/context.h"
-#include "text/cached_label_similarity.h"
 #include "util/timer.h"
 
 namespace ems {
@@ -123,6 +122,15 @@ double MatchedTotalBound(const DependencyGraph& g1, const DependencyGraph& g2,
   return total / static_cast<double>(denominator);
 }
 
+// S^L between the two logs' event vocabularies, by EventId.
+std::vector<std::vector<double>> EventLabelMatrix(
+    const EventLog& log1, const EventLog& log2,
+    const LabelSimilarity& measure) {
+  const int q = ProfileQ(measure);
+  return LabelSimilarityMatrix(LabelProfiles(log1.event_names(), q),
+                               LabelProfiles(log2.event_names(), q), measure);
+}
+
 }  // namespace
 
 CompositeMatcher::CompositeMatcher(const EventLog& log1, const EventLog& log2,
@@ -137,8 +145,8 @@ CompositeMatcher::CompositeMatcher(const EventLog& log1, const EventLog& log2,
     builder1_ = std::make_unique<DependencyGraphBuilder>(log1_);
     builder2_ = std::make_unique<DependencyGraphBuilder>(log2_);
   }
-  if (options_.cache_labels && label_measure_ != nullptr) {
-    cached_labels_ = std::make_unique<CachedLabelSimilarity>(*label_measure_);
+  if (label_measure_ != nullptr) {
+    event_labels_ = EventLabelMatrix(log1_, log2_, *label_measure_);
   }
 }
 
@@ -176,12 +184,10 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
   EMS_ASSIGN_OR_RETURN(state.g1, BuildGraph(1, w1, graph_opts));
   EMS_ASSIGN_OR_RETURN(state.g2, BuildGraph(2, w2, graph_opts));
 
-  const LabelSimilarity* measure =
-      cached_labels_ != nullptr ? cached_labels_.get() : label_measure_;
   std::vector<std::vector<double>> labels;
   const std::vector<std::vector<double>>* labels_ptr = nullptr;
-  if (measure != nullptr) {
-    labels = LabelSimilarityMatrix(state.g1, state.g2, *measure);
+  if (label_measure_ != nullptr) {
+    labels = MemberLabelMatrix(state.g1, state.g2, event_labels_);
     labels_ptr = &labels;
   }
   const size_t denom = denom_;
@@ -368,10 +374,8 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
 Result<CompositeMatchResult> CompositeMatcher::Match() {
   ScopedSpan span(options_.obs, "composite_search");
   stats_ = CompositeStats{};
-  // Cache/builder counters accumulate across Match calls on one matcher;
-  // the obs flush below reports this run's delta only.
-  const uint64_t base_hits = cached_labels_ ? cached_labels_->hits() : 0;
-  const uint64_t base_misses = cached_labels_ ? cached_labels_->misses() : 0;
+  // Builder counters accumulate across Match calls on one matcher; the
+  // obs flush below reports this run's delta only.
   const uint64_t base_builds1 = builder1_ ? builder1_->incremental_builds() : 0;
   const uint64_t base_builds2 = builder2_ ? builder2_->incremental_builds() : 0;
   if (!explicit_candidates_) {
@@ -653,12 +657,6 @@ Result<CompositeMatchResult> CompositeMatcher::Match() {
                  static_cast<uint64_t>(stats_.prob_ranked_steps));
     ObsSetGauge(options_.obs, "composite.objective",
                 result.average_similarity);
-    if (cached_labels_ != nullptr) {
-      ObsIncrement(options_.obs, "text.label_cache_hits",
-                   cached_labels_->hits() - base_hits);
-      ObsIncrement(options_.obs, "text.label_cache_misses",
-                   cached_labels_->misses() - base_misses);
-    }
     if (builder1_ != nullptr && builder2_ != nullptr) {
       const uint64_t builds1 = builder1_->incremental_builds() - base_builds1;
       const uint64_t builds2 = builder2_->incremental_builds() - base_builds2;
@@ -725,6 +723,10 @@ Result<CompositeMatchResult> ExactCompositeMatch(
         " combinations exceed the budget");
   }
 
+  std::vector<std::vector<double>> event_labels;
+  if (label_measure != nullptr) {
+    event_labels = EventLabelMatrix(log1, log2, *label_measure);
+  }
   CompositeMatchResult best;
   best.average_similarity = -1.0;
   for (const auto& f1 : families1) {
@@ -743,7 +745,7 @@ Result<CompositeMatchResult> ExactCompositeMatch(
       std::vector<std::vector<double>> labels;
       const std::vector<std::vector<double>>* labels_ptr = nullptr;
       if (label_measure != nullptr) {
-        labels = LabelSimilarityMatrix(g1, g2, *label_measure);
+        labels = MemberLabelMatrix(g1, g2, event_labels);
         labels_ptr = &labels;
       }
       EmsOptions ems_opts = options.ems;

@@ -24,7 +24,6 @@
 
 namespace ems {
 
-class CachedLabelSimilarity;
 class DependencyGraphBuilder;
 
 /// Objective the greedy search maximizes per step.
@@ -89,11 +88,6 @@ struct CompositeOptions {
   /// per candidate. Bit-identical to the trace-scan path, which remains
   /// available as the equivalence reference when this is false.
   bool incremental_graphs = true;
-
-  /// Memoize label similarities across candidate evaluations (only the
-  /// merged node's label is new per greedy step). Bit-identical scores;
-  /// hit/miss counts surface as text.label_cache_hits/_misses.
-  bool cache_labels = true;
 
   /// Workers for evaluating one greedy step's candidates concurrently:
   /// 1 = serial (default), 0 = hardware concurrency. Winner selection is
@@ -257,7 +251,9 @@ class CompositeMatcher {
   // Iteration-invariant state hoisted out of the candidate loop.
   std::unique_ptr<DependencyGraphBuilder> builder1_;
   std::unique_ptr<DependencyGraphBuilder> builder2_;
-  std::unique_ptr<CachedLabelSimilarity> cached_labels_;
+  // S^L between the two logs' event vocabularies, computed once; every
+  // candidate graph's label matrix is read off it (MemberLabelMatrix).
+  std::vector<std::vector<double>> event_labels_;
   size_t denom_ = 0;  // min(|V1|, |V2|) of the original vocabularies
 };
 

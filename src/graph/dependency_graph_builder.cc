@@ -57,59 +57,6 @@ DependencyGraphBuilder::DependencyGraphBuilder(const EventLog& log)
   }
 }
 
-void DependencyGraphBuilder::Append(size_t first_new_trace) {
-  EMS_DCHECK(first_new_trace == num_traces_);
-  EMS_DCHECK(log_.NumTraces() >= first_new_trace);
-  if (!has_group_index_) {
-    for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      group_index_.emplace(
-          std::make_pair(groups_[gi].events, groups_[gi].successions), gi);
-    }
-    has_group_index_ = true;
-  }
-
-  // seen-before set reconstructed from the first-occurrence order (the
-  // constructor's transient vector); new vocabulary extends it.
-  std::vector<char> seen_event(log_.NumEvents(), 0);
-  for (EventId e : first_occurrence_) seen_event[static_cast<size_t>(e)] = 1;
-
-  for (size_t ti = first_new_trace; ti < log_.NumTraces(); ++ti) {
-    const Trace& t = log_.trace(ti);
-    std::vector<EventId> events;
-    events.reserve(t.size());
-    for (EventId e : t) {
-      events.push_back(e);
-      if (!seen_event[static_cast<size_t>(e)]) {
-        seen_event[static_cast<size_t>(e)] = 1;
-        first_occurrence_.push_back(e);
-        if (log_.EventName(e).find('+') != std::string::npos) {
-          plus_in_names_ = true;
-        }
-      }
-    }
-    std::sort(events.begin(), events.end());
-    events.erase(std::unique(events.begin(), events.end()), events.end());
-
-    std::vector<std::pair<EventId, EventId>> successions;
-    successions.reserve(t.size());
-    for (size_t i = 1; i < t.size(); ++i) {
-      if (t[i - 1] != t[i]) successions.emplace_back(t[i - 1], t[i]);
-    }
-    std::sort(successions.begin(), successions.end());
-    successions.erase(std::unique(successions.begin(), successions.end()),
-                      successions.end());
-
-    auto key = std::make_pair(std::move(events), std::move(successions));
-    auto [it, inserted] = group_index_.emplace(std::move(key), groups_.size());
-    if (inserted) {
-      groups_.push_back({it->first.first, it->first.second, 1});
-    } else {
-      ++groups_[it->second].multiplicity;
-    }
-  }
-  num_traces_ = log_.NumTraces();
-}
-
 Result<DependencyGraph> DependencyGraphBuilder::BuildWithComposites(
     const std::vector<std::vector<EventId>>& composites,
     const DependencyGraphOptions& options) const {

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -31,10 +30,6 @@
 #include "util/status.h"
 
 namespace ems {
-
-namespace store {
-struct SnapshotAccess;  // binary snapshot serializer (src/store/snapshot.h)
-}  // namespace store
 
 /// \brief Per-log summary that builds composite-collapsed dependency
 /// graphs without re-scanning traces.
@@ -55,16 +50,6 @@ class DependencyGraphBuilder {
       const std::vector<std::vector<EventId>>& composites,
       const DependencyGraphOptions& options = {}) const;
 
-  /// Folds traces [first_new_trace, log.NumTraces()) of the borrowed log
-  /// into the summary (streaming ingestion, docs/STREAMING.md). The log
-  /// must have grown in place via EventLog::AppendTraces;
-  /// `first_new_trace` must equal num_traces(). The resulting builder
-  /// state — group order, multiplicities, first-occurrence order — is
-  /// identical to constructing a fresh builder over the extended log, so
-  /// subsequent BuildWithComposites calls stay bit-identical to the
-  /// trace-scan reference.
-  void Append(size_t first_new_trace);
-
   /// Builds completed from the summary (no trace re-scan).
   uint64_t incremental_builds() const {
     return incremental_builds_.load(std::memory_order_relaxed);
@@ -82,13 +67,6 @@ class DependencyGraphBuilder {
   size_t num_trace_groups() const { return groups_.size(); }
 
  private:
-  friend struct store::SnapshotAccess;
-
-  // Snapshot restore: binds the log without scanning it; SnapshotAccess
-  // fills the summary fields from a decoded GraphSummary artifact.
-  struct RestoreTag {};
-  DependencyGraphBuilder(const EventLog& log, RestoreTag) : log_(log) {}
-
   // One class of traces sharing distinct-event and distinct-succession
   // sets; `multiplicity` counts the traces in the class.
   struct TraceGroup {
@@ -109,13 +87,6 @@ class DependencyGraphBuilder {
   // with singleton names under by-name interning; delegate to the
   // reference path instead of reproducing the aliasing arithmetic.
   bool plus_in_names_ = false;
-
-  // Group key -> index into groups_, rebuilt lazily on the first Append
-  // (the constructor's map is transient) and maintained thereafter.
-  using GroupKey = std::pair<std::vector<EventId>,
-                             std::vector<std::pair<EventId, EventId>>>;
-  std::map<GroupKey, size_t> group_index_;
-  bool has_group_index_ = false;
 
   mutable std::atomic<uint64_t> incremental_builds_{0};
   mutable std::atomic<uint64_t> fallback_builds_{0};

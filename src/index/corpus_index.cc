@@ -4,22 +4,12 @@
 #include <unordered_set>
 
 #include "obs/context.h"
-#include "text/qgram.h"
 #include "util/string_util.h"
 
 namespace ems {
 namespace index {
 
 namespace {
-
-// The label parts LabelSimilarityMatrix would compare for this node
-// name, preprocessed identically: '+'-split, then lower-cased (the
-// q-gram measure case-folds before profiling).
-std::vector<std::string> LabelParts(const std::string& node_name) {
-  std::vector<std::string> parts = Split(node_name, '+');
-  for (std::string& p : parts) p = ToLower(p);
-  return parts;
-}
 
 int MaxRealDistance(const DependencyGraph& g, const std::vector<int>& l) {
   int max_l = 0;
@@ -68,15 +58,7 @@ Status CorpusIndex::AddPrebuilt(const std::string& name, EventLog log,
     entry.max_longest_to =
         MaxRealDistance(entry.graph, entry.graph.LongestDistancesToArtificial());
   }
-  const DependencyGraph& g = entry.graph;
-  entry.label_profiles.resize(g.NumNodes());
-  for (NodeId v = 0; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    if (g.IsArtificial(v)) continue;
-    for (const std::string& part : LabelParts(g.NodeName(v))) {
-      entry.label_profiles[static_cast<size_t>(v)].emplace_back(
-          part, options_.qgram_q);
-    }
-  }
+  entry.labels = LabelProfiles(entry.graph, options_.qgram_q);
   entries_.push_back(std::move(entry));
   IndexLabels(static_cast<uint32_t>(entries_.size() - 1));
   ObsIncrement(options_.obs, "index.entries_added");
@@ -100,15 +82,14 @@ int CorpusIndex::FindIndex(const std::string& name) const {
 
 void CorpusIndex::IndexLabels(uint32_t entry_index) {
   CorpusEntry& entry = entries_[entry_index];
-  const DependencyGraph& g = entry.graph;
+  const LabelProfiles& labels = entry.labels;
   // One slot per distinct (lower-cased) part per entry: duplicate labels
   // would only re-derive the same cosine.
   std::unordered_set<std::string> seen;
-  for (NodeId v = 0; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    if (g.IsArtificial(v)) continue;
-    for (const std::string& part : LabelParts(g.NodeName(v))) {
-      if (!seen.insert(part).second) continue;
-      QGramProfile profile(part, options_.qgram_q);
+  for (size_t v = 0; v < labels.size(); ++v) {
+    for (size_t k = 0; k < labels.parts(v).size(); ++k) {
+      if (!seen.insert(ToLower(labels.parts(v)[k])).second) continue;
+      const QGramProfile& profile = labels.qgrams(v)[k];
       if (profile.counts().empty()) {
         entry.has_empty_label_part = true;
         continue;
@@ -131,7 +112,9 @@ void CorpusIndex::RebuildPostings() {
   }
 }
 
-std::vector<double> CorpusIndex::MaxLabelCosines(const EventLog& query) const {
+std::vector<double> CorpusIndex::MaxLabelCosines(
+    const LabelProfiles& query) const {
+  EMS_DCHECK(query.qgram_q() == options_.qgram_q);
   std::vector<double> max_cos(entries_.size(), 0.0);
   if (entries_.empty()) return max_cos;
 
@@ -139,10 +122,10 @@ std::vector<double> CorpusIndex::MaxLabelCosines(const EventLog& query) const {
   std::unordered_set<std::string> seen;
   std::vector<double> dot(slots_.size(), 0.0);
   std::vector<uint32_t> touched;
-  for (const std::string& event_name : query.event_names()) {
-    for (const std::string& part : LabelParts(event_name)) {
-      if (!seen.insert(part).second) continue;
-      QGramProfile profile(part, options_.qgram_q);
+  for (size_t v = 0; v < query.size(); ++v) {
+    for (size_t k = 0; k < query.parts(v).size(); ++k) {
+      if (!seen.insert(ToLower(query.parts(v)[k])).second) continue;
+      const QGramProfile& profile = query.qgrams(v)[k];
       if (profile.counts().empty()) {
         query_has_empty_part = true;
         continue;

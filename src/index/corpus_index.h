@@ -14,10 +14,10 @@
 // (LabeledHorizonUpperBound) the top-k scheduler ranks candidates by —
 // all without running a single EMS iteration.
 //
-// Label profiles replicate LabelSimilarityMatrix's exact preprocessing
-// (split node names on '+', lower-case each part, q-gram with the same
-// q): anything less would let the retrieval bound under-estimate the
-// label matrix and break the scheduler's exactness guarantee.
+// The postings and the scheduler's label matrices both read each entry's
+// LabelProfiles, the one preparation of the label rule: a bound built
+// from any other preparation could under-estimate the label matrix and
+// break the scheduler's exactness guarantee.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@
 
 #include "graph/dependency_graph.h"
 #include "log/event_log.h"
-#include "text/qgram.h"
+#include "text/label_similarity.h"
 #include "util/status.h"
 
 namespace ems {
@@ -74,13 +74,10 @@ struct CorpusEntry {
   /// reaches cosine 1 against it.
   bool has_empty_label_part = false;
 
-  /// Per node (indexed by NodeId), the q-gram profiles of its lower-
-  /// cased '+'-parts — exactly the profiles QGramCosineSimilarity builds
-  /// per cell of LabelSimilarityMatrix, precomputed once. Artificial
-  /// nodes hold an empty vector. Lets the scheduler assemble S^L without
-  /// re-profiling every label for every candidate; valid only for the
-  /// q-gram measure at the index's q (the scheduler checks).
-  std::vector<std::vector<QGramProfile>> label_profiles;
+  /// The graph's node labels (indexed by NodeId), prepared once at the
+  /// index's q: the postings and every label matrix the scheduler
+  /// assembles against this entry read them.
+  LabelProfiles labels;
 };
 
 /// \brief The corpus index: entries + q-gram postings over their labels.
@@ -119,12 +116,13 @@ class CorpusIndex {
   const CorpusIndexOptions& options() const { return options_; }
 
   /// For each entry, an upper bound on max_{v1,v2} S^L(v1, v2) of the
-  /// q-gram label matrix between `query` and that entry: the maximum
-  /// cosine between any lower-cased '+'-part of a query event name and
-  /// any posted part of the entry (1.0 when both sides contribute an
-  /// empty-profile part). One sparse pass over the inverted index —
-  /// no per-entry string comparisons.
-  std::vector<double> MaxLabelCosines(const EventLog& query) const;
+  /// q-gram label matrix between the query labels (prepared at the
+  /// index's q) and that entry: the maximum cosine between any
+  /// lower-cased '+'-part of a query label and any posted part of the
+  /// entry (1.0 when both sides contribute an empty-profile part). One
+  /// sparse pass over the inverted index — no per-entry string
+  /// comparisons.
+  std::vector<double> MaxLabelCosines(const LabelProfiles& query) const;
 
  private:
   struct Slot {

@@ -8,8 +8,6 @@
 #include "exec/parallel.h"
 #include "obs/context.h"
 #include "text/label_similarity.h"
-#include "text/qgram.h"
-#include "util/string_util.h"
 
 namespace ems {
 namespace index {
@@ -57,50 +55,6 @@ std::vector<double> PairHorizonPowers(const DependencyGraph& g1,
   return rh;
 }
 
-// The query-side counterpart of CorpusEntry::label_profiles: per node,
-// the q-gram profiles of its lower-cased '+'-parts.
-std::vector<std::vector<QGramProfile>> NodeLabelProfiles(
-    const DependencyGraph& g, int q) {
-  std::vector<std::vector<QGramProfile>> profiles(g.NumNodes());
-  for (NodeId v = 0; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    if (g.IsArtificial(v)) continue;
-    for (const std::string& part : Split(g.NodeName(v), '+')) {
-      profiles[static_cast<size_t>(v)].emplace_back(ToLower(part), q);
-    }
-  }
-  return profiles;
-}
-
-// LabelSimilarityMatrix for the q-gram measure, assembled from
-// precomputed profiles: same all-nodes layout with zeroed artificial
-// rows/columns, same max over '+'-part pairs, same receiver/argument
-// order into Cosine. Profiles built from identical strings hold
-// identical count maps, so every cell is bit-identical to the freshly-
-// profiled path — the corpus pays the profiling cost once at build time
-// instead of once per candidate evaluation.
-std::vector<std::vector<double>> LabelMatrixFromProfiles(
-    const DependencyGraph& g1, const DependencyGraph& g2,
-    const std::vector<std::vector<QGramProfile>>& p1,
-    const std::vector<std::vector<QGramProfile>>& p2) {
-  const size_t n1 = g1.NumNodes();
-  const size_t n2 = g2.NumNodes();
-  std::vector<std::vector<double>> m(n1, std::vector<double>(n2, 0.0));
-  for (size_t v1 = 0; v1 < n1; ++v1) {
-    if (g1.IsArtificial(static_cast<NodeId>(v1))) continue;
-    for (size_t v2 = 0; v2 < n2; ++v2) {
-      if (g2.IsArtificial(static_cast<NodeId>(v2))) continue;
-      double best = 0.0;
-      for (const QGramProfile& a : p1[v1]) {
-        for (const QGramProfile& b : p2[v2]) {
-          best = std::max(best, a.Cosine(b));
-        }
-      }
-      m[v1][v2] = best;
-    }
-  }
-  return m;
-}
-
 double MaxLabelValue(const std::vector<std::vector<double>>& labels) {
   double max_l = 0.0;
   for (const auto& row : labels) {
@@ -117,9 +71,9 @@ double MaxLabelValue(const std::vector<std::vector<double>>& labels) {
 // non-composite path over the prebuilt graphs.
 Result<EvalOutcome> EvaluateCandidate(
     const EventLog& query, const DependencyGraph& query_graph,
-    const CorpusEntry& entry, const LabelSimilarity* measure,
-    const std::vector<std::vector<QGramProfile>>* query_profiles,
-    const MatchOptions& match, double incumbent) {
+    const LabelProfiles& query_labels, const CorpusEntry& entry,
+    const LabelSimilarity& measure, const MatchOptions& match,
+    double incumbent) {
   EvalOutcome out;
   const DependencyGraph& g1 = query_graph;
   const DependencyGraph& g2 = entry.graph;
@@ -127,13 +81,8 @@ Result<EvalOutcome> EvaluateCandidate(
   std::vector<std::vector<double>> labels;
   double label_max = 0.0;
   if (match.label_measure != LabelMeasure::kNone) {
-    if (query_profiles != nullptr &&
-        entry.label_profiles.size() == g2.NumNodes()) {
-      labels = LabelMatrixFromProfiles(g1, g2, *query_profiles,
-                                       entry.label_profiles);
-    } else {
-      labels = LabelSimilarityMatrix(g1, g2, *measure, match.ems.pool);
-    }
+    labels = LabelSimilarityMatrix(query_labels, entry.labels, measure,
+                                   match.ems.pool);
     label_max = MaxLabelValue(labels);
   }
 
@@ -273,23 +222,20 @@ Result<std::vector<TopKHit>> TopKScheduler::Query(const EventLog& query) {
   std::unique_ptr<LabelSimilarity> measure =
       MakeLabelMeasure(match.label_measure);
 
+  // The query's labels, prepared once at the index's q like every
+  // entry's: each candidate's S^L matrix is one assembly over the two.
+  const LabelProfiles query_labels(query_graph, index_.options().qgram_q);
+
   // Stage-0 label cap per entry: the exact retrieval bound for the
   // q-gram measure (when the index was built with the measure's q), 0
   // for structural-only matching, and the trivial 1 otherwise — every
-  // case admissible for scores in [0, 1]. The same gate enables the
-  // cached-profile label matrix inside candidate evaluations.
-  const bool qgram_labels =
-      match.label_measure == LabelMeasure::kQGramCosine &&
-      index_.options().qgram_q == QGramCosineSimilarity().q();
+  // case admissible for scores in [0, 1].
   std::vector<double> label_caps(n, 1.0);
   if (match.label_measure == LabelMeasure::kNone) {
     std::fill(label_caps.begin(), label_caps.end(), 0.0);
-  } else if (qgram_labels) {
-    label_caps = index_.MaxLabelCosines(query);
-  }
-  std::vector<std::vector<QGramProfile>> query_profiles;
-  if (qgram_labels) {
-    query_profiles = NodeLabelProfiles(query_graph, index_.options().qgram_q);
+  } else if (match.label_measure == LabelMeasure::kQGramCosine &&
+             index_.options().qgram_q == QGramCosineSimilarity().q()) {
+    label_caps = index_.MaxLabelCosines(query_labels);
   }
 
   const double alpha = match.ems.alpha;
@@ -348,9 +294,8 @@ Result<std::vector<TopKHit>> TopKScheduler::Query(const EventLog& query) {
       group.Run([&, b]() -> Status {
         EMS_ASSIGN_OR_RETURN(
             outcomes[b],
-            EvaluateCandidate(query, query_graph, index_.entry(batch[b].idx),
-                              measure.get(),
-                              qgram_labels ? &query_profiles : nullptr, match,
+            EvaluateCandidate(query, query_graph, query_labels,
+                              index_.entry(batch[b].idx), *measure, match,
                               inc));
         return Status::OK();
       });

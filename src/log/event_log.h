@@ -24,9 +24,9 @@ using Trace = std::vector<EventId>;
 
 /// \brief Delta descriptor of one EventLog::AppendTraces call.
 ///
-/// Identifies the appended suffix so downstream incremental structures
-/// (StreamingDependencyGraph, DependencyGraphBuilder::Append) can fold in
-/// exactly the new traces instead of rescanning the log.
+/// Identifies the appended suffix so a downstream incremental structure
+/// (StreamingDependencyGraph) can fold in exactly the new traces instead
+/// of rescanning the log.
 struct AppendDelta {
   size_t first_new_trace = 0;  ///< Trace count before the append.
   size_t first_new_event = 0;  ///< Vocabulary size before the append.

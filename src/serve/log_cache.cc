@@ -1,6 +1,8 @@
 #include "serve/log_cache.h"
 
 #include <cstdlib>
+#include <optional>
+#include <utility>
 
 #include "log/log_io.h"
 #include "log/mxml.h"
@@ -82,22 +84,63 @@ Result<std::shared_ptr<const EventLog>> LogCache::GetOrLoad(
   const std::string fmt = ResolveLogFormat(path, format);
   const std::string key =
       CanonicalPath(path) + "|" + fmt + "|" + store::HashHex(content_hash);
-  if (std::optional<std::shared_ptr<const EventLog>> hit = cache_.Get(key)) {
-    ObsIncrement(obs_, "serve.cache.hits");
-    return *hit;
+
+  std::optional<std::shared_ptr<const EventLog>> hit;
+  std::shared_future<Loaded> pending;
+  std::optional<std::promise<Loaded>> leader;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    hit = cache_.Get(key);
+    if (!hit) {
+      auto it = loading_.find(key);
+      if (it != loading_.end()) {
+        pending = it->second;
+      } else {
+        leader.emplace();
+        loading_.emplace(key, leader->get_future().share());
+      }
+    }
+    if (leader) {
+      ++misses_;
+    } else {
+      ++hits_;
+    }
   }
+  if (!leader) {
+    ObsIncrement(obs_, "serve.cache.hits");
+    return hit ? Loaded(*hit) : pending.get();
+  }
+
+  // The first miss on this key: load outside the lock.
   ObsIncrement(obs_, "serve.cache.misses");
-  // Concurrent misses on one key may both load; the second Put wins.
-  // Wasted work on a cold start beats holding the cache lock across
-  // file I/O.
-  EMS_ASSIGN_OR_RETURN(EventLog log,
-                       LoadEventLogThroughStore(store_, path, format));
-  const uint64_t cost = store::EstimateLogSnapshotBytes(log);
-  auto shared = std::make_shared<const EventLog>(std::move(log));
-  cache_.Put(key, shared, cost);
-  ObsSetGauge(obs_, "serve.cache_bytes",
-              static_cast<double>(cache_.cost_bytes()));
-  return shared;
+  const Loaded loaded = [&]() -> Loaded {
+    EMS_ASSIGN_OR_RETURN(EventLog log,
+                         LoadEventLogThroughStore(store_, path, format));
+    const uint64_t cost = store::EstimateLogSnapshotBytes(log);
+    auto shared = std::make_shared<const EventLog>(std::move(log));
+    // Cached before the in-flight entry goes, so a caller arriving in
+    // between finds one or the other.
+    cache_.Put(key, shared, cost);
+    ObsSetGauge(obs_, "serve.cache_bytes",
+                static_cast<double>(cache_.cost_bytes()));
+    return shared;
+  }();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    loading_.erase(key);
+  }
+  leader->set_value(loaded);
+  return loaded;
+}
+
+uint64_t LogCache::hits() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return hits_;
+}
+
+uint64_t LogCache::misses() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return misses_;
 }
 
 }  // namespace serve

@@ -12,7 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "log/event_log.h"
@@ -39,6 +42,11 @@ namespace serve {
 /// cache coherent without invalidation messages. Values are
 /// shared_ptr<const EventLog>: eviction never invalidates a log a
 /// running job still holds.
+///
+/// Loads are single-flight: the first miss on a key loads outside the
+/// cache lock, and concurrent callers of that key wait for its result
+/// and count as hits. A failed load goes back to its waiters and is not
+/// cached, so the next lookup retries.
 class LogCache {
  public:
   /// `obs` (borrowed, may be null) receives serve.cache.{hits,misses}
@@ -56,15 +64,26 @@ class LogCache {
   Result<std::shared_ptr<const EventLog>> GetOrLoad(const std::string& path,
                                                     const std::string& format);
 
-  uint64_t hits() const { return cache_.hits(); }
-  uint64_t misses() const { return cache_.misses(); }
+  /// Lookups answered without a load of their own (resident entries and
+  /// waiters on another caller's load) and lookups that loaded.
+  uint64_t hits() const;
+  uint64_t misses() const;
   size_t size() const { return cache_.size(); }
   uint64_t cost_bytes() const { return cache_.cost_bytes(); }
 
  private:
+  using Loaded = Result<std::shared_ptr<const EventLog>>;
+
   LruCache<std::string, std::shared_ptr<const EventLog>> cache_;
   ObsContext* obs_;
   store::ArtifactStore* store_;
+
+  // Guards the counters and the in-flight loads: a key is in `loading_`
+  // from its first miss until its result is cached or has failed.
+  mutable std::mutex mu_;
+  std::map<std::string, std::shared_future<Loaded>> loading_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
 
 /// The concrete format name ("trace", "csv", "xes", "mxml") that `format`

@@ -36,7 +36,7 @@ namespace store {
 struct ArtifactKey {
   ArtifactKind kind = ArtifactKind::kEventLog;
   /// XXH64 of the source bytes the artifact derives from (for logs: the
-  /// raw file; for graphs/label caches: the log snapshot they came from).
+  /// raw file; for graphs: the log snapshot they came from).
   uint64_t content_hash = 0;
   /// FingerprintBuilder digest of every option that affects derivation.
   uint64_t fingerprint = 0;

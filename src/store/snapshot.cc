@@ -4,11 +4,9 @@
 
 #include "core/matcher.h"
 #include "graph/dependency_graph.h"
-#include "graph/dependency_graph_builder.h"
 #include "log/event_log.h"
 #include "prob/soft_match.h"
 #include "store/hashing.h"
-#include "text/cached_label_similarity.h"
 
 namespace ems {
 namespace store {
@@ -17,8 +15,6 @@ const char* ArtifactKindName(ArtifactKind kind) {
   switch (kind) {
     case ArtifactKind::kEventLog: return "log";
     case ArtifactKind::kDependencyGraph: return "graph";
-    case ArtifactKind::kGraphSummary: return "summary";
-    case ArtifactKind::kLabelCache: return "labels";
     case ArtifactKind::kCorpusIndex: return "corpus";
     case ArtifactKind::kSimilarityMatrix: return "seed";
     case ArtifactKind::kSoftMatch: return "soft";
@@ -258,7 +254,7 @@ size_t EstimateLogSnapshotBytes(const EventLog& log) {
 }
 
 // ---------------------------------------------------------------------
-// DependencyGraph / DependencyGraphBuilder (via SnapshotAccess)
+// DependencyGraph (via SnapshotAccess)
 // ---------------------------------------------------------------------
 
 struct SnapshotAccess {
@@ -372,88 +368,6 @@ struct SnapshotAccess {
     EMS_RETURN_NOT_OK(r.ExpectEnd());
     return g;
   }
-
-  static std::string EncodeBuilder(const DependencyGraphBuilder& b) {
-    SnapshotWriter w;
-    w.U64(b.num_traces_);
-    w.U8(b.plus_in_names_ ? 1 : 0);
-    w.U64(b.first_occurrence_.size());
-    for (EventId e : b.first_occurrence_) w.I32(e);
-    w.U64(b.groups_.size());
-    for (const auto& group : b.groups_) {
-      w.U64(group.events.size());
-      for (EventId e : group.events) w.I32(e);
-      w.U64(group.successions.size());
-      for (const auto& [a, bb] : group.successions) {
-        w.I32(a);
-        w.I32(bb);
-      }
-      w.U64(group.multiplicity);
-    }
-    return w.Finish(ArtifactKind::kGraphSummary);
-  }
-
-  static Result<std::unique_ptr<DependencyGraphBuilder>> DecodeBuilder(
-      std::string_view snapshot, const EventLog& log) {
-    EMS_ASSIGN_OR_RETURN(
-        SnapshotReader r,
-        SnapshotReader::Open(snapshot, ArtifactKind::kGraphSummary));
-    auto builder = std::unique_ptr<DependencyGraphBuilder>(
-        new DependencyGraphBuilder(log, DependencyGraphBuilder::RestoreTag{}));
-    builder->num_traces_ = r.U64();
-    if (builder->num_traces_ != log.NumTraces()) {
-      return Status::ParseError(
-          "snapshot does not match log: trace count differs");
-    }
-    builder->plus_in_names_ = r.U8() != 0;
-    const auto check_event = [&log](EventId e) {
-      return e >= 0 && static_cast<size_t>(e) < log.NumEvents();
-    };
-    const uint64_t num_first = r.U64();
-    if (!r.CheckCount(num_first, 4)) return r.status();
-    builder->first_occurrence_.reserve(num_first);
-    for (uint64_t i = 0; i < num_first && r.ok(); ++i) {
-      EventId e = r.I32();
-      if (!check_event(e)) {
-        return Status::ParseError("snapshot does not match log: event id out "
-                                  "of range");
-      }
-      builder->first_occurrence_.push_back(e);
-    }
-    const uint64_t num_groups = r.U64();
-    if (!r.CheckCount(num_groups, 24)) return r.status();
-    builder->groups_.reserve(num_groups);
-    for (uint64_t gi = 0; gi < num_groups && r.ok(); ++gi) {
-      DependencyGraphBuilder::TraceGroup group;
-      const uint64_t num_events = r.U64();
-      if (!r.CheckCount(num_events, 4)) break;
-      group.events.reserve(num_events);
-      for (uint64_t i = 0; i < num_events && r.ok(); ++i) {
-        EventId e = r.I32();
-        if (!check_event(e)) {
-          return Status::ParseError("snapshot does not match log: event id "
-                                    "out of range");
-        }
-        group.events.push_back(e);
-      }
-      const uint64_t num_successions = r.U64();
-      if (!r.CheckCount(num_successions, 8)) break;
-      group.successions.reserve(num_successions);
-      for (uint64_t i = 0; i < num_successions && r.ok(); ++i) {
-        EventId a = r.I32();
-        EventId b = r.I32();
-        if (!check_event(a) || !check_event(b)) {
-          return Status::ParseError("snapshot does not match log: event id "
-                                    "out of range");
-        }
-        group.successions.emplace_back(a, b);
-      }
-      group.multiplicity = r.U64();
-      if (r.ok()) builder->groups_.push_back(std::move(group));
-    }
-    EMS_RETURN_NOT_OK(r.ExpectEnd());
-    return builder;
-  }
 };
 
 std::string EncodeDependencyGraph(const DependencyGraph& g,
@@ -463,57 +377,6 @@ std::string EncodeDependencyGraph(const DependencyGraph& g,
 
 Result<DependencyGraph> DecodeDependencyGraph(std::string_view snapshot) {
   return SnapshotAccess::DecodeGraph(snapshot);
-}
-
-std::string EncodeGraphSummary(const DependencyGraphBuilder& builder) {
-  return SnapshotAccess::EncodeBuilder(builder);
-}
-
-Result<std::unique_ptr<DependencyGraphBuilder>> DecodeGraphSummary(
-    std::string_view snapshot, const EventLog& log) {
-  return SnapshotAccess::DecodeBuilder(snapshot, log);
-}
-
-// ---------------------------------------------------------------------
-// CachedLabelSimilarity
-// ---------------------------------------------------------------------
-
-std::string EncodeLabelCache(const CachedLabelSimilarity& cache) {
-  SnapshotWriter w;
-  w.Str(cache.Name());
-  const auto entries = cache.ExportScores();
-  w.U64(entries.size());
-  for (const auto& [key, score] : entries) {
-    w.Str(key);
-    w.F64(score);
-  }
-  return w.Finish(ArtifactKind::kLabelCache);
-}
-
-Status DecodeLabelCacheInto(std::string_view snapshot,
-                            CachedLabelSimilarity* cache) {
-  EMS_ASSIGN_OR_RETURN(
-      SnapshotReader r,
-      SnapshotReader::Open(snapshot, ArtifactKind::kLabelCache));
-  const std::string name = r.Str();
-  EMS_RETURN_NOT_OK(r.status());
-  if (name != cache->Name()) {
-    return Status::InvalidArgument("label-cache snapshot wraps measure '" +
-                                   name + "', cache wraps '" + cache->Name() +
-                                   "'");
-  }
-  const uint64_t count = r.U64();
-  if (!r.CheckCount(count, 16)) return r.status();
-  std::vector<std::pair<std::string, double>> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    std::string key = r.Str();
-    double score = r.F64();
-    if (r.ok()) entries.emplace_back(std::move(key), score);
-  }
-  EMS_RETURN_NOT_OK(r.ExpectEnd());
-  cache->ImportScores(entries);
-  return Status::OK();
 }
 
 namespace {

@@ -19,10 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -31,8 +29,6 @@ namespace ems {
 
 class EventLog;
 class DependencyGraph;
-class DependencyGraphBuilder;
-class CachedLabelSimilarity;
 struct WarmSeed;
 
 namespace prob {
@@ -42,12 +38,11 @@ struct SoftMatchResult;
 namespace store {
 
 /// What a snapshot contains; written into the header and into cache
-/// file names, so a key never deserializes as the wrong type.
+/// file names, so a key never deserializes as the wrong type. Values 3
+/// and 4 belonged to retired kinds and stay unused.
 enum class ArtifactKind : uint32_t {
   kEventLog = 1,         // interned vocabulary + trace multiset
   kDependencyGraph = 2,  // nodes, adjacency, cached l(v) distances
-  kGraphSummary = 3,     // DependencyGraphBuilder trace-group summary
-  kLabelCache = 4,       // CachedLabelSimilarity score memo
   kCorpusIndex = 5,      // corpus top-k index (src/index/corpus_io.h)
   kSimilarityMatrix = 6,  // warm-start seed: per-direction EMS fixpoints
   kSoftMatch = 7,         // EM posterior + MAP (src/prob/soft_match.h)
@@ -152,21 +147,6 @@ Result<EventLog> DecodeEventLog(std::string_view snapshot);
 std::string EncodeDependencyGraph(const DependencyGraph& g,
                                   bool include_distances = true);
 Result<DependencyGraph> DecodeDependencyGraph(std::string_view snapshot);
-
-/// Trace-group summary of a DependencyGraphBuilder (PR 4). Decoding
-/// binds the summary to `log`, which must be the log the summary was
-/// built from (the store keys summaries by the log's content hash; ids
-/// out of range for `log` fail cleanly).
-std::string EncodeGraphSummary(const DependencyGraphBuilder& builder);
-Result<std::unique_ptr<DependencyGraphBuilder>> DecodeGraphSummary(
-    std::string_view snapshot, const EventLog& log);
-
-/// Label-similarity score memo. The wrapped measure's Name() is
-/// embedded and checked on import, so a memo never replays scores into
-/// a cache over a different measure.
-std::string EncodeLabelCache(const CachedLabelSimilarity& cache);
-Status DecodeLabelCacheInto(std::string_view snapshot,
-                            CachedLabelSimilarity* cache);
 
 /// Warm-start seed (src/core/matcher.h): both per-direction EMS
 /// fixpoint matrices plus the chain's cold-iteration baseline. The store

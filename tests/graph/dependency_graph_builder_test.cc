@@ -205,39 +205,6 @@ TEST(DependencyGraphBuilderTest, CountsBuildsAndGroups) {
   EXPECT_EQ(builder.fallback_builds(), 0u);
 }
 
-TEST(DependencyGraphBuilderTest, AppendMatchesFreshBuilder) {
-  EventLog log = SmallLog();
-  DependencyGraphBuilder builder(log);
-  // Three append rounds: repeats (multiplicity bumps), a new trace group
-  // over old vocabulary, and new vocabulary.
-  const std::vector<std::vector<std::vector<std::string>>> batches = {
-      {{"a", "b", "c"}, {"c", "a"}},
-      {{"b", "c", "b"}},
-      {{"a", "d", "e"}, {"e", "d"}},
-  };
-  for (const auto& batch : batches) {
-    AppendDelta delta = log.AppendTraces(batch);
-    builder.Append(delta.first_new_trace);
-    DependencyGraphBuilder fresh(log);
-    EXPECT_EQ(builder.num_traces(), fresh.num_traces());
-    EXPECT_EQ(builder.num_trace_groups(), fresh.num_trace_groups());
-
-    Result<DependencyGraph> inc = builder.BuildWithComposites({});
-    Result<DependencyGraph> ref = fresh.BuildWithComposites({});
-    ASSERT_TRUE(inc.ok());
-    ASSERT_TRUE(ref.ok());
-    ExpectGraphsIdentical(*ref, *inc);
-
-    EventId a = log.FindEvent("a");
-    EventId b = log.FindEvent("b");
-    Result<DependencyGraph> inc_c = builder.BuildWithComposites({{a, b}});
-    Result<DependencyGraph> ref_c = fresh.BuildWithComposites({{a, b}});
-    ASSERT_TRUE(inc_c.ok());
-    ASSERT_TRUE(ref_c.ok());
-    ExpectGraphsIdentical(*ref_c, *inc_c);
-  }
-}
-
 TEST(DependencyGraphBuilderTest, ConcurrentBuildsAreIdentical) {
   EventLog log = SmallLog();
   EventId b = log.FindEvent("b");

@@ -1,6 +1,6 @@
 // Corpus index: entry bookkeeping, the retrieval label bound against the
-// brute-force label-matrix maximum, and the cached per-node label
-// profiles that back the scheduler's fast S^L path.
+// brute-force label-matrix maximum, and the prepared per-node label
+// profiles that the postings and the scheduler's S^L matrices read.
 #include "index/corpus_index.h"
 
 #include <algorithm>
@@ -58,7 +58,8 @@ TEST(CorpusIndexTest, MaxLabelCosinesMatchesLabelMatrixMax) {
   const EventLog& query = corpus[1].log;
   DependencyGraph query_graph = DependencyGraph::Build(query);
   QGramCosineSimilarity measure;
-  std::vector<double> bounds = index.MaxLabelCosines(query);
+  std::vector<double> bounds = index.MaxLabelCosines(
+      LabelProfiles(query.event_names(), index.options().qgram_q));
   ASSERT_EQ(bounds.size(), index.size());
   for (size_t i = 0; i < index.size(); ++i) {
     std::vector<std::vector<double>> labels =
@@ -85,28 +86,32 @@ TEST(CorpusIndexTest, RemoveRebuildsPostings) {
   }
   ASSERT_TRUE(full.Remove(corpus[0].name).ok());
   const EventLog& query = corpus[2].log;
-  std::vector<double> a = full.MaxLabelCosines(query);
-  std::vector<double> b = survivors.MaxLabelCosines(query);
+  const LabelProfiles query_labels(query.event_names(),
+                                   full.options().qgram_q);
+  std::vector<double> a = full.MaxLabelCosines(query_labels);
+  std::vector<double> b = survivors.MaxLabelCosines(query_labels);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
-// The cached label profiles must mirror the graph: one (possibly empty)
-// vector per node, artificial nodes empty, real nodes one profile per
-// '+'-part of the node name.
+// The prepared label profiles must mirror the graph at the index's q:
+// one entry per node, artificial nodes without parts, real nodes one part
+// and one q-gram profile per '+'-part of the node name.
 TEST(CorpusIndexTest, LabelProfilesMirrorGraphNodes) {
   CorpusIndex index;
   std::vector<CorpusMember> corpus = SmallCorpus(2, 2);
   ASSERT_TRUE(index.Add(corpus[0].name, corpus[0].log).ok());
   const CorpusEntry& e = index.entry(0);
-  ASSERT_EQ(e.label_profiles.size(), e.graph.NumNodes());
+  ASSERT_EQ(e.labels.size(), e.graph.NumNodes());
+  EXPECT_EQ(e.labels.qgram_q(), index.options().qgram_q);
   for (NodeId v = 0; v < static_cast<NodeId>(e.graph.NumNodes()); ++v) {
-    const auto& profiles = e.label_profiles[static_cast<size_t>(v)];
+    const size_t i = static_cast<size_t>(v);
     if (e.graph.IsArtificial(v)) {
-      EXPECT_TRUE(profiles.empty());
+      EXPECT_TRUE(e.labels.parts(i).empty());
     } else {
-      EXPECT_EQ(profiles.size(), Split(e.graph.NodeName(v), '+').size());
+      EXPECT_EQ(e.labels.parts(i), Split(e.graph.NodeName(v), '+'));
     }
+    EXPECT_EQ(e.labels.qgrams(i).size(), e.labels.parts(i).size());
   }
 }
 

@@ -183,11 +183,9 @@ TEST(MetricsExportTest, CompositeModeExportsCompositeCounters) {
   EXPECT_NE(report.find("\"candidate_discovery\""), std::string::npos);
   EXPECT_NE(report.find("\"composite.candidates_evaluated\""),
             std::string::npos);
-  // Counters from the incremental-search engine: graph-summary builds,
-  // label-cache traffic, and the parallel-step evaluation count.
+  // Counters from the incremental-search engine: graph-summary builds
+  // and the parallel-step evaluation count.
   EXPECT_NE(report.find("\"graph.incremental_builds\""), std::string::npos);
-  EXPECT_NE(report.find("\"text.label_cache_hits\""), std::string::npos);
-  EXPECT_NE(report.find("\"text.label_cache_misses\""), std::string::npos);
   EXPECT_NE(report.find("\"composite.candidates_evaluated_parallel\""),
             std::string::npos);
   EXPECT_NE(report.find("\"composite.candidate_eval_millis\""),

@@ -3,8 +3,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -122,6 +125,63 @@ TEST(LogCacheTest, RewrittenFileIsReparsedNotServedStale) {
   EXPECT_EQ(after->get(), again->get());
   EXPECT_EQ(cache.hits(), 1u);
   std::remove(path.c_str());
+}
+
+// Concurrent first touches of one file share one load: the first caller
+// loads, the other seven wait for its result and count as hits, and all
+// eight hold the same parse.
+TEST(LogCacheTest, ConcurrentFirstTouchesShareOneLoad) {
+  std::string body;
+  for (int t = 0; t < 4000; ++t) {
+    body += "a;b;c;d;e" + std::to_string(t % 50) + ";f;g\n";
+  }
+  const std::string path = WriteTraceLog("log_cache_single_flight.txt", body);
+  LogCache cache(4);
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::shared_ptr<const EventLog>> logs(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      auto loaded = cache.GetOrLoad(path, "trace");
+      if (loaded.ok()) logs[static_cast<size_t>(i)] = *loaded;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 7u);
+  for (const auto& log : logs) {
+    ASSERT_NE(log, nullptr);
+    EXPECT_EQ(log.get(), logs[0].get());
+  }
+  EXPECT_EQ(logs[0]->NumTraces(), 4000u);
+  std::remove(path.c_str());
+}
+
+// A failed load reaches every concurrent caller as an error and leaves
+// nothing cached: the next lookup of the key loads again.
+TEST(LogCacheTest, ConcurrentFailedLoadIsNotCached) {
+  const std::string path = TempDir() + "/log_cache_single_flight_missing.txt";
+  LogCache cache(4);
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<char> failed(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      failed[static_cast<size_t>(i)] = !cache.GetOrLoad(path, "trace").ok();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (char f : failed) EXPECT_TRUE(f);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), static_cast<uint64_t>(kThreads));
+
+  const uint64_t misses = cache.misses();
+  EXPECT_FALSE(cache.GetOrLoad(path, "trace").ok());
+  EXPECT_EQ(cache.misses(), misses + 1);
 }
 
 TEST(LruCacheTest, ByteBudgetEvictsColdestEntries) {
@@ -305,12 +365,10 @@ TEST(BatchMatchServiceTest, RunStreamEmitsOneResultPerJob) {
   for (const std::string& l : lines) {
     EXPECT_NE(l.find("\"status\":\"ok\""), std::string::npos) << l;
   }
-  // Six lookups over two distinct logs. Concurrent first touches may
-  // both miss (double-load is allowed by design), so only bound the
-  // counts instead of pinning them.
-  EXPECT_EQ(service.cache().hits() + service.cache().misses(), 6u);
-  EXPECT_GE(service.cache().misses(), 2u);
-  EXPECT_GE(service.cache().hits(), 1u);
+  // Six lookups over two distinct logs. Loads are single-flight, so each
+  // log loads once and every other lookup is a hit, whatever the timing.
+  EXPECT_EQ(service.cache().misses(), 2u);
+  EXPECT_EQ(service.cache().hits(), 4u);
 
   std::remove(log1.c_str());
   std::remove(log2.c_str());

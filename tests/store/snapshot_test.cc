@@ -15,7 +15,6 @@
 
 #include "core/matcher.h"
 #include "graph/dependency_graph.h"
-#include "graph/dependency_graph_builder.h"
 #include "log/event_log.h"
 #include "log/log_io.h"
 #include "log/mxml.h"
@@ -24,8 +23,6 @@
 #include "store/snapshot.h"
 #include "synth/log_generator.h"
 #include "synth/process_tree.h"
-#include "text/cached_label_similarity.h"
-#include "text/label_similarity.h"
 #include "util/random.h"
 
 namespace ems {
@@ -417,87 +414,6 @@ TEST(DependencyGraphSnapshotTest, RejectsOutOfRangeNeighbors) {
   EXPECT_TRUE(decoded.status().IsParseError());
 }
 
-// ---------------------------------------------------------------------
-// Graph summary round-trip
-// ---------------------------------------------------------------------
-
-TEST(GraphSummarySnapshotTest, RestoredBuilderProducesBitIdenticalGraphs) {
-  const EventLog log = SyntheticLog(23);
-  const DependencyGraphBuilder source(log);
-  const std::string snapshot = EncodeGraphSummary(source);
-
-  Result<std::unique_ptr<DependencyGraphBuilder>> restored =
-      DecodeGraphSummary(snapshot, log);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->num_traces(), source.num_traces());
-  EXPECT_EQ((*restored)->num_trace_groups(), source.num_trace_groups());
-  // Re-encoding the restored summary reproduces the bytes.
-  EXPECT_EQ(EncodeGraphSummary(**restored), snapshot);
-
-  // The real contract: graphs built from the restored summary are bit
-  // identical to graphs built from the fresh one (compare via encoding,
-  // which captures every field and double exactly).
-  std::vector<std::vector<EventId>> composites;
-  if (log.NumEvents() >= 2) composites.push_back({0, 1});
-  for (const auto& candidate :
-       {std::vector<std::vector<EventId>>{}, composites}) {
-    Result<DependencyGraph> fresh = source.BuildWithComposites(candidate);
-    Result<DependencyGraph> warm = (*restored)->BuildWithComposites(candidate);
-    ASSERT_TRUE(fresh.ok());
-    ASSERT_TRUE(warm.ok());
-    EXPECT_EQ(EncodeDependencyGraph(*warm, false),
-              EncodeDependencyGraph(*fresh, false));
-  }
-}
-
-TEST(GraphSummarySnapshotTest, RejectsSummaryOfDifferentLog) {
-  const EventLog log = SampleLog();
-  const DependencyGraphBuilder builder(log);
-  const std::string snapshot = EncodeGraphSummary(builder);
-
-  EventLog other;
-  other.AddTrace({"x", "y"});
-  EXPECT_FALSE(DecodeGraphSummary(snapshot, other).ok());
-}
-
-// ---------------------------------------------------------------------
-// Label cache round-trip
-// ---------------------------------------------------------------------
-
-TEST(LabelCacheSnapshotTest, ImportedScoresReplayWithoutRecomputation) {
-  QGramCosineSimilarity base(3);
-  CachedLabelSimilarity source(base);
-  const std::vector<std::pair<std::string, std::string>> pairs = {
-      {"receive order", "order received"},
-      {"check stock", "stock check"},
-      {"ship", "shipment"},
-  };
-  for (const auto& [a, b] : pairs) (void)source.Similarity(a, b);
-
-  const std::string snapshot = EncodeLabelCache(source);
-  CachedLabelSimilarity restored(base);
-  ASSERT_TRUE(DecodeLabelCacheInto(snapshot, &restored).ok());
-  for (const auto& [a, b] : pairs) {
-    EXPECT_EQ(restored.Similarity(a, b), source.Similarity(a, b));
-  }
-  EXPECT_EQ(restored.hits(), pairs.size());  // every lookup was seeded
-  EXPECT_EQ(restored.misses(), 0u);
-  EXPECT_EQ(EncodeLabelCache(restored), snapshot);
-}
-
-TEST(LabelCacheSnapshotTest, RejectsSnapshotOfDifferentMeasure) {
-  QGramCosineSimilarity qgram(3);
-  CachedLabelSimilarity source(qgram);
-  (void)source.Similarity("a", "b");
-  const std::string snapshot = EncodeLabelCache(source);
-
-  LevenshteinLabelSimilarity lev;
-  CachedLabelSimilarity other(lev);
-  const Status st = DecodeLabelCacheInto(snapshot, &other);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsInvalidArgument());
-}
-
 // Typed decoders inherit envelope protection: corrupting any byte of a
 // typed snapshot yields a clean error from every decoder.
 TEST(TypedCorruptionTest, AllDecodersSurviveCorruptInput) {
@@ -514,7 +430,6 @@ TEST(TypedCorruptionTest, AllDecodersSurviveCorruptInput) {
     }
   }
   EXPECT_FALSE(DecodeDependencyGraph(snapshot).ok());  // wrong kind
-  EXPECT_FALSE(DecodeGraphSummary(snapshot, log).ok());
 }
 
 TEST(WarmSeedSnapshotTest, RoundTripsBitExactly) {

@@ -1,11 +1,50 @@
 #include "text/label_similarity.h"
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/matcher.h"
+#include "exec/thread_pool.h"
 #include "paper_example.h"
+#include "util/string_util.h"
 
 namespace ems {
 namespace {
+
+// Every shipped measure, plus the q-gram measure at a second q.
+std::vector<std::unique_ptr<LabelSimilarity>> AllMeasures() {
+  std::vector<std::unique_ptr<LabelSimilarity>> measures;
+  for (LabelMeasure m :
+       {LabelMeasure::kNone, LabelMeasure::kQGramCosine,
+        LabelMeasure::kLevenshtein, LabelMeasure::kTokenJaccard,
+        LabelMeasure::kJaroWinkler}) {
+    measures.push_back(MakeLabelMeasure(m));
+  }
+  measures.push_back(std::make_unique<QGramCosineSimilarity>(2));
+  return measures;
+}
+
+// The label rule computed the slow way: split both labels on '+' and
+// take the max of measure.Similarity over part pairs, per cell.
+std::vector<std::vector<double>> PerCellMax(
+    const std::vector<std::string>& a, const std::vector<std::string>& b,
+    const LabelSimilarity& measure) {
+  std::vector<std::vector<double>> m(a.size(),
+                                     std::vector<double>(b.size(), 0.0));
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t j = 0; j < b.size(); ++j) {
+      for (const std::string& pa : Split(a[i], '+')) {
+        for (const std::string& pb : Split(b[j], '+')) {
+          m[i][j] = std::max(m[i][j], measure.Similarity(pa, pb));
+        }
+      }
+    }
+  }
+  return m;
+}
 
 TEST(NoLabelSimilarityTest, AlwaysZero) {
   NoLabelSimilarity none;
@@ -88,6 +127,63 @@ TEST(LabelSimilarityMatrixTest, CompositeNodesUseMemberMax) {
   // Composite "checkinv+validate" vs "validate": member max = 1.0.
   EXPECT_DOUBLE_EQ(m[static_cast<size_t>(comp)][static_cast<size_t>(validate2)],
                    1.0);
+}
+
+// Invariant (a): the prepared-profile matrix is the per-cell max of
+// measure.Similarity, bit for bit, for every measure — over labels with
+// '+', mixed case, empty parts and parts shorter than q — serially and on
+// a pool.
+TEST(LabelProfilesTest, PreparedMatrixEqualsPerCellMax) {
+  const std::vector<std::string> a = {
+      "Check Stock", "check_stock+Ship Order", "", "a", "ab+", "+RECEIVE goods",
+      "Inventory Check", "x+y+z", "Ab"};
+  const std::vector<std::string> b = {
+      "check stock", "SHIP order", "a+B", "receive", "", "inventory_check+",
+      "zz", "Y", "++"};
+  exec::ThreadPool pool(4);
+  for (const auto& measure : AllMeasures()) {
+    const std::vector<std::vector<double>> want = PerCellMax(a, b, *measure);
+    const int q = ProfileQ(*measure);
+    const LabelProfiles pa(a, q);
+    const LabelProfiles pb(b, q);
+    EXPECT_EQ(LabelSimilarityMatrix(pa, pb, *measure), want)
+        << measure->Name();
+    EXPECT_EQ(LabelSimilarityMatrix(pa, pb, *measure, &pool), want)
+        << measure->Name() << " on 4 threads";
+  }
+}
+
+// Invariant (b): a composite graph's label matrix read off the singleton
+// matrix of the two vocabularies (member max) equals the direct matrix
+// over the graph's node names, for every measure. Log 1 has an event
+// whose own name contains '+' inside a composite, and an event "a+b" that
+// the trace-scan build merges into the composite {a, b}; log 2 has a
+// composite with an empty-named member.
+TEST(LabelProfilesTest, MemberMaxEqualsCompositeGraphMatrix) {
+  EventLog log1;
+  log1.AddTrace({"Check Stock", "ship+pack", "Receive", "a", "b", "Bill"});
+  log1.AddTrace({"Check Stock", "ship+pack", "a+b", "Bill"});
+  log1.AddTrace({"Receive", "a", "b", "Bill"});
+  EventLog log2;
+  log2.AddTrace({"check stock", "SHIP", "pack", "receive goods", "bill"});
+  log2.AddTrace({"check stock", "x", "", "bill"});
+  const auto id1 = [&](const char* name) { return log1.FindEvent(name); };
+  const auto id2 = [&](const char* name) { return log2.FindEvent(name); };
+  Result<DependencyGraph> g1 = DependencyGraph::BuildWithComposites(
+      log1, {{id1("Check Stock"), id1("ship+pack")}, {id1("a"), id1("b")}});
+  Result<DependencyGraph> g2 = DependencyGraph::BuildWithComposites(
+      log2, {{id2("SHIP"), id2("pack")}, {id2("x"), id2("")}});
+  ASSERT_TRUE(g1.ok()) << g1.status().ToString();
+  ASSERT_TRUE(g2.ok()) << g2.status().ToString();
+  for (const auto& measure : AllMeasures()) {
+    const int q = ProfileQ(*measure);
+    const std::vector<std::vector<double>> events = LabelSimilarityMatrix(
+        LabelProfiles(log1.event_names(), q),
+        LabelProfiles(log2.event_names(), q), *measure);
+    EXPECT_EQ(MemberLabelMatrix(*g1, *g2, events),
+              LabelSimilarityMatrix(*g1, *g2, *measure))
+        << measure->Name();
+  }
 }
 
 }  // namespace
