@@ -3,7 +3,7 @@
 namespace ems {
 
 EventId EventLog::AddEvent(std::string_view name) {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   EventId id = static_cast<EventId>(names_.size());
   names_.emplace_back(name);
@@ -12,7 +12,7 @@ EventId EventLog::AddEvent(std::string_view name) {
 }
 
 EventId EventLog::FindEvent(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   return it == index_.end() ? kInvalidEvent : it->second;
 }
 
@@ -86,6 +86,18 @@ EventLog EventLog::TransformTraces(const std::vector<Trace>& new_traces,
   }
   if (id_map != nullptr) *id_map = std::move(map);
   return out;
+}
+
+void PendingTrace::AppendTo(EventLog* log) const {
+  Trace trace;
+  trace.reserve(ends_.size());
+  size_t begin = 0;
+  for (size_t end : ends_) {
+    trace.push_back(
+        log->AddEvent(std::string_view(chars_).substr(begin, end - begin)));
+    begin = end;
+  }
+  log->AddTraceIds(std::move(trace));
 }
 
 }  // namespace ems

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -99,9 +100,41 @@ class EventLog {
       std::vector<EventId>* id_map) const;
 
  private:
+  // Hashes std::string and std::string_view alike, so lookups by view
+  // build no string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, EventId> index_;
+  std::unordered_map<std::string, EventId, NameHash, std::equal_to<>> index_;
   std::vector<Trace> traces_;
+};
+
+/// \brief The event names of a trace still being read, in one buffer.
+///
+/// Streaming readers add names while a trace is open and append it when
+/// it closes, so a trace that never closes interns nothing and the
+/// vocabulary keeps first-occurrence order over the traces kept.
+class PendingTrace {
+ public:
+  void Add(std::string_view name) {
+    chars_.append(name);
+    ends_.push_back(chars_.size());
+  }
+  void Clear() {
+    chars_.clear();
+    ends_.clear();
+  }
+  /// Interns the names in order and appends them to `log` as one trace.
+  void AppendTo(EventLog* log) const;
+
+ private:
+  std::string chars_;
+  std::vector<size_t> ends_;
 };
 
 }  // namespace ems

@@ -15,26 +15,25 @@ Result<EventLog> ReadMxml(std::istream& input) {
   bool in_entry = false;
   bool in_element = false;
   bool in_event_type = false;
-  std::vector<std::string> current_trace;
+  PendingTrace current_trace;
   std::string current_activity;
   std::string current_event_type;
 
   while (true) {
-    auto tag_result = scanner.Next();
-    if (!tag_result.ok()) {
-      if (tag_result.status().IsNotFound()) break;
-      return tag_result.status();
-    }
-    const XmlScanner::Tag& tag = *tag_result;
+    Status st = scanner.Next();
+    if (st.IsNotFound()) break;
+    EMS_RETURN_NOT_OK(st);
+    const XmlScanner::Tag& tag = scanner.tag();
 
     // Text content arrives attached to the tag FOLLOWING it.
     if (in_element && tag.name == "WorkflowModelElement" && tag.closing) {
-      current_activity = tag.preceding_text;
+      scanner.PrecedingText(&current_activity);
       in_element = false;
       continue;
     }
     if (in_event_type && tag.name == "EventType" && tag.closing) {
-      current_event_type = ToLower(tag.preceding_text);
+      scanner.PrecedingText(&current_event_type);
+      current_event_type = ToLower(current_event_type);
       in_event_type = false;
       continue;
     }
@@ -43,14 +42,14 @@ Result<EventLog> ReadMxml(std::istream& input) {
       if (!tag.closing) saw_workflow_log = true;
     } else if (tag.name == "ProcessInstance") {
       if (tag.closing) {
-        log.AddTrace(current_trace);
-        current_trace.clear();
+        current_trace.AppendTo(&log);
+        current_trace.Clear();
         in_instance = false;
       } else if (tag.self_closing) {
-        log.AddTrace({});
+        log.AddTraceIds({});
       } else {
         in_instance = true;
-        current_trace.clear();
+        current_trace.Clear();
       }
     } else if (tag.name == "AuditTrailEntry" && in_instance) {
       if (tag.closing) {
@@ -60,7 +59,7 @@ Result<EventLog> ReadMxml(std::istream& input) {
         }
         // Keep complete events (and entries that never specify a type).
         if (current_event_type.empty() || current_event_type == "complete") {
-          current_trace.push_back(current_activity);
+          current_trace.Add(current_activity);
         }
         current_activity.clear();
         current_event_type.clear();

@@ -1,7 +1,6 @@
 #include "log/xes.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "log/xml_scanner.h"
 #include "util/string_util.h"
@@ -14,17 +13,15 @@ Result<EventLog> ReadXes(std::istream& input) {
   bool in_log = false;
   bool in_trace = false;
   bool in_event = false;
-  std::vector<std::string> current_trace;
+  PendingTrace current_trace;
   std::string current_event_name;
   bool saw_log = false;
 
   while (true) {
-    auto tag_result = scanner.Next();
-    if (!tag_result.ok()) {
-      if (tag_result.status().IsNotFound()) break;  // clean EOF
-      return tag_result.status();
-    }
-    const XmlScanner::Tag& tag = *tag_result;
+    Status st = scanner.Next();
+    if (st.IsNotFound()) break;  // clean EOF
+    EMS_RETURN_NOT_OK(st);
+    const XmlScanner::Tag& tag = scanner.tag();
     if (tag.name == "log") {
       if (tag.closing) in_log = false;
       else {
@@ -33,21 +30,21 @@ Result<EventLog> ReadXes(std::istream& input) {
       }
     } else if (tag.name == "trace" && in_log) {
       if (tag.closing) {
-        log.AddTrace(current_trace);
-        current_trace.clear();
+        current_trace.AppendTo(&log);
+        current_trace.Clear();
         in_trace = false;
       } else if (tag.self_closing) {
-        log.AddTrace({});
+        log.AddTraceIds({});
       } else {
         in_trace = true;
-        current_trace.clear();
+        current_trace.Clear();
       }
     } else if (tag.name == "event" && in_trace) {
       if (tag.closing) {
         if (current_event_name.empty()) {
           return Status::ParseError("event without concept:name");
         }
-        current_trace.push_back(current_event_name);
+        current_trace.Add(current_event_name);
         in_event = false;
         current_event_name.clear();
       } else if (tag.self_closing) {
@@ -57,11 +54,12 @@ Result<EventLog> ReadXes(std::istream& input) {
         current_event_name.clear();
       }
     } else if (tag.name == "string" && in_event && !tag.closing) {
-      auto key_it = tag.attrs.find("key");
-      auto val_it = tag.attrs.find("value");
-      if (key_it != tag.attrs.end() && val_it != tag.attrs.end() &&
-          key_it->second == "concept:name") {
-        current_event_name = val_it->second;
+      // Unescaping cannot turn any other key into "concept:name", which
+      // has no character an entity stands for: compare the raw key.
+      const std::string_view* key = tag.Find("key");
+      const std::string_view* value = tag.Find("value");
+      if (key != nullptr && value != nullptr && *key == "concept:name") {
+        XmlScanner::Unescape(*value, &current_event_name);
       }
     }
   }

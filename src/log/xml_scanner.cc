@@ -1,128 +1,241 @@
 #include "log/xml_scanner.h"
 
-#include <cctype>
+#include <cstring>
+#include <exception>
 #include <istream>
 
 #include "util/string_util.h"
 
 namespace ems {
 
-Result<XmlScanner::Tag> XmlScanner::Next() {
-  std::string text;
-  while (true) {
-    int c = in_.get();
-    if (c == EOF) return Status::NotFound("eof");
-    if (c != '<') {
-      text.push_back(static_cast<char>(c));
-      continue;
-    }
-    int peek = in_.peek();
-    if (peek == '?') {  // processing instruction
-      EMS_RETURN_NOT_OK(SkipUntil("?>"));
-      continue;
-    }
-    if (peek == '!') {  // comment, doctype, or CDATA
-      in_.get();
-      if (in_.peek() == '-') {
-        EMS_RETURN_NOT_OK(SkipUntil("-->"));
-      } else {
-        EMS_RETURN_NOT_OK(SkipUntil(">"));
-      }
-      continue;
-    }
-    return ParseTag(std::string(Trim(Unescape(text))));
-  }
+namespace {
+
+constexpr size_t kChunkBytes = 64 * 1024;
+
+// std::isspace in the "C" locale.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
 
-Status XmlScanner::SkipUntil(const std::string& terminator) {
-  size_t matched = 0;
-  int c;
-  while ((c = in_.get()) != EOF) {
-    if (static_cast<char>(c) == terminator[matched]) {
-      if (++matched == terminator.size()) return Status::OK();
+}  // namespace
+
+XmlScanner::XmlScanner(std::istream& in)
+    : src_(in.good() ? in.rdbuf() : nullptr), buf_(kChunkBytes) {}
+
+const std::string_view* XmlScanner::Tag::Find(std::string_view key) const {
+  for (const Attribute& a : attrs) {
+    if (a.key == key) return &a.raw_value;
+  }
+  return nullptr;
+}
+
+bool XmlScanner::Fill() {
+  if (src_ == nullptr) return false;
+  if (end_ == buf_.size()) {
+    if (tok_ == 0) {
+      buf_.resize(buf_.size() * 2);
     } else {
-      matched = (static_cast<char>(c) == terminator[0]) ? 1 : 0;
+      std::memmove(buf_.data(), buf_.data() + tok_, end_ - tok_);
+      end_ -= tok_;
+      pos_ -= tok_;
+      tok_ = 0;
     }
   }
-  return Status::ParseError("unterminated markup (expected '" + terminator +
-                            "')");
+  std::streamsize got = 0;
+  try {
+    got = src_->sgetn(buf_.data() + end_,
+                      static_cast<std::streamsize>(buf_.size() - end_));
+  } catch (const std::exception& e) {  // e.g. std::filebuf on a directory
+    read_status_ = Status::IOError(std::string("read failed: ") + e.what());
+  }
+  if (got <= 0) {
+    src_ = nullptr;
+    return false;
+  }
+  end_ += static_cast<size_t>(got);
+  return true;
 }
 
-Result<XmlScanner::Tag> XmlScanner::ParseTag(std::string preceding_text) {
-  Tag tag;
-  tag.preceding_text = std::move(preceding_text);
-  if (in_.peek() == '/') {
-    in_.get();
-    tag.closing = true;
-  }
-  int c;
-  while ((c = in_.peek()) != EOF && !std::isspace(c) && c != '>' &&
-         c != '/') {
-    tag.name.push_back(static_cast<char>(in_.get()));
-  }
-  if (tag.name.empty()) return Status::ParseError("empty element name");
+int XmlScanner::Peek() {
+  if (pos_ == end_ && !Fill()) return -1;
+  return static_cast<unsigned char>(buf_[pos_]);
+}
+
+template <typename Pred>
+bool XmlScanner::SkipWhile(Pred pred) {
   while (true) {
-    while ((c = in_.peek()) != EOF && std::isspace(c)) in_.get();
-    c = in_.peek();
-    if (c == EOF) return Status::ParseError("unterminated tag");
-    if (c == '>') {
-      in_.get();
-      return tag;
-    }
-    if (c == '/') {
-      in_.get();
-      if (in_.get() != '>') return Status::ParseError("malformed '/>'");
-      tag.self_closing = true;
-      return tag;
-    }
-    std::string key;
-    while ((c = in_.peek()) != EOF && c != '=' && !std::isspace(c)) {
-      key.push_back(static_cast<char>(in_.get()));
-    }
-    while ((c = in_.peek()) != EOF && std::isspace(c)) in_.get();
-    if (in_.get() != '=') {
-      return Status::ParseError("attribute '" + key + "' missing '='");
-    }
-    while ((c = in_.peek()) != EOF && std::isspace(c)) in_.get();
-    int quote = in_.get();
-    if (quote != '"' && quote != '\'') {
-      return Status::ParseError("attribute '" + key + "' missing quote");
-    }
-    std::string value;
-    while ((c = in_.get()) != EOF && c != quote) {
-      value.push_back(static_cast<char>(c));
-    }
-    if (c == EOF) return Status::ParseError("unterminated attribute value");
-    tag.attrs.emplace(std::move(key), Unescape(value));
+    while (pos_ < end_ && pred(buf_[pos_])) ++pos_;
+    if (pos_ < end_) return true;
+    if (!Fill()) return false;
   }
 }
 
-std::string XmlScanner::Unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
+bool XmlScanner::SkipTo(char c) {
+  while (true) {
+    const void* at = std::memchr(buf_.data() + pos_, c, end_ - pos_);
+    if (at != nullptr) {
+      pos_ = static_cast<size_t>(static_cast<const char*>(at) - buf_.data());
+      return true;
+    }
+    pos_ = end_;
+    if (!Fill()) return false;
+  }
+}
+
+Status XmlScanner::SkipPast(std::string_view terminator) {
+  while (true) {
+    const std::string_view avail(buf_.data() + pos_, end_ - pos_);
+    const size_t at = avail.find(terminator);
+    if (at != std::string_view::npos) {
+      pos_ += at + terminator.size();
+      return Status::OK();
+    }
+    // The last bytes may begin a terminator the next chunk completes;
+    // the rest is never read again, so the refill does not carry it.
+    if (avail.size() >= terminator.size()) {
+      pos_ = end_ - (terminator.size() - 1);
+    }
+    tok_ = pos_;
+    if (!Fill()) {
+      return Status::ParseError("unterminated markup (expected '" +
+                                std::string(terminator) + "')");
+    }
+  }
+}
+
+Status XmlScanner::Next() {
+  Status st = ScanTag();
+  // A failed read ends the input inside this call, so it is what ended
+  // the scan: report it, not the truncation it caused.
+  return read_status_.ok() ? st : read_status_;
+}
+
+Status XmlScanner::ScanTag() {
+  spilled_text_.clear();
+  tok_ = pos_;
+  while (true) {
+    if (!SkipTo('<')) return Status::NotFound("eof");
+    text_end_ = Offset();
+    ++pos_;
+    const int c = Peek();
+    if (c != '?' && c != '!') return ParseTag();
+    // Markup inside the text: keep the text before it, skip the markup
+    // without carrying it, and go on with the text after it.
+    spilled_text_ += View(0, text_end_);
+    if (c == '?') {  // processing instruction
+      EMS_RETURN_NOT_OK(SkipPast("?>"));
+    } else {  // comment, doctype, or CDATA
+      ++pos_;
+      EMS_RETURN_NOT_OK(SkipPast(Peek() == '-' ? "-->" : ">"));
+    }
+    tok_ = pos_;
+  }
+}
+
+Status XmlScanner::ParseTag() {
+  tag_.closing = false;
+  tag_.self_closing = false;
+  if (Peek() == '/') {
+    ++pos_;
+    tag_.closing = true;
+  }
+  const size_t name_begin = Offset();
+  SkipWhile([](char c) { return !IsSpace(c) && c != '>' && c != '/'; });
+  const size_t name_end = Offset();
+  if (name_end == name_begin) return Status::ParseError("empty element name");
+  spans_.clear();
+  while (true) {
+    if (!SkipWhile(IsSpace)) return Status::ParseError("unterminated tag");
+    if (buf_[pos_] == '>') {
+      ++pos_;
+      break;
+    }
+    if (buf_[pos_] == '/') {
+      ++pos_;
+      if (Peek() != '>') return Status::ParseError("malformed '/>'");
+      ++pos_;
+      tag_.self_closing = true;
+      break;
+    }
+    const size_t key_begin = Offset();
+    SkipWhile([](char c) { return c != '=' && !IsSpace(c); });
+    const size_t key_end = Offset();
+    SkipWhile(IsSpace);
+    if (Peek() != '=') {
+      return Status::ParseError("attribute '" +
+                                std::string(View(key_begin, key_end)) +
+                                "' missing '='");
+    }
+    ++pos_;
+    SkipWhile(IsSpace);
+    const int quote = Peek();
+    if (quote != '"' && quote != '\'') {
+      return Status::ParseError("attribute '" +
+                                std::string(View(key_begin, key_end)) +
+                                "' missing quote");
+    }
+    ++pos_;
+    const size_t value_begin = Offset();
+    if (!SkipTo(static_cast<char>(quote))) {
+      return Status::ParseError("unterminated attribute value");
+    }
+    spans_.push_back({key_begin, key_end, value_begin, Offset()});
+    ++pos_;
+  }
+  // No Fill can move the buffer before the next Next(): the views hold.
+  tag_.name = View(name_begin, name_end);
+  tag_.attrs.clear();
+  for (const AttributeSpan& s : spans_) {
+    tag_.attrs.push_back(
+        {View(s.key_begin, s.key_end), View(s.value_begin, s.value_end)});
+  }
+  return Status::OK();
+}
+
+void XmlScanner::PrecedingText(std::string* out) const {
+  if (spilled_text_.empty()) {
+    Unescape(Trim(View(0, text_end_)), out);
+    return;
+  }
+  // Markup split the text: entities may span the split, so join first.
+  Unescape(Trim(spilled_text_ + std::string(View(0, text_end_))), out);
+}
+
+void XmlScanner::Unescape(std::string_view s, std::string* out) {
+  out->clear();
+  const size_t amp = s.find('&');
+  if (amp == std::string_view::npos) {
+    out->assign(s);
+    return;
+  }
+  out->reserve(s.size());
+  out->append(s.substr(0, amp));
+  // The first ';' at or after the last search start stays the first one
+  // at or after i until i passes it, so each byte is searched once.
+  size_t semi = s.find(';', amp);
+  for (size_t i = amp; i < s.size(); ++i) {
     if (s[i] != '&') {
-      out.push_back(s[i]);
+      out->push_back(s[i]);
       continue;
     }
-    size_t semi = s.find(';', i);
-    if (semi == std::string::npos) {
-      out.push_back(s[i]);
+    if (semi < i) semi = s.find(';', i);
+    if (semi == std::string_view::npos) {
+      out->push_back(s[i]);
       continue;
     }
-    std::string ent = s.substr(i + 1, semi - i - 1);
-    if (ent == "amp") out.push_back('&');
-    else if (ent == "lt") out.push_back('<');
-    else if (ent == "gt") out.push_back('>');
-    else if (ent == "quot") out.push_back('"');
-    else if (ent == "apos") out.push_back('\'');
+    const std::string_view ent = s.substr(i + 1, semi - i - 1);
+    if (ent == "amp") out->push_back('&');
+    else if (ent == "lt") out->push_back('<');
+    else if (ent == "gt") out->push_back('>');
+    else if (ent == "quot") out->push_back('"');
+    else if (ent == "apos") out->push_back('\'');
     else {
-      out.push_back('&');
+      out->push_back('&');
       continue;  // unknown entity: keep literal '&', do not skip
     }
     i = semi;
   }
-  return out;
 }
 
 }  // namespace ems

@@ -76,6 +76,7 @@ TEST(MetricsExportTest, EmsMatchWritesPipelineReportJson) {
   EXPECT_TRUE(BalancedJson(report));
 
   // The span tree covers the pipeline phases...
+  EXPECT_NE(report.find("\"load_logs\""), std::string::npos);
   EXPECT_NE(report.find("\"match\""), std::string::npos);
   EXPECT_NE(report.find("\"graph_build\""), std::string::npos);
   EXPECT_NE(report.find("\"ems_fixpoint\""), std::string::npos);

@@ -1,5 +1,6 @@
 #include "log/mxml.h"
 
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -60,6 +61,29 @@ TEST(MxmlTest, EntryWithoutEventTypeIsKept) {
   EXPECT_EQ(parsed->trace(0).size(), 1u);
 }
 
+TEST(MxmlTest, CommentEndingInThreeDashes) {
+  // The comment ends at the "-->" inside "--->"; the instance after it
+  // is read, and the later comment does not swallow it.
+  std::istringstream in(
+      "<WorkflowLog><Process>\n"
+      "<ProcessInstance><AuditTrailEntry>"
+      "<WorkflowModelElement>a</WorkflowModelElement>"
+      "</AuditTrailEntry></ProcessInstance>\n"
+      "<!-- sep --->\n"
+      "<ProcessInstance><AuditTrailEntry>"
+      "<WorkflowModelElement>b</WorkflowModelElement>"
+      "</AuditTrailEntry></ProcessInstance>\n"
+      "<!-- later -->\n"
+      "<ProcessInstance><AuditTrailEntry>"
+      "<WorkflowModelElement>c</WorkflowModelElement>"
+      "</AuditTrailEntry></ProcessInstance>\n"
+      "</Process></WorkflowLog>\n");
+  Result<EventLog> parsed = ReadMxml(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->NumTraces(), 3u);
+  EXPECT_EQ(parsed->EventName(parsed->trace(1)[0]), "b");
+}
+
 TEST(MxmlTest, MissingWorkflowLogIsParseError) {
   std::istringstream in("<Process></Process>");
   EXPECT_TRUE(ReadMxml(in).status().IsParseError());
@@ -107,6 +131,14 @@ TEST(MxmlTest, FileRoundTripAndMissingFile) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->NumTraces(), 1u);
   EXPECT_TRUE(ReadMxmlFile("/no/such.mxml").status().IsIOError());
+}
+
+TEST(MxmlTest, UnreadableFileIsIOError) {
+  // A directory opens as a stream whose reads fail.
+  const std::string dir = ::testing::TempDir() + "/ems_mxml_test_dir.mxml";
+  std::filesystem::create_directories(dir);
+  Result<EventLog> parsed = ReadMxmlFile(dir);
+  EXPECT_TRUE(parsed.status().IsIOError()) << parsed.status().ToString();
 }
 
 TEST(MxmlTest, EmptyProcessInstance) {

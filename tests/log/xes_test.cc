@@ -1,5 +1,6 @@
 #include "log/xes.h"
 
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -40,6 +41,26 @@ TEST(XesTest, IgnoresOtherAttributesAndComments) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->NumTraces(), 1u);
   EXPECT_EQ(parsed->EventName(parsed->trace(0)[0]), "ship");
+}
+
+TEST(XesTest, CommentEndingInThreeDashes) {
+  // The comment ends at the "-->" inside "--->"; the trace after it is
+  // read, and the later comment does not swallow it.
+  std::istringstream in(
+      "<log>\n"
+      "<trace><event><string key=\"concept:name\" value=\"a\"/></event>"
+      "</trace>\n"
+      "<!-- sep --->\n"
+      "<trace><event><string key=\"concept:name\" value=\"b\"/></event>"
+      "</trace>\n"
+      "<!-- later -->\n"
+      "<trace><event><string key=\"concept:name\" value=\"c\"/></event>"
+      "</trace>\n"
+      "</log>\n");
+  Result<EventLog> parsed = ReadXes(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->NumTraces(), 3u);
+  EXPECT_EQ(parsed->EventName(parsed->trace(1)[0]), "b");
 }
 
 TEST(XesTest, UnescapesEntities) {
@@ -96,6 +117,14 @@ TEST(XesTest, FileRoundTrip) {
 
 TEST(XesTest, MissingFileIsIOError) {
   EXPECT_TRUE(ReadXesFile("/no/such/file.xes").status().IsIOError());
+}
+
+TEST(XesTest, UnreadableFileIsIOError) {
+  // A directory opens as a stream whose reads fail.
+  const std::string dir = ::testing::TempDir() + "/ems_xes_test_dir.xes";
+  std::filesystem::create_directories(dir);
+  Result<EventLog> parsed = ReadXesFile(dir);
+  EXPECT_TRUE(parsed.status().IsIOError()) << parsed.status().ToString();
 }
 
 }  // namespace

@@ -71,6 +71,7 @@
 #include "index/topk_scheduler.h"
 #include "obs/context.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "serve/log_cache.h"
 #include "store/artifact_store.h"
 #include "store/hashing.h"
@@ -501,6 +502,8 @@ int main(int argc, char** argv) {
     return RunCorpusQuery(flags, store_ptr, want_obs ? &obs : nullptr);
   }
 
+  Timer total_timer;
+  ScopedSpan load_span(want_obs ? &obs : nullptr, "load_logs");
   Result<EventLog> log1 = serve::LoadEventLogThroughStore(
       store_ptr, flags.positional[0], flags.format);
   if (!log1.ok()) {
@@ -517,6 +520,7 @@ int main(int argc, char** argv) {
                  log2.status().ToString().c_str());
     return 1;
   }
+  load_span.End();
 
   Result<MatchOptions> options = ToMatchOptions(flags);
   if (!options.ok()) {
@@ -528,7 +532,6 @@ int main(int argc, char** argv) {
   if (want_obs) match_options.obs.context = &obs;
 
   Matcher matcher(match_options);
-  Timer total_timer;
   Result<MatchResult> result = matcher.Match(*log1, *log2);
   const double total_millis = total_timer.ElapsedMillis();
   if (!result.ok()) {
