@@ -2,7 +2,8 @@
 // maintenance + warm-started EMS after append batches (docs/STREAMING.md).
 // Runs a ladder of batch sizes over one growing log pair and reports,
 // per rung, the cold rebuild+match time against the streaming path's
-// append+warm-match time, with the iteration counts behind the saving.
+// append+warm-match time, with the iteration counts behind the saving
+// and the graph part of each side (the cold Build, the streamed fold).
 //
 // Doubles as the contract harness — the binary exits nonzero unless:
 //  * the incrementally maintained dependency graph re-encodes to the
@@ -51,6 +52,11 @@ struct Rung {
   int iterations_saved = 0;
   double cold_millis = 0.0;
   double warm_millis = 0.0;
+  // The graph part of each side, timed inside its region: the cold
+  // side's Build and the streamed side's AppendTraces + ApplyAppend. The
+  // rest of each region is the match.
+  double cold_build_millis = 0.0;
+  double warm_fold_millis = 0.0;
 };
 
 struct ConfigReport {
@@ -159,6 +165,7 @@ ConfigReport RunConfig(const std::string& name, const PairOptions& popts,
       Timer warm_timer;
       const AppendDelta delta = stream_log.AppendTraces(batch);
       (void)stream_graph.ApplyAppend(delta.first_new_trace);
+      rung.warm_fold_millis = warm_timer.ElapsedMillis();
       WarmMatchStats warm_stats;
       chain.stats = &warm_stats;
       Result<MatchResult> warm = MatchGraphs(
@@ -172,6 +179,7 @@ ConfigReport RunConfig(const std::string& name, const PairOptions& popts,
       // side is flattered by that, not the stream side.)
       Timer cold_timer;
       DependencyGraph rebuilt = DependencyGraph::Build(stream_log, gopts);
+      rung.cold_build_millis = cold_timer.ElapsedMillis();
       WarmMatchStats cold_stats;
       PipelineInputs cold_inputs;
       cold_inputs.stats = &cold_stats;
@@ -206,11 +214,12 @@ ConfigReport RunConfig(const std::string& name, const PairOptions& popts,
       report.total_warm_millis += rung.warm_millis;
       report.rungs.push_back(rung);
 
-      std::printf("%-16s batch %3d  cold %3d iters %8.2fms   warm %3d "
-                  "iters %8.2fms  (saved %d)\n",
+      std::printf("%-16s batch %3d  cold %3d iters %8.2fms (build %6.3f)"
+                  "   warm %3d iters %8.2fms (fold %6.3f)  (saved %d)\n",
                   name.c_str(), batch_traces, rung.cold_iterations,
-                  rung.cold_millis, rung.warm_iterations, rung.warm_millis,
-                  rung.iterations_saved);
+                  rung.cold_millis, rung.cold_build_millis,
+                  rung.warm_iterations, rung.warm_millis,
+                  rung.warm_fold_millis, rung.iterations_saved);
     }
   }
 
@@ -293,6 +302,10 @@ void WriteJson(const std::vector<ConfigReport>& reports, int activities,
       w.Number(rung.cold_millis);
       w.Key("warm_millis");
       w.Number(rung.warm_millis);
+      w.Key("cold_build_millis");
+      w.Number(rung.cold_build_millis);
+      w.Key("warm_fold_millis");
+      w.Number(rung.warm_fold_millis);
       w.EndObject();
     }
     w.EndArray();

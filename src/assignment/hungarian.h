@@ -10,14 +10,18 @@ namespace ems {
 /// \brief Solves max-weight assignment on a rectangular weight matrix.
 ///
 /// `weights[i][j]` is the benefit of assigning row i to column j (weights
-/// may be any finite doubles; the solver internally pads to a square
-/// zero-benefit matrix, so leaving an entity unassigned has benefit 0 and
-/// negative-weight pairs are never forced).
+/// may be any finite doubles). The result is that of the zero-padded
+/// square problem: leaving an entity unassigned has benefit 0, so
+/// negative-weight pairs are never forced. The padding is implicit: only
+/// the r real rows run a shortest-augmenting-path phase (Jonker-Volgenant
+/// formulation with potentials), each over the c real columns plus the k
+/// padding columns already taken and one free one. That costs
+/// O(r^2 * (c + k)) time and O(r + c) extra memory, where k is the number
+/// of rows left unassigned, and returns exactly the assignment, ties
+/// included, that the (r+c)^2 padded solve returns.
 ///
 /// Returns assignment[i] = column of row i, or -1 if row i is unassigned
 /// (possible when columns are scarcer or only negative weights remain).
-/// Runs in O(max(n,m)^3) via the Jonker-Volgenant shortest augmenting
-/// path formulation with potentials.
 std::vector<int> MaxWeightAssignment(
     const std::vector<std::vector<double>>& weights);
 

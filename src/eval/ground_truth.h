@@ -5,6 +5,7 @@
 // right set), the standard flattening for complex matches [23].
 #pragma once
 
+#include <map>
 #include <set>
 #include <string>
 #include <utility>

@@ -45,22 +45,34 @@ void DependencyGraph::FinalizeArtificial() {
 
 DependencyGraph DependencyGraph::Build(const EventLog& log,
                                        const DependencyGraphOptions& options) {
+  TraceCounter counts;
+  counts.Add(log);
+  return FromCounts(log, counts, options);
+}
+
+DependencyGraph DependencyGraph::FromCounts(
+    const EventLog& log, const TraceCounter& counts,
+    const DependencyGraphOptions& options) {
   DependencyGraph g;
   g.has_artificial_ = options.add_artificial_event;
   if (g.has_artificial_) g.AddNode("<X>", 1.0, {});
 
-  LogStats stats(log);
+  const size_t num_traces = counts.num_traces();
+  auto frequency = [num_traces](size_t count) {
+    return num_traces == 0 ? 0.0
+                           : static_cast<double>(count) /
+                                 static_cast<double>(num_traces);
+  };
   const NodeId offset = g.has_artificial_ ? 1 : 0;
   for (EventId e = 0; e < static_cast<EventId>(log.NumEvents()); ++e) {
-    g.AddNode(log.EventName(e), stats.EventFrequency(e), {e});
+    g.AddNode(log.EventName(e), frequency(counts.EventTraceCount(e)), {e});
   }
-  for (const auto& [pair, count] : stats.follows_trace_counts()) {
-    (void)count;
-    auto [a, b] = pair;
-    if (a == b) continue;  // f(v, v) denotes node frequency, not a self-edge
-    double f = stats.FollowsFrequency(a, b);
+  for (const FollowsCount& pair : counts.SortedFollows()) {
+    // f(v, v) denotes node frequency, not a self-edge.
+    if (pair.a == pair.b) continue;
+    double f = frequency(pair.traces);
     if (f < options.min_edge_frequency) continue;
-    g.AddEdge(a + offset, b + offset, f);
+    g.AddEdge(pair.a + offset, pair.b + offset, f);
   }
   if (g.has_artificial_) g.FinalizeArtificial();
   return g;

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "log/event_log.h"
-#include "log/log_stats.h"
+#include "log/trace_counter.h"
 #include "util/status.h"
 
 namespace ems {
@@ -204,6 +204,12 @@ class DependencyGraph {
   bool ValidNode(NodeId v) const {
     return v >= 0 && static_cast<size_t>(v) < names_.size();
   }
+
+  // The Definition-1 graph of `log` from its folded counts: node and
+  // edge frequencies are count / num_traces, edges in (a, b) order.
+  static DependencyGraph FromCounts(const EventLog& log,
+                                    const TraceCounter& counts,
+                                    const DependencyGraphOptions& options);
 
   void AddNode(std::string name, double freq, std::vector<EventId> members);
   void AddEdge(NodeId a, NodeId b, double freq);

@@ -1,7 +1,6 @@
 #include "graph/streaming_graph.h"
 
 #include <algorithm>
-#include <set>
 
 namespace ems {
 
@@ -52,32 +51,15 @@ void EraseAt(std::vector<NodeId>& nbrs, std::vector<double>& freqs,
 
 StreamingDependencyGraph::StreamingDependencyGraph(
     const EventLog& log, const DependencyGraphOptions& options)
-    : log_(log),
-      options_(options),
-      graph_(DependencyGraph::Build(log, options)),
-      num_traces_(log.NumTraces()),
-      event_trace_counts_(log.NumEvents(), 0) {
-  // Cumulative Definition-1 counters, folded exactly as LogStats does.
-  std::set<EventId> seen_events;
-  std::set<EdgeKey> seen_pairs;
-  for (const Trace& t : log.traces()) {
-    seen_events.clear();
-    seen_pairs.clear();
-    for (size_t i = 0; i < t.size(); ++i) {
-      seen_events.insert(t[i]);
-      if (i + 1 < t.size()) seen_pairs.emplace(t[i], t[i + 1]);
-    }
-    for (EventId v : seen_events) {
-      ++event_trace_counts_[static_cast<size_t>(v)];
-    }
-    for (const EdgeKey& p : seen_pairs) ++follows_trace_counts_[p];
-  }
+    : log_(log), options_(options) {
+  counts_.Add(log);
+  graph_ = DependencyGraph::FromCounts(log, counts_, options);
 }
 
 StreamingGraphStats StreamingDependencyGraph::ApplyAppend(
     size_t first_new_trace) {
   StreamingGraphStats stats;
-  EMS_DCHECK(first_new_trace == num_traces_);
+  EMS_DCHECK(first_new_trace == counts_.num_traces());
   EMS_DCHECK(log_.NumTraces() >= first_new_trace);
   const bool art = graph_.has_artificial_;
   const NodeId offset = art ? 1 : 0;
@@ -87,35 +69,14 @@ StreamingGraphStats StreamingDependencyGraph::ApplyAppend(
     return stats;
   }
 
-  // 1. Fold the delta traces into the cumulative counters, remembering
-  // which events were absent before (they gain artificial edges) and
-  // which direct-follows pairs were touched (the threshold-free
-  // membership fast path).
-  event_trace_counts_.resize(log_.NumEvents(), 0);
-  std::vector<char> was_absent(log_.NumEvents(), 0);
-  for (size_t e = 0; e < event_trace_counts_.size(); ++e) {
-    was_absent[e] = event_trace_counts_[e] == 0;
+  // 1. Fold the delta traces into the cumulative counter, remembering
+  // which events were absent before (they gain artificial edges).
+  std::vector<char> was_absent(log_.NumEvents(), 1);
+  for (size_t e = 0; e < counts_.num_events(); ++e) {
+    was_absent[e] = counts_.EventTraceCount(static_cast<EventId>(e)) == 0;
   }
-  std::set<EdgeKey> touched_pairs;
-  std::set<EventId> seen_events;
-  std::set<EdgeKey> seen_pairs;
-  for (size_t ti = first_new_trace; ti < log_.NumTraces(); ++ti) {
-    const Trace& t = log_.trace(ti);
-    seen_events.clear();
-    seen_pairs.clear();
-    for (size_t i = 0; i < t.size(); ++i) {
-      seen_events.insert(t[i]);
-      if (i + 1 < t.size()) seen_pairs.emplace(t[i], t[i + 1]);
-    }
-    for (EventId v : seen_events) {
-      ++event_trace_counts_[static_cast<size_t>(v)];
-    }
-    for (const EdgeKey& p : seen_pairs) {
-      ++follows_trace_counts_[p];
-      touched_pairs.insert(p);
-    }
-  }
-  num_traces_ = log_.NumTraces();
+  counts_.Add(log_, first_new_trace, log_.NumTraces());
+  const size_t num_traces = counts_.num_traces();
 
   // 2. New vocabulary becomes new nodes, in EventId order — Build's node
   // order, so existing NodeIds are a strict prefix of the rebuilt ones.
@@ -132,19 +93,19 @@ StreamingGraphStats StreamingDependencyGraph::ApplyAppend(
   // frequency. A growing denominator can push old edges below the
   // threshold, so a nonzero threshold rescans every counted pair; with
   // no threshold only pairs touched by the delta can change membership.
-  const double traces = static_cast<double>(num_traces_);
+  const double traces = static_cast<double>(num_traces);
   std::vector<std::pair<NodeId, NodeId>> added;
   std::vector<std::pair<NodeId, NodeId>> removed;
-  auto apply_membership = [&](const EdgeKey& key, size_t count) {
-    if (key.first == key.second) return;  // f(v, v) is node frequency
-    const NodeId a = key.first + offset;
-    const NodeId b = key.second + offset;
-    const double f =
-        num_traces_ == 0 ? 0.0 : static_cast<double>(count) / traces;
-    const bool desired = count > 0 && !(f < options_.min_edge_frequency);
+  for (const FollowsCount& pair : counts_.SortedFollows(
+           options_.min_edge_frequency > 0.0 ? 0 : first_new_trace)) {
+    if (pair.a == pair.b) continue;  // f(v, v) is node frequency
+    const NodeId a = pair.a + offset;
+    const NodeId b = pair.b + offset;
+    const double f = static_cast<double>(pair.traces) / traces;
+    const bool desired = !(f < options_.min_edge_frequency);
     const size_t pos =
         FindReal(graph_.post_[static_cast<size_t>(a)], art, b);
-    if (desired == (pos != kNpos)) return;
+    if (desired == (pos != kNpos)) continue;
     if (desired) {
       InsertReal(graph_.post_[static_cast<size_t>(a)],
                  graph_.post_freq_[static_cast<size_t>(a)], art, b);
@@ -161,15 +122,6 @@ StreamingGraphStats StreamingDependencyGraph::ApplyAppend(
               graph_.pre_freq_[static_cast<size_t>(b)], ppos);
       removed.emplace_back(a, b);
     }
-  };
-  if (options_.min_edge_frequency > 0.0) {
-    for (const auto& [key, count] : follows_trace_counts_) {
-      apply_membership(key, count);
-    }
-  } else {
-    for (const EdgeKey& key : touched_pairs) {
-      apply_membership(key, follows_trace_counts_[key]);
-    }
   }
   stats.added_edges = added.size();
   stats.removed_edges = removed.size();
@@ -179,8 +131,11 @@ StreamingGraphStats StreamingDependencyGraph::ApplyAppend(
   // among the artificial node's real neighbors, trailing on the event's
   // own lists (after any real edges step 3 just inserted).
   if (art) {
-    for (size_t e = 0; e < event_trace_counts_.size(); ++e) {
-      if (!was_absent[e] || event_trace_counts_[e] == 0) continue;
+    for (size_t e = 0; e < was_absent.size(); ++e) {
+      if (!was_absent[e] ||
+          counts_.EventTraceCount(static_cast<EventId>(e)) == 0) {
+        continue;
+      }
       const NodeId v = static_cast<NodeId>(e) + offset;
       InsertReal(graph_.post_[0], graph_.post_freq_[0], art, v);
       graph_.pre_[static_cast<size_t>(v)].push_back(0);
@@ -193,27 +148,25 @@ StreamingGraphStats StreamingDependencyGraph::ApplyAppend(
 
   // 5. Numeric sweep: every normalized frequency is count/num_traces and
   // the denominator just changed, so rewrite them all with the same
-  // double divisions LogStats evaluates — this is what makes the
-  // maintained graph bit-identical to a from-scratch Build.
+  // double divisions Build evaluates — this is what makes the maintained
+  // graph bit-identical to a from-scratch Build.
   const size_t n = graph_.names_.size();
   for (size_t v = 0; v < n; ++v) {
     if (art && v == 0) continue;  // f(v^X) is pinned at 1.0
     const EventId e = graph_.members_[v][0];
     graph_.node_freq_[v] =
-        num_traces_ == 0
+        num_traces == 0
             ? 0.0
-            : static_cast<double>(
-                  event_trace_counts_[static_cast<size_t>(e)]) /
-                  traces;
+            : static_cast<double>(counts_.EventTraceCount(e)) / traces;
   }
   auto edge_freq = [&](NodeId a, NodeId b) -> double {
     if (art && a == 0) return graph_.node_freq_[static_cast<size_t>(b)];
     if (art && b == 0) return graph_.node_freq_[static_cast<size_t>(a)];
-    const EventId ea = graph_.members_[static_cast<size_t>(a)][0];
-    const EventId eb = graph_.members_[static_cast<size_t>(b)][0];
-    auto it = follows_trace_counts_.find({ea, eb});
-    EMS_DCHECK(it != follows_trace_counts_.end());
-    return static_cast<double>(it->second) / traces;
+    const size_t count =
+        counts_.FollowsTraceCount(graph_.members_[static_cast<size_t>(a)][0],
+                                  graph_.members_[static_cast<size_t>(b)][0]);
+    EMS_DCHECK(count > 0);
+    return static_cast<double>(count) / traces;
   };
   for (size_t v = 0; v < n; ++v) {
     const auto& post = graph_.post_[v];

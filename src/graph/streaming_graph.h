@@ -8,26 +8,26 @@
 //   * numerically, it is dense — every normalized frequency is a count
 //     divided by the trace total, so one appended trace rescales every
 //     node and edge weight.
-// StreamingDependencyGraph therefore keeps the cumulative distinct-event
-// and distinct-succession trace counts, patches both adjacency
-// directions in place for the structural delta, rewrites the frequency
-// doubles with the exact count/num_traces divisions the batch builder
-// uses, and re-derives longest-distance cache rows only for nodes whose
-// path set could have changed (the reachability closure of the changed
-// edges). The maintained graph is bit-identical to
-// DependencyGraph::Build over the extended log — node order, edge order,
-// every double, and both distance caches (pinned by
-// tests/graph/streaming_graph_test.cc and the append-sequence fuzz in
-// tests/property/streaming_property_test.cc).
+// StreamingDependencyGraph therefore folds every trace once into a
+// TraceCounter (log/trace_counter.h), the counter DependencyGraph::Build
+// reads, and keeps it. Per append it patches both adjacency directions
+// in place for the pairs the batch touched (read out sorted, so no hash
+// order reaches the graph), rewrites the frequency doubles with the
+// exact count/num_traces divisions Build uses, and re-derives
+// longest-distance cache rows only for nodes whose path set could have
+// changed (the reachability closure of the changed edges). The
+// maintained graph is bit-identical to DependencyGraph::Build over the
+// extended log — node order, edge order, every double, and both distance
+// caches (pinned by tests/graph/streaming_graph_test.cc and the
+// append-sequence fuzz in tests/property/streaming_property_test.cc).
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "graph/dependency_graph.h"
 #include "log/event_log.h"
+#include "log/trace_counter.h"
 
 namespace ems {
 
@@ -70,12 +70,10 @@ class StreamingDependencyGraph {
   /// The maintained graph. Valid until the next ApplyAppend.
   const DependencyGraph& graph() const { return graph_; }
 
-  size_t num_traces() const { return num_traces_; }
+  size_t num_traces() const { return counts_.num_traces(); }
   const DependencyGraphOptions& options() const { return options_; }
 
  private:
-  using EdgeKey = std::pair<EventId, EventId>;
-
   // Re-derives the rows of one longest-distance cache whose values could
   // have changed: the reachability closure (along `forward` edges) of
   // the changed-edge endpoints and new nodes, computed by a Tarjan pass
@@ -87,11 +85,8 @@ class StreamingDependencyGraph {
   const EventLog& log_;
   DependencyGraphOptions options_;
   DependencyGraph graph_;
-  size_t num_traces_ = 0;
-  // Cumulative Definition-1 counters: traces containing each event /
-  // each ordered direct-follows pair at least once.
-  std::vector<size_t> event_trace_counts_;
-  std::map<EdgeKey, size_t> follows_trace_counts_;
+  // Cumulative Definition-1 counts of every trace folded so far.
+  TraceCounter counts_;
 };
 
 }  // namespace ems

@@ -29,6 +29,9 @@ Result<EventLog> ReadTraceFormat(std::istream& input, char delim) {
     }
     log.AddTrace(names);
   }
+  // getline stops on a read error (say, a directory opened as a file)
+  // exactly as on end of input; only badbit tells them apart.
+  if (input.bad()) return Status::IOError("read failed");
   return log;
 }
 
@@ -113,6 +116,7 @@ bool IsActivityHeader(const std::string& h) {
 Result<EventLog> ReadCsv(std::istream& input) {
   std::string line;
   if (!std::getline(input, line)) {
+    if (input.bad()) return Status::IOError("read failed");
     return Status::ParseError("empty CSV input");
   }
   EMS_ASSIGN_OR_RETURN(std::vector<std::string> header, SplitCsvRow(line, 1));
@@ -152,6 +156,7 @@ Result<EventLog> ReadCsv(std::istream& input) {
     if (inserted) case_order.push_back(case_id);
     it->second.push_back(std::move(activity));
   }
+  if (input.bad()) return Status::IOError("read failed");
 
   EventLog log;
   for (const std::string& cid : case_order) log.AddTrace(by_case.at(cid));

@@ -6,6 +6,7 @@
 // the builder in without changing any result.
 #include "graph/dependency_graph_builder.h"
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -214,21 +215,19 @@ TEST(DependencyGraphBuilderTest, ConcurrentBuildsAreIdentical) {
   ASSERT_TRUE(ref.ok());
 
   constexpr int kThreads = 4;
-  std::vector<Result<DependencyGraph>> results;
-  results.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    results.push_back(Status::Internal("not run"));
-  }
+  std::vector<std::optional<Result<DependencyGraph>>> results(kThreads);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      results[static_cast<size_t>(i)] = builder.BuildWithComposites({{b, c}});
+      results[static_cast<size_t>(i)].emplace(
+          builder.BuildWithComposites({{b, c}}));
     });
   }
   for (std::thread& t : threads) t.join();
   for (const auto& r : results) {
-    ASSERT_TRUE(r.ok());
-    ExpectGraphsIdentical(*ref, *r);
+    ASSERT_TRUE(r.has_value());
+    ASSERT_TRUE(r->ok());
+    ExpectGraphsIdentical(*ref, **r);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "log/log_io.h"
 
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -52,6 +53,14 @@ TEST(TraceFormatTest, CustomDelimiter) {
 TEST(TraceFileTest, MissingFileIsIOError) {
   Result<EventLog> r = ReadTraceFile("/nonexistent/path/log.txt");
   EXPECT_TRUE(r.status().IsIOError());
+}
+
+TEST(TraceFileTest, UnreadableFileIsIOError) {
+  // A directory opens as a stream whose reads fail.
+  const std::string dir = ::testing::TempDir() + "/ems_trace_test_dir.txt";
+  std::filesystem::create_directories(dir);
+  Result<EventLog> r = ReadTraceFile(dir);
+  EXPECT_TRUE(r.status().IsIOError()) << r.status().ToString();
 }
 
 TEST(TraceFileTest, WriteAndReadBack) {
@@ -115,6 +124,13 @@ TEST(CsvTest, RejectsRowWithTooFewColumns) {
 TEST(CsvTest, RejectsEmptyInput) {
   std::istringstream in("");
   EXPECT_TRUE(ReadCsv(in).status().IsParseError());
+}
+
+TEST(CsvTest, UnreadableFileIsIOError) {
+  const std::string dir = ::testing::TempDir() + "/ems_csv_test_dir.csv";
+  std::filesystem::create_directories(dir);
+  Result<EventLog> r = ReadCsvFile(dir);
+  EXPECT_TRUE(r.status().IsIOError()) << r.status().ToString();
 }
 
 TEST(CsvTest, RejectsUnterminatedQuote) {
