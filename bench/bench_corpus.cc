@@ -216,7 +216,8 @@ int main(int argc, char** argv) {
       // Query members spread across the corpus, so different families
       // (and different process sizes) drive the incumbent.
       const size_t qi = (static_cast<size_t>(q) * index.size()) / queries;
-      const EventLog& query = index.entry(qi).log;
+      // Prepared under the index's options, which are the match's.
+      const PreparedLog& query = index.entry(qi).prepared;
 
       index::TopKScheduler brute(index, brute_opts);
       Timer bt;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/ems_similarity.h"
@@ -183,6 +184,43 @@ Result<MatchResult> MatchGraphs(const MatchOptions& options,
   return result;
 }
 
+PrepareOptions PrepareOptionsFor(const MatchOptions& options) {
+  PrepareOptions prepare;
+  prepare.graph.min_edge_frequency = options.min_edge_frequency;
+  prepare.qgram_q = ProfileQ(*MakeLabelMeasure(options.label_measure));
+  return prepare;
+}
+
+PreparedLog PrepareLog(EventLog log, const PrepareOptions& options) {
+  PreparedLog prepared;
+  prepared.graph = DependencyGraph::Build(log, options.graph);
+  if (prepared.graph.has_artificial()) {
+    (void)prepared.graph.LongestDistancesFromArtificial();
+    (void)prepared.graph.LongestDistancesToArtificial();
+  }
+  prepared.labels = LabelProfiles(prepared.graph, options.qgram_q);
+  prepared.log = std::move(log);
+  return prepared;
+}
+
+Result<MatchResult> MatchPrepared(const MatchOptions& options,
+                                  const EventLog& log1, const EventLog& log2,
+                                  DependencyGraph g1, DependencyGraph g2,
+                                  const LabelProfiles& labels1,
+                                  const LabelProfiles& labels2) {
+  std::vector<std::vector<double>> labels;
+  PipelineInputs inputs;
+  if (options.label_measure != LabelMeasure::kNone) {
+    ScopedSpan span(options.obs.context, "label_similarity");
+    labels = LabelSimilarityMatrix(labels1, labels2,
+                                   *MakeLabelMeasure(options.label_measure),
+                                   options.ems.pool);
+    inputs.labels = &labels;
+  }
+  return MatchGraphs(options, log1, log2, std::move(g1), std::move(g2),
+                     inputs);
+}
+
 Result<MatchResult> Matcher::Match(const EventLog& log1,
                                    const EventLog& log2) const {
   ObsContext* obs = options_.obs.context;
@@ -214,14 +252,20 @@ Result<MatchResult> Matcher::Match(const EventLog& log1,
     result.composite_stats = comp_result.stats;
     SelectCorrespondences(options_, log1, log2, &result);
   } else {
+    // The preparation PrepareLog gives a cached log, minus the distance
+    // caches no pair computation reads.
+    const PrepareOptions prepare = PrepareOptionsFor(options_);
     ScopedSpan graph_span(obs, "graph_build");
-    DependencyGraphOptions graph_opts;
-    graph_opts.min_edge_frequency = options_.min_edge_frequency;
-    DependencyGraph g1 = DependencyGraph::Build(log1, graph_opts);
-    DependencyGraph g2 = DependencyGraph::Build(log2, graph_opts);
+    DependencyGraph g1 = DependencyGraph::Build(log1, prepare.graph);
+    DependencyGraph g2 = DependencyGraph::Build(log2, prepare.graph);
     graph_span.End();
-    EMS_ASSIGN_OR_RETURN(result, MatchGraphs(options_, log1, log2,
-                                             std::move(g1), std::move(g2)));
+    ScopedSpan profile_span(obs, "label_profiles");
+    const LabelProfiles labels1(g1, prepare.qgram_q);
+    const LabelProfiles labels2(g2, prepare.qgram_q);
+    profile_span.End();
+    EMS_ASSIGN_OR_RETURN(result,
+                         MatchPrepared(options_, log1, log2, std::move(g1),
+                                       std::move(g2), labels1, labels2));
   }
   if (obs != nullptr) {
     ObsIncrement(obs, "graph.builds", 2);

@@ -12,6 +12,8 @@
 #include "assignment/selection.h"
 #include "core/composite_matcher.h"
 #include "core/estimation.h"
+#include "graph/dependency_graph.h"
+#include "log/event_log.h"
 #include "obs/options.h"
 #include "prob/em_engine.h"
 #include "text/label_similarity.h"
@@ -78,9 +80,10 @@ struct MatchOptions {
   prob::EmOptions prob;
 
   /// Observability: when `obs.context` is set, Match records per-phase
-  /// spans (graph_build, label_similarity, ems_fixpoint/ems_estimation,
-  /// composite_search, selection) and pipeline counters into it. The
-  /// default (null) compiles the instrumentation down to pointer checks.
+  /// spans (graph_build, label_profiles, label_similarity,
+  /// ems_fixpoint/ems_estimation, composite_search, selection) and
+  /// pipeline counters into it. The default (null) compiles the
+  /// instrumentation down to pointer checks.
   ObsOptions obs;
 };
 
@@ -194,12 +197,57 @@ Result<MatchResult> MatchGraphs(const MatchOptions& options,
                                 DependencyGraph g1, DependencyGraph g2,
                                 const PipelineInputs& inputs = {});
 
+/// What a log is prepared under: the options of its dependency graph and
+/// the q of its label profiles. Two preparations of one log are
+/// interchangeable only when these agree; serve::LogCache keys on them.
+struct PrepareOptions {
+  DependencyGraphOptions graph;
+
+  /// q of the label profiles: ProfileQ of the label measure, 0 (the raw
+  /// label parts only) for every measure but the q-gram cosine.
+  int qgram_q = 0;
+};
+
+/// The preparation Matcher::Match gives each log under `options`: its
+/// min_edge_frequency and its label measure's q.
+PrepareOptions PrepareOptionsFor(const MatchOptions& options);
+
+/// \brief A log with the state of the 1:1 pipeline that depends on it
+/// alone, built once and read by every match the log takes part in
+/// (serve::LogCache values, index::CorpusEntry).
+struct PreparedLog {
+  EventLog log;
+
+  /// The log's dependency graph. With the artificial event, both
+  /// longest-distance caches are filled, so threads sharing the graph
+  /// only read it.
+  DependencyGraph graph;
+
+  /// The graph's node labels (indexed by NodeId), prepared for S^L.
+  LabelProfiles labels;
+};
+
+/// Builds `log`'s graph and label profiles under `options`.
+PreparedLog PrepareLog(EventLog log, const PrepareOptions& options);
+
+/// The 1:1 pipeline over prepared logs, the path of Matcher::Match and of
+/// the service's matches: S^L assembled from the two logs' label
+/// profiles, then MatchGraphs over `g1` and `g2`, the logs' prepared
+/// graphs (moved from a fresh preparation, or copied from a shared one).
+/// `labels1` and `labels2` are the node labels of those graphs.
+Result<MatchResult> MatchPrepared(const MatchOptions& options,
+                                  const EventLog& log1, const EventLog& log2,
+                                  DependencyGraph g1, DependencyGraph g2,
+                                  const LabelProfiles& labels1,
+                                  const LabelProfiles& labels2);
+
 /// \brief End-to-end event matcher.
 class Matcher {
  public:
   explicit Matcher(const MatchOptions& options = {}) : options_(options) {}
 
-  /// Runs the full pipeline between two logs.
+  /// Runs the full pipeline between two logs: the composite search, or
+  /// both logs prepared and then MatchPrepared.
   Result<MatchResult> Match(const EventLog& log1, const EventLog& log2) const;
 
   const MatchOptions& options() const { return options_; }

@@ -40,7 +40,7 @@ std::vector<std::string> LogRepository::Names() const {
 Result<const EventLog*> LogRepository::Get(const std::string& name) const {
   const int i = index_.FindIndex(name);
   if (i < 0) return Status::NotFound("no repository entry '" + name + "'");
-  return &index_.entry(static_cast<size_t>(i)).log;
+  return &index_.entry(static_cast<size_t>(i)).prepared.log;
 }
 
 Result<std::vector<RepositoryHit>> LogRepository::Query(
@@ -62,8 +62,9 @@ Result<std::vector<RepositoryHit>> LogRepository::RunQuery(
   opts.pool = pool;
   opts.force_brute_force = brute_force;
   index::TopKScheduler scheduler(index_, opts);
-  EMS_ASSIGN_OR_RETURN(std::vector<index::TopKHit> top,
-                       scheduler.Query(query));
+  EMS_ASSIGN_OR_RETURN(
+      std::vector<index::TopKHit> top,
+      scheduler.Query(PrepareLog(query, PrepareOptionsFor(options_))));
   std::vector<RepositoryHit> hits;
   hits.reserve(top.size());
   for (index::TopKHit& hit : top) {

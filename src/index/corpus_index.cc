@@ -49,16 +49,17 @@ Status CorpusIndex::AddPrebuilt(const std::string& name, EventLog log,
   entry.source_path = source_path;
   entry.content_hash = content_hash;
   entry.format = format;
-  entry.log = std::move(log);
-  entry.graph = std::move(graph);
-  if (entry.graph.has_artificial() && entry.graph.NumNodes() > 0) {
+  PreparedLog& prepared = entry.prepared;
+  prepared.log = std::move(log);
+  prepared.graph = std::move(graph);
+  const DependencyGraph& g = prepared.graph;
+  if (g.has_artificial() && g.NumNodes() > 0) {
     // Warm both lazy caches now: queries read them from many threads.
     entry.max_longest_from =
-        MaxRealDistance(entry.graph, entry.graph.LongestDistancesFromArtificial());
-    entry.max_longest_to =
-        MaxRealDistance(entry.graph, entry.graph.LongestDistancesToArtificial());
+        MaxRealDistance(g, g.LongestDistancesFromArtificial());
+    entry.max_longest_to = MaxRealDistance(g, g.LongestDistancesToArtificial());
   }
-  entry.labels = LabelProfiles(entry.graph, options_.qgram_q);
+  prepared.labels = LabelProfiles(g, options_.qgram_q);
   entries_.push_back(std::move(entry));
   IndexLabels(static_cast<uint32_t>(entries_.size() - 1));
   ObsIncrement(options_.obs, "index.entries_added");
@@ -82,7 +83,7 @@ int CorpusIndex::FindIndex(const std::string& name) const {
 
 void CorpusIndex::IndexLabels(uint32_t entry_index) {
   CorpusEntry& entry = entries_[entry_index];
-  const LabelProfiles& labels = entry.labels;
+  const LabelProfiles& labels = entry.prepared.labels;
   // One slot per distinct (lower-cased) part per entry: duplicate labels
   // would only re-derive the same cosine.
   std::unordered_set<std::string> seen;

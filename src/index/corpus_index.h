@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/matcher.h"
 #include "graph/dependency_graph.h"
 #include "log/event_log.h"
 #include "text/label_similarity.h"
@@ -59,8 +60,12 @@ struct CorpusEntry {
   std::string source_path;  // origin file; empty for in-memory adds
   uint64_t content_hash = 0;  // XXH64 of the source bytes; 0 in-memory
   std::string format;         // resolved parse format; "" in-memory
-  EventLog log;
-  DependencyGraph graph;  // artificial event + warmed distance caches
+
+  /// The log, its graph (artificial event, warmed distance caches) and
+  /// the graph's node labels prepared at the index's q: the postings and
+  /// every label matrix the scheduler assembles against this entry read
+  /// the labels.
+  PreparedLog prepared;
 
   /// max over real nodes of l(v) for each direction (kInfiniteDistance
   /// when any real node sits on/behind a cycle). The pairwise horizon
@@ -73,11 +78,6 @@ struct CorpusEntry {
   /// is empty (shorter than the padding floor): an empty query part then
   /// reaches cosine 1 against it.
   bool has_empty_label_part = false;
-
-  /// The graph's node labels (indexed by NodeId), prepared once at the
-  /// index's q: the postings and every label matrix the scheduler
-  /// assembles against this entry read them.
-  LabelProfiles labels;
 };
 
 /// \brief The corpus index: entries + q-gram postings over their labels.

@@ -67,8 +67,9 @@ std::string EncodeCorpusIndex(const CorpusIndex& index) {
     w.Str(e.format);
     // Framed sub-snapshots ride as length-prefixed strings; decoding
     // re-verifies each inner envelope.
-    w.Str(store::EncodeEventLog(e.log));
-    w.Str(store::EncodeDependencyGraph(e.graph, /*include_distances=*/true));
+    w.Str(store::EncodeEventLog(e.prepared.log));
+    w.Str(store::EncodeDependencyGraph(e.prepared.graph,
+                                       /*include_distances=*/true));
   }
   return w.Finish(store::ArtifactKind::kCorpusIndex);
 }

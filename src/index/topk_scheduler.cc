@@ -69,20 +69,20 @@ double MaxLabelValue(const std::vector<std::vector<double>>& labels) {
 // incumbent, the run aborts — the candidate provably cannot reach the
 // top k (docs/CORPUS.md). Completed runs are Matcher::Match's
 // non-composite path over the prebuilt graphs.
-Result<EvalOutcome> EvaluateCandidate(
-    const EventLog& query, const DependencyGraph& query_graph,
-    const LabelProfiles& query_labels, const CorpusEntry& entry,
-    const LabelSimilarity& measure, const MatchOptions& match,
-    double incumbent) {
+Result<EvalOutcome> EvaluateCandidate(const PreparedLog& query,
+                                      const CorpusEntry& entry,
+                                      const LabelSimilarity& measure,
+                                      const MatchOptions& match,
+                                      double incumbent) {
   EvalOutcome out;
-  const DependencyGraph& g1 = query_graph;
-  const DependencyGraph& g2 = entry.graph;
+  const DependencyGraph& g1 = query.graph;
+  const DependencyGraph& g2 = entry.prepared.graph;
 
   std::vector<std::vector<double>> labels;
   double label_max = 0.0;
   if (match.label_measure != LabelMeasure::kNone) {
-    labels = LabelSimilarityMatrix(query_labels, entry.labels, measure,
-                                   match.ems.pool);
+    labels = LabelSimilarityMatrix(query.labels, entry.prepared.labels,
+                                   measure, match.ems.pool);
     label_max = MaxLabelValue(labels);
   }
 
@@ -151,9 +151,9 @@ Result<EvalOutcome> EvaluateCandidate(
   inputs.labels = match.label_measure != LabelMeasure::kNone ? &labels
                                                              : nullptr;
   inputs.controls = &rc;
-  EMS_ASSIGN_OR_RETURN(out.match, MatchGraphs(match, query, entry.log,
-                                              query_graph, entry.graph,
-                                              inputs));
+  EMS_ASSIGN_OR_RETURN(out.match,
+                       MatchGraphs(match, query.log, entry.prepared.log, g1,
+                                   g2, inputs));
   if (out.aborted) return out;
   double total = 0.0;
   for (const Correspondence& c : out.match.correspondences) {
@@ -185,13 +185,13 @@ bool TopKScheduler::CanUseIndex() const {
   return true;
 }
 
-Result<std::vector<TopKHit>> TopKScheduler::Query(const EventLog& query) {
+Result<std::vector<TopKHit>> TopKScheduler::Query(const PreparedLog& query) {
   stats_ = TopKStats{};
   ObsContext* obs =
       options_.obs != nullptr ? options_.obs : options_.match.obs.context;
   const size_t n = index_.size();
   stats_.candidates_retrieved = n;
-  if (!CanUseIndex()) return BruteForce(query);
+  if (!CanUseIndex()) return BruteForce(query.log);
   ObsIncrement(obs, "index.queries");
   std::vector<TopKHit> hits;
   if (n == 0 || options_.k == 0) {
@@ -202,11 +202,10 @@ Result<std::vector<TopKHit>> TopKScheduler::Query(const EventLog& query) {
   }
 
   const MatchOptions& match = options_.match;
-  DependencyGraphOptions graph_opts;
-  graph_opts.min_edge_frequency = match.min_edge_frequency;
-  DependencyGraph query_graph = DependencyGraph::Build(query, graph_opts);
-  // Warm the lazy distance caches before candidates share this graph
-  // across worker threads.
+  // Read on this thread first: a query prepared without its distance
+  // caches fills them here, before candidates share the graph across
+  // worker threads.
+  const DependencyGraph& query_graph = query.graph;
   int query_max_from = 0;
   int query_max_to = 0;
   {
@@ -222,20 +221,19 @@ Result<std::vector<TopKHit>> TopKScheduler::Query(const EventLog& query) {
   std::unique_ptr<LabelSimilarity> measure =
       MakeLabelMeasure(match.label_measure);
 
-  // The query's labels, prepared once at the index's q like every
-  // entry's: each candidate's S^L matrix is one assembly over the two.
-  const LabelProfiles query_labels(query_graph, index_.options().qgram_q);
-
   // Stage-0 label cap per entry: the exact retrieval bound for the
-  // q-gram measure (when the index was built with the measure's q), 0
-  // for structural-only matching, and the trivial 1 otherwise — every
-  // case admissible for scores in [0, 1].
+  // q-gram measure (when the index and the query's labels were both
+  // prepared at the measure's q), 0 for structural-only matching, and
+  // the trivial 1 otherwise — every case admissible for scores in
+  // [0, 1].
   std::vector<double> label_caps(n, 1.0);
+  const int index_q = index_.options().qgram_q;
   if (match.label_measure == LabelMeasure::kNone) {
     std::fill(label_caps.begin(), label_caps.end(), 0.0);
   } else if (match.label_measure == LabelMeasure::kQGramCosine &&
-             index_.options().qgram_q == QGramCosineSimilarity().q()) {
-    label_caps = index_.MaxLabelCosines(query_labels);
+             index_q == QGramCosineSimilarity().q() &&
+             query.labels.qgram_q() == index_q) {
+    label_caps = index_.MaxLabelCosines(query.labels);
   }
 
   const double alpha = match.ems.alpha;
@@ -293,10 +291,8 @@ Result<std::vector<TopKHit>> TopKScheduler::Query(const EventLog& query) {
     for (size_t b = 0; b < batch.size(); ++b) {
       group.Run([&, b]() -> Status {
         EMS_ASSIGN_OR_RETURN(
-            outcomes[b],
-            EvaluateCandidate(query, query_graph, query_labels,
-                              index_.entry(batch[b].idx), *measure, match,
-                              inc));
+            outcomes[b], EvaluateCandidate(query, index_.entry(batch[b].idx),
+                                           *measure, match, inc));
         return Status::OK();
       });
     }
@@ -352,7 +348,8 @@ Result<std::vector<TopKHit>> TopKScheduler::BruteForce(
     group.Run([&, i, token = group.token()]() -> Status {
       if (token.cancelled()) return Status::Cancelled("top-k query aborted");
       const CorpusEntry& e = index_.entry(i);
-      EMS_ASSIGN_OR_RETURN(MatchResult match, matcher.Match(query, e.log));
+      EMS_ASSIGN_OR_RETURN(MatchResult match,
+                           matcher.Match(query, e.prepared.log));
       double total = 0.0;
       for (const Correspondence& corr : match.correspondences) {
         total += corr.similarity;

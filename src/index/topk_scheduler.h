@@ -83,8 +83,12 @@ class TopKScheduler {
   TopKScheduler(const CorpusIndex& index, const TopKOptions& options);
 
   /// The top-k entries for `query`, best score first (ties keep index
-  /// order). Returns min(k, corpus size) hits.
-  Result<std::vector<TopKHit>> Query(const EventLog& query);
+  /// order). Returns min(k, corpus size) hits. `query` must be prepared
+  /// under PrepareOptionsFor(options.match): its graph is the one a
+  /// brute-force Match would build. The scheduler only reads it, and
+  /// PrepareLog fills its distance caches, so concurrent queries may
+  /// share one.
+  Result<std::vector<TopKHit>> Query(const PreparedLog& query);
 
   /// Counters of the last Query call.
   const TopKStats& stats() const { return stats_; }

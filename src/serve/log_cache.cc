@@ -68,24 +68,66 @@ Result<EventLog> LoadEventLogThroughStore(store::ArtifactStore* store,
   return log;
 }
 
+namespace {
+
+// Estimated resident bytes of a prepared log: the log as its snapshot,
+// the graph's nodes (name, frequency, members, both distances) and edges
+// (id and frequency in both adjacency directions), and the label parts
+// and q-grams.
+uint64_t EstimatePreparedBytes(const PreparedLog& prepared) {
+  uint64_t bytes = store::EstimateLogSnapshotBytes(prepared.log);
+  const DependencyGraph& g = prepared.graph;
+  for (NodeId v = 0; v < static_cast<NodeId>(g.NumNodes()); ++v) {
+    bytes += g.NodeName(v).size() + 8 + 4 * g.Members(v).size() + 8;
+  }
+  bytes += 24 * g.NumEdges();
+  const LabelProfiles& labels = prepared.labels;
+  const uint64_t gram_bytes = static_cast<uint64_t>(labels.qgram_q()) + 4;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    for (const std::string& part : labels.parts(i)) bytes += part.size();
+    for (const QGramProfile& profile : labels.qgrams(i)) {
+      bytes += gram_bytes * profile.DistinctGrams();
+    }
+  }
+  return bytes;
+}
+
+// The cache key of `prepare`: every field PrepareLog reads.
+uint64_t PrepareFingerprint(const PrepareOptions& prepare) {
+  return store::FingerprintBuilder()
+      .Add("add_artificial_event", prepare.graph.add_artificial_event)
+      .Add("min_edge_frequency", prepare.graph.min_edge_frequency)
+      .Add("qgram_q", static_cast<uint64_t>(prepare.qgram_q))
+      .Finish();
+}
+
+}  // namespace
+
 LogCache::LogCache(size_t capacity, ObsContext* obs,
                    store::ArtifactStore* store, uint64_t max_cost_bytes)
     : cache_(capacity, max_cost_bytes), obs_(obs), store_(store) {}
 
-Result<std::shared_ptr<const EventLog>> LogCache::GetOrLoad(
-    const std::string& path, const std::string& format) {
+Result<std::shared_ptr<const PreparedLog>> LogCache::GetOrLoad(
+    const std::string& path, const std::string& format,
+    const PrepareOptions& prepare) {
   // Hash the file on every lookup: a rewritten file gets a fresh key, so
-  // no job is ever answered with a stale parse. An unreadable file hashes
-  // as 0 and misses — the load below reports the real error.
-  uint64_t content_hash = 0;
-  if (Result<uint64_t> hashed = store::HashFile(path); hashed.ok()) {
-    content_hash = hashed.value();
+  // no job is ever answered with a stale parse. An unreadable file (one
+  // missing, a directory) is a miss that caches nothing.
+  const Result<uint64_t> hashed = store::HashFile(path);
+  if (!hashed.ok()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++misses_;
+    }
+    ObsIncrement(obs_, "serve.cache.misses");
+    return hashed.status();
   }
-  const std::string fmt = ResolveLogFormat(path, format);
-  const std::string key =
-      CanonicalPath(path) + "|" + fmt + "|" + store::HashHex(content_hash);
+  const std::string key = CanonicalPath(path) + "|" +
+                          ResolveLogFormat(path, format) + "|" +
+                          store::HashHex(hashed.value()) + "|" +
+                          store::HashHex(PrepareFingerprint(prepare));
 
-  std::optional<std::shared_ptr<const EventLog>> hit;
+  std::optional<std::shared_ptr<const PreparedLog>> hit;
   std::shared_future<Loaded> pending;
   std::optional<std::promise<Loaded>> leader;
   {
@@ -110,17 +152,17 @@ Result<std::shared_ptr<const EventLog>> LogCache::GetOrLoad(
     ObsIncrement(obs_, "serve.cache.hits");
     return hit ? Loaded(*hit) : pending.get();
   }
-
-  // The first miss on this key: load outside the lock.
   ObsIncrement(obs_, "serve.cache.misses");
+
+  // The first miss on this key: load and prepare outside the lock.
   const Loaded loaded = [&]() -> Loaded {
     EMS_ASSIGN_OR_RETURN(EventLog log,
                          LoadEventLogThroughStore(store_, path, format));
-    const uint64_t cost = store::EstimateLogSnapshotBytes(log);
-    auto shared = std::make_shared<const EventLog>(std::move(log));
+    auto shared = std::make_shared<const PreparedLog>(
+        PrepareLog(std::move(log), prepare));
     // Cached before the in-flight entry goes, so a caller arriving in
     // between finds one or the other.
-    cache_.Put(key, shared, cost);
+    cache_.Put(key, shared, EstimatePreparedBytes(*shared));
     ObsSetGauge(obs_, "serve.cache_bytes",
                 static_cast<double>(cache_.cost_bytes()));
     return shared;

@@ -1,8 +1,9 @@
-// LRU repository of parsed event logs — the cache in front of the batch
-// matching service. Bulk workloads (Khan et al.'s reproducibility
+// LRU repository of prepared event logs — the cache in front of the
+// batch matching service. Bulk workloads (Khan et al.'s reproducibility
 // sweeps, warehouse scans) match the same logs against many partners;
-// parsing each log once per batch instead of once per job is the
-// difference between I/O-bound and CPU-bound.
+// a value holds everything of a match that depends on one log alone —
+// the parsed log, its dependency graph and its label profiles — so a
+// request does only the pair's work.
 //
 // Keys include the file's content hash, so a log rewritten between jobs
 // is re-parsed, never served stale. With an artifact store attached the
@@ -18,6 +19,7 @@
 #include <mutex>
 #include <string>
 
+#include "core/matcher.h"
 #include "log/event_log.h"
 #include "serve/lru_cache.h"
 #include "util/status.h"
@@ -32,16 +34,19 @@ class ArtifactStore;
 
 namespace serve {
 
-/// \brief Thread-safe two-level load-through cache of parsed event logs.
+/// \brief Thread-safe two-level load-through cache of prepared logs.
 ///
-/// Keys are `canonical_path|format|content_hash`: the canonical path
-/// resolves symlinks and relative segments (realpath) so two spellings
-/// of one file share an entry, and the XXH64 content hash makes a
-/// rewritten file a different key — hashing re-reads the file on every
-/// lookup, which is cheap next to parsing and is exactly what keeps the
-/// cache coherent without invalidation messages. Values are
-/// shared_ptr<const EventLog>: eviction never invalidates a log a
-/// running job still holds.
+/// Keys are `canonical_path|format|content_hash|prepare`: the canonical
+/// path resolves symlinks and relative segments (realpath) so two
+/// spellings of one file share an entry, the XXH64 content hash makes a
+/// rewritten file a different key, and `prepare` fingerprints the
+/// PrepareOptions, so each graph option set and label q has its own
+/// entry. Hashing reads the whole file on every lookup — it is what
+/// keeps the cache coherent without invalidation messages, and it runs
+/// at read speed, well under parsing but not free. Values are
+/// shared_ptr<const PreparedLog>: eviction never invalidates a log a
+/// running job still holds, and jobs only read a value (its graph's
+/// distance caches are filled before it is published).
 ///
 /// Loads are single-flight: the first miss on a key loads outside the
 /// cache lock, and concurrent callers of that key wait for its result
@@ -52,17 +57,20 @@ class LogCache {
   /// `obs` (borrowed, may be null) receives serve.cache.{hits,misses}
   /// and the serve.cache_bytes gauge. `store` (borrowed, may be null)
   /// is the on-disk snapshot layer consulted between memory and source.
-  /// `max_cost_bytes` bounds resident logs by estimated snapshot size;
-  /// 0 keeps the entry-count bound alone (the default mode).
+  /// `max_cost_bytes` bounds resident entries by their estimated bytes
+  /// (log snapshot, graph and label profiles); 0 keeps the entry-count
+  /// bound alone (the default mode).
   explicit LogCache(size_t capacity, ObsContext* obs = nullptr,
                     store::ArtifactStore* store = nullptr,
                     uint64_t max_cost_bytes = 0);
 
-  /// The parsed log for `path`, loading and caching it on a miss.
-  /// `format` is auto|trace|csv|xes|mxml, as in the CLI tools; "auto"
-  /// detects from the extension.
-  Result<std::shared_ptr<const EventLog>> GetOrLoad(const std::string& path,
-                                                    const std::string& format);
+  /// The log at `path` prepared under `prepare`, loading and preparing
+  /// it on a miss. `format` is auto|trace|csv|xes|mxml, as in the CLI
+  /// tools; "auto" detects from the extension. An unreadable file (a
+  /// directory, for one) is an IOError.
+  Result<std::shared_ptr<const PreparedLog>> GetOrLoad(
+      const std::string& path, const std::string& format,
+      const PrepareOptions& prepare = {});
 
   /// Lookups answered without a load of their own (resident entries and
   /// waiters on another caller's load) and lookups that loaded.
@@ -72,9 +80,9 @@ class LogCache {
   uint64_t cost_bytes() const { return cache_.cost_bytes(); }
 
  private:
-  using Loaded = Result<std::shared_ptr<const EventLog>>;
+  using Loaded = Result<std::shared_ptr<const PreparedLog>>;
 
-  LruCache<std::string, std::shared_ptr<const EventLog>> cache_;
+  LruCache<std::string, std::shared_ptr<const PreparedLog>> cache_;
   ObsContext* obs_;
   store::ArtifactStore* store_;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <istream>
 #include <map>
 #include <mutex>
@@ -642,10 +643,21 @@ std::string BatchMatchService::RunJob(Request request, TopKAnswer* answer) {
   std::string response;
   if (failure.ok()) {
     const Job job{request_id, job_obs.get(), timer};
-    Result<std::string> rendered =
-        topk     ? RunTopK(request.topk, job, answer)
-        : append ? RunAppend(request.append, job)
-                 : RunMatch(request.match, job);
+    // An exception escaping a body is answered like any failure: every
+    // admitted line gets its response, and the wrapper's bookkeeping
+    // (here and in the sharded router) still runs.
+    Result<std::string> rendered = [&]() -> Result<std::string> {
+      try {
+        return topk     ? RunTopK(request.topk, job, answer)
+               : append ? RunAppend(request.append, job)
+                        : RunMatch(request.match, job);
+      } catch (const std::exception& e) {
+        return Status::Internal(std::string("unexpected exception: ") +
+                                e.what());
+      } catch (...) {
+        return Status::Internal("unexpected exception");
+      }
+    }();
     if (rendered.ok()) {
       response = *std::move(rendered);
     } else {
@@ -693,17 +705,31 @@ Result<std::string> BatchMatchService::RunMatch(JobRequest& request,
     RecordProbMetrics(options_.obs, **session_match);
     return RenderResult(job.id, **session_match, job.timer.ElapsedMillis());
   }
+  const PrepareOptions prepare = PrepareOptionsFor(request.options);
   ScopedSpan load_span(job.obs, "load_logs");
-  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> log1,
-                       cache_.GetOrLoad(request.log1, request.format));
-  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> log2,
-                       cache_.GetOrLoad(request.log2, request.format));
+  EMS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PreparedLog> log1,
+      cache_.GetOrLoad(request.log1, request.format, prepare));
+  EMS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PreparedLog> log2,
+      cache_.GetOrLoad(request.log2, request.format, prepare));
   load_span.End();
   // Jobs parallelize across the pool, so each matching runs
   // single-threaded inside its worker (nested ParallelFor on the same
-  // pool would degrade to inline execution anyway).
-  EMS_ASSIGN_OR_RETURN(MatchResult result,
-                       Matcher(request.options).Match(*log1, *log2));
+  // pool would degrade to inline execution anyway). A 1:1 match does
+  // only the pair's work on the cached graphs and profiles; the
+  // composite search builds its own graphs.
+  MatchResult result;
+  if (request.options.match_composites) {
+    EMS_ASSIGN_OR_RETURN(result,
+                         Matcher(request.options).Match(log1->log, log2->log));
+  } else {
+    ScopedSpan match_span(job.obs, "match");
+    EMS_ASSIGN_OR_RETURN(
+        result, MatchPrepared(request.options, log1->log, log2->log,
+                              log1->graph, log2->graph, log1->labels,
+                              log2->labels));
+  }
   RecordProbMetrics(options_.obs, result);
   return RenderResult(job.id, result, job.timer.ElapsedMillis());
 }
@@ -734,8 +760,10 @@ Result<std::string> BatchMatchService::RunTopK(TopKRequest& request,
       std::shared_ptr<const index::CorpusIndex> corpus,
       GetOrBuildCorpus(members, request.format, request.options));
   build_span.End();
-  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> query,
-                       cache_.GetOrLoad(request.query, request.format));
+  EMS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PreparedLog> query,
+      cache_.GetOrLoad(request.query, request.format,
+                       PrepareOptionsFor(request.options)));
   index::TopKOptions opts;
   opts.k = request.k;
   opts.match = request.options;

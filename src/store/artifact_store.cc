@@ -18,12 +18,16 @@ namespace {
 
 constexpr std::string_view kSnapshotExtension = ".emsnap";
 
+// One sized read. The size comes from the opened stream, not the path:
+// a Store renaming a new snapshot over the file cannot change it.
 bool ReadFileBytes(const fs::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return !in.bad();
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) return false;
+  out->resize(static_cast<size_t>(size));
+  in.read(out->data(), size);
+  return in.gcount() == size;
 }
 
 void RemoveQuietly(const fs::path& path) {

@@ -43,36 +43,58 @@ inline uint64_t MergeRound(uint64_t acc, uint64_t val) {
   return acc;
 }
 
+// Folds one whole 32-byte stripe into the four lanes.
+inline void Stripe(uint64_t* acc, const unsigned char* p) {
+  acc[0] = Round(acc[0], Read64(p));
+  acc[1] = Round(acc[1], Read64(p + 8));
+  acc[2] = Round(acc[2], Read64(p + 16));
+  acc[3] = Round(acc[3], Read64(p + 24));
+}
+
+// Bytes per read in HashFile.
+constexpr size_t kHashReadBytes = 64 * 1024;
+
 }  // namespace
 
-uint64_t Hash64(const void* data, size_t len, uint64_t seed) {
+Hash64State::Hash64State(uint64_t seed)
+    : seed_(seed),
+      acc_{seed + kPrime1 + kPrime2, seed + kPrime2, seed, seed - kPrime1} {}
+
+void Hash64State::Update(const void* data, size_t len) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  const unsigned char* end = p + len;
-  uint64_t h;
-
-  if (len >= 32) {
-    uint64_t v1 = seed + kPrime1 + kPrime2;
-    uint64_t v2 = seed + kPrime2;
-    uint64_t v3 = seed;
-    uint64_t v4 = seed - kPrime1;
-    const unsigned char* limit = end - 32;
-    do {
-      v1 = Round(v1, Read64(p));
-      v2 = Round(v2, Read64(p + 8));
-      v3 = Round(v3, Read64(p + 16));
-      v4 = Round(v4, Read64(p + 24));
-      p += 32;
-    } while (p <= limit);
-    h = Rotl(v1, 1) + Rotl(v2, 7) + Rotl(v3, 12) + Rotl(v4, 18);
-    h = MergeRound(h, v1);
-    h = MergeRound(h, v2);
-    h = MergeRound(h, v3);
-    h = MergeRound(h, v4);
-  } else {
-    h = seed + kPrime5;
+  const unsigned char* const end = p + len;
+  total_len_ += len;
+  if (tail_len_ + len < sizeof(tail_)) {
+    if (len > 0) std::memcpy(tail_ + tail_len_, p, len);
+    tail_len_ += len;
+    return;
   }
+  if (tail_len_ > 0) {  // complete the held stripe first
+    const size_t fill = sizeof(tail_) - tail_len_;
+    std::memcpy(tail_ + tail_len_, p, fill);
+    Stripe(acc_, tail_);
+    p += fill;
+    tail_len_ = 0;
+  }
+  while (end - p >= 32) {
+    Stripe(acc_, p);
+    p += 32;
+  }
+  tail_len_ = static_cast<size_t>(end - p);
+  if (tail_len_ > 0) std::memcpy(tail_, p, tail_len_);
+}
 
-  h += static_cast<uint64_t>(len);
+uint64_t Hash64State::Digest() const {
+  uint64_t h = seed_ + kPrime5;
+  if (total_len_ >= 32) {
+    h = Rotl(acc_[0], 1) + Rotl(acc_[1], 7) + Rotl(acc_[2], 12) +
+        Rotl(acc_[3], 18);
+    for (uint64_t lane : acc_) h = MergeRound(h, lane);
+  }
+  h += total_len_;
+
+  const unsigned char* p = tail_;
+  const unsigned char* const end = tail_ + tail_len_;
   while (p + 8 <= end) {
     h ^= Round(0, Read64(p));
     h = Rotl(h, 27) * kPrime1 + kPrime4;
@@ -97,16 +119,24 @@ uint64_t Hash64(const void* data, size_t len, uint64_t seed) {
   return h;
 }
 
+uint64_t Hash64(const void* data, size_t len, uint64_t seed) {
+  Hash64State state(seed);
+  state.Update(data, len);
+  return state.Digest();
+}
+
 Result<uint64_t> HashFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "' for hashing");
-  // Chunked XXH64 would avoid holding the file, but event logs are read
-  // fully by the parsers anyway; one contiguous read keeps the hash
-  // byte-for-byte equal to Hash64(entire contents).
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+  Hash64State state;
+  char chunk[kHashReadBytes];
+  // istream::read turns a failing read (a directory, an I/O error) into
+  // badbit instead of letting the stream buffer's exception escape.
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    state.Update(chunk, static_cast<size_t>(in.gcount()));
+  }
   if (in.bad()) return Status::IOError("read error hashing '" + path + "'");
-  return Hash64(contents.data(), contents.size());
+  return state.Digest();
 }
 
 std::string HashHex(uint64_t h) {

@@ -1,5 +1,6 @@
 #include "text/qgram.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/status.h"
@@ -8,20 +9,28 @@ namespace ems {
 
 QGramProfile::QGramProfile(std::string_view s, int q) : q_(q) {
   EMS_DCHECK(q >= 1);
+  const size_t width = static_cast<size_t>(q);
   std::string padded;
-  padded.reserve(s.size() + 2 * static_cast<size_t>(q - 1));
-  padded.append(static_cast<size_t>(q - 1), '#');
+  padded.reserve(s.size() + 2 * (width - 1));
+  padded.append(width - 1, '#');
   padded.append(s);
-  padded.append(static_cast<size_t>(q - 1), '$');
-  if (padded.size() >= static_cast<size_t>(q)) {
-    for (size_t i = 0; i + static_cast<size_t>(q) <= padded.size(); ++i) {
-      ++counts_[padded.substr(i, static_cast<size_t>(q))];
+  padded.append(width - 1, '$');
+  std::vector<std::string_view> grams;
+  if (padded.size() >= width) {
+    grams.reserve(padded.size() - width + 1);
+    for (size_t i = 0; i + width <= padded.size(); ++i) {
+      grams.push_back(std::string_view(padded).substr(i, width));
     }
   }
+  std::sort(grams.begin(), grams.end());
   double sq = 0.0;
-  for (const auto& [gram, count] : counts_) {
-    (void)gram;
+  for (size_t i = 0; i < grams.size();) {
+    size_t j = i + 1;
+    while (j < grams.size() && grams[j] == grams[i]) ++j;
+    const int count = static_cast<int>(j - i);
+    counts_.emplace_back(std::string(grams[i]), count);
     sq += static_cast<double>(count) * static_cast<double>(count);
+    i = j;
   }
   norm_ = std::sqrt(sq);
 }
@@ -30,15 +39,19 @@ double QGramProfile::Cosine(const QGramProfile& other) const {
   EMS_DCHECK(q_ == other.q_);
   if (counts_.empty() && other.counts_.empty()) return 1.0;
   if (counts_.empty() || other.counts_.empty()) return 0.0;
-  // Iterate the smaller map for the dot product.
-  const QGramProfile* small = this;
-  const QGramProfile* large = &other;
-  if (small->counts_.size() > large->counts_.size()) std::swap(small, large);
   double dot = 0.0;
-  for (const auto& [gram, count] : small->counts_) {
-    auto it = large->counts_.find(gram);
-    if (it != large->counts_.end()) {
-      dot += static_cast<double>(count) * static_cast<double>(it->second);
+  auto a = counts_.begin();
+  auto b = other.counts_.begin();
+  while (a != counts_.end() && b != other.counts_.end()) {
+    const int order = a->first.compare(b->first);
+    if (order < 0) {
+      ++a;
+    } else if (order > 0) {
+      ++b;
+    } else {
+      dot += static_cast<double>(a->second) * static_cast<double>(b->second);
+      ++a;
+      ++b;
     }
   }
   return dot / (norm_ * other.norm_);

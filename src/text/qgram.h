@@ -5,7 +5,8 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace ems {
 
@@ -21,6 +22,8 @@ class QGramProfile {
 
   /// Cosine similarity between two profiles, in [0, 1]. Two empty strings
   /// have similarity 1; an empty vs non-empty string has similarity 0.
+  /// The dot product and both norms are sums of integer products, exact
+  /// in any order, so the result does not depend on how grams are stored.
   double Cosine(const QGramProfile& other) const;
 
   /// Number of distinct q-grams.
@@ -31,15 +34,16 @@ class QGramProfile {
   /// Euclidean norm of the count vector (0 for the empty string).
   double norm() const { return norm_; }
 
-  /// The raw gram -> count map (the corpus index posts these grams).
-  const std::unordered_map<std::string, int>& counts() const {
+  /// The distinct grams with their counts, sorted by gram (the corpus
+  /// index posts these grams; Cosine merges two of these lists).
+  const std::vector<std::pair<std::string, int>>& counts() const {
     return counts_;
   }
 
  private:
   int q_;
   double norm_ = 0.0;  // Euclidean norm of the count vector
-  std::unordered_map<std::string, int> counts_;
+  std::vector<std::pair<std::string, int>> counts_;
 };
 
 /// One-shot q-gram cosine similarity of two strings.

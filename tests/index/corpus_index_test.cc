@@ -63,7 +63,8 @@ TEST(CorpusIndexTest, MaxLabelCosinesMatchesLabelMatrixMax) {
   ASSERT_EQ(bounds.size(), index.size());
   for (size_t i = 0; i < index.size(); ++i) {
     std::vector<std::vector<double>> labels =
-        LabelSimilarityMatrix(query_graph, index.entry(i).graph, measure);
+        LabelSimilarityMatrix(query_graph, index.entry(i).prepared.graph,
+                              measure);
     double brute_max = 0.0;
     for (const auto& row : labels) {
       for (double v : row) brute_max = std::max(brute_max, v);
@@ -101,7 +102,7 @@ TEST(CorpusIndexTest, LabelProfilesMirrorGraphNodes) {
   CorpusIndex index;
   std::vector<CorpusMember> corpus = SmallCorpus(2, 2);
   ASSERT_TRUE(index.Add(corpus[0].name, corpus[0].log).ok());
-  const CorpusEntry& e = index.entry(0);
+  const PreparedLog& e = index.entry(0).prepared;
   ASSERT_EQ(e.labels.size(), e.graph.NumNodes());
   EXPECT_EQ(e.labels.qgram_q(), index.options().qgram_q);
   for (NodeId v = 0; v < static_cast<NodeId>(e.graph.NumNodes()); ++v) {

@@ -54,7 +54,7 @@ void ExpectSameQueryResults(const CorpusIndex& a, const CorpusIndex& b) {
   opts.match.ems.alpha = 0.5;
   TopKScheduler sa(a, opts);
   TopKScheduler sb(b, opts);
-  const EventLog& query = a.entry(0).log;
+  const PreparedLog& query = a.entry(0).prepared;
   Result<std::vector<TopKHit>> ha = sa.Query(query);
   Result<std::vector<TopKHit>> hb = sb.Query(query);
   ASSERT_TRUE(ha.ok() && hb.ok());
@@ -91,8 +91,8 @@ TEST(CorpusIoTest, SnapshotRoundtripPreservesTheIndex) {
   for (size_t i = 0; i < cold->size(); ++i) {
     EXPECT_EQ(decoded->entry(i).name, cold->entry(i).name);
     EXPECT_EQ(decoded->entry(i).content_hash, cold->entry(i).content_hash);
-    EXPECT_EQ(decoded->entry(i).graph.NumNodes(),
-              cold->entry(i).graph.NumNodes());
+    EXPECT_EQ(decoded->entry(i).prepared.graph.NumNodes(),
+              cold->entry(i).prepared.graph.NumNodes());
     EXPECT_EQ(decoded->entry(i).max_longest_from,
               cold->entry(i).max_longest_from);
   }

@@ -61,7 +61,7 @@ TEST(TopKSchedulerTest, IndexedMatchesBruteForceByteForByte) {
           opts.pool = p;
           TopKOptions brute_opts = opts;
           brute_opts.force_brute_force = true;
-          const EventLog& query = index.entry(1).log;
+          const PreparedLog& query = index.entry(1).prepared;
           TopKScheduler indexed(index, opts);
           TopKScheduler brute(index, brute_opts);
           Result<std::vector<TopKHit>> ih = indexed.Query(query);
@@ -87,7 +87,7 @@ TEST(TopKSchedulerTest, StatsPartitionTheCandidates) {
   opts.match.label_measure = LabelMeasure::kQGramCosine;
   opts.match.ems.alpha = 0.3;
   TopKScheduler scheduler(index, opts);
-  ASSERT_TRUE(scheduler.Query(index.entry(0).log).ok());
+  ASSERT_TRUE(scheduler.Query(index.entry(0).prepared).ok());
   const TopKStats& s = scheduler.stats();
   EXPECT_EQ(s.candidates_retrieved, index.size());
   // Every candidate is disposed of exactly once: pruned at stage 0,
@@ -101,14 +101,14 @@ TEST(TopKSchedulerTest, KZeroAndEmptyIndexYieldNoHits) {
   TopKOptions opts;
   opts.k = 0;
   TopKScheduler scheduler(index, opts);
-  Result<std::vector<TopKHit>> hits = scheduler.Query(index.entry(0).log);
+  Result<std::vector<TopKHit>> hits = scheduler.Query(index.entry(0).prepared);
   ASSERT_TRUE(hits.ok());
   EXPECT_TRUE(hits->empty());
 
   CorpusIndex empty;
   TopKOptions opts2;
   TopKScheduler s2(empty, opts2);
-  Result<std::vector<TopKHit>> hits2 = s2.Query(index.entry(0).log);
+  Result<std::vector<TopKHit>> hits2 = s2.Query(index.entry(0).prepared);
   ASSERT_TRUE(hits2.ok());
   EXPECT_TRUE(hits2->empty());
 }
@@ -122,7 +122,7 @@ TEST(TopKSchedulerTest, OptionMismatchFallsBackToBruteForce) {
   opts.k = 2;
   opts.match.min_edge_frequency = 0.25;
   TopKScheduler scheduler(index, opts);
-  Result<std::vector<TopKHit>> hits = scheduler.Query(index.entry(0).log);
+  Result<std::vector<TopKHit>> hits = scheduler.Query(index.entry(0).prepared);
   ASSERT_TRUE(hits.ok());
   EXPECT_TRUE(scheduler.stats().used_brute_force);
   EXPECT_EQ(hits->size(), 2u);
@@ -155,8 +155,10 @@ TEST(TopKSchedulerTest, TiesKeepInsertionOrder) {
   brute_opts.force_brute_force = true;
   TopKScheduler indexed(index, opts);
   TopKScheduler brute(index, brute_opts);
-  Result<std::vector<TopKHit>> ih = indexed.Query(corpus[0].log);
-  Result<std::vector<TopKHit>> bh = brute.Query(corpus[0].log);
+  const PreparedLog query =
+      PrepareLog(corpus[0].log, PrepareOptionsFor(opts.match));
+  Result<std::vector<TopKHit>> ih = indexed.Query(query);
+  Result<std::vector<TopKHit>> bh = brute.Query(query);
   ASSERT_TRUE(ih.ok() && bh.ok());
   ExpectSameHits(*ih, *bh);
   // The original and both twins share the top score; insertion order.

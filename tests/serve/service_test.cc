@@ -18,6 +18,7 @@
 #include "serve/lru_cache.h"
 #include "serve/service.h"
 #include "util/json_parser.h"
+#include "util/json_writer.h"
 
 namespace ems {
 namespace serve {
@@ -84,7 +85,7 @@ TEST(LogCacheTest, SecondLoadOfSamePathHits) {
   LogCache cache(4);
   auto first = cache.GetOrLoad(path, "auto");
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*first)->NumTraces(), 2u);
+  EXPECT_EQ((*first)->log.NumTraces(), 2u);
   auto second = cache.GetOrLoad(path, "auto");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->get(), second->get());  // same shared parse
@@ -98,6 +99,93 @@ TEST(LogCacheTest, MissingFileReportsErrorWithoutCaching) {
   auto result = cache.GetOrLoad(TempDir() + "/log_cache_missing.txt", "auto");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(cache.size(), 0u);
+  // A directory named as a log fails the read, not the process.
+  const std::string dir = TempDir() + "/log_cache_dir.txt";
+  std::filesystem::create_directories(dir);
+  auto directory = cache.GetOrLoad(dir, "auto");
+  EXPECT_TRUE(directory.status().IsIOError()) << directory.status().ToString();
+  EXPECT_EQ(cache.size(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// The rendering of a match from "correspondences" to the end, as the
+// service writes it for a non-prob job.
+std::string ExpectedTail(const MatchResult& result) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("correspondences");
+  w.BeginArray();
+  for (const Correspondence& c : result.correspondences) {
+    w.BeginObject();
+    w.Key("left");
+    w.BeginArray();
+    for (const std::string& n : c.events1) w.String(n);
+    w.EndArray();
+    w.Key("right");
+    w.BeginArray();
+    for (const std::string& n : c.events2) w.String(n);
+    w.EndArray();
+    w.Key("similarity");
+    w.Number(c.similarity);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.Key("ems");
+  w.BeginObject();
+  w.Key("iterations");
+  w.Int(result.ems_stats.iterations);
+  w.Key("formula_evaluations");
+  w.Int(static_cast<long long>(result.ems_stats.formula_evaluations));
+  w.EndObject();
+  w.EndObject();
+  return w.str().substr(1);
+}
+
+// A prepared log holds a graph built under the request's graph options:
+// two requests on one pair that differ in min_edge_frequency get their
+// own entries, and each answer is Matcher::Match's at that option.
+TEST(LogCacheTest, GraphOptionsGetSeparateEntries) {
+  const std::string log1 = WriteTraceLog(
+      "log_cache_mef_1.txt", "a;b;c;d\na;b;c;d\na;b;c;d\na;c;b;d\n");
+  const std::string log2 = WriteTraceLog(
+      "log_cache_mef_2.txt", "a;b;c;d\na;c;b;d\na;b;c;d\nb;a;c;d\n");
+  ServiceOptions options;
+  options.threads = 1;
+  BatchMatchService service(options);
+  for (const std::string mef : {"0", "0.3"}) {
+    const std::string line = service.HandleJobLine(
+        R"({"id":"m","log1":")" + log1 + R"(","log2":")" + log2 +
+        R"(","format":"trace","min_edge_frequency":)" + mef + "}");
+    ASSERT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
+
+    MatchOptions match;
+    match.label_measure = LabelMeasure::kQGramCosine;
+    match.ems.alpha = 0.5;
+    match.min_edge_frequency = std::stod(mef);
+    Result<EventLog> a = LoadEventLog(log1, "trace");
+    Result<EventLog> b = LoadEventLog(log2, "trace");
+    ASSERT_TRUE(a.ok() && b.ok());
+    Result<MatchResult> direct = Matcher(match).Match(*a, *b);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(line.substr(line.find("\"correspondences\"")),
+              ExpectedTail(*direct))
+        << "min_edge_frequency " << mef;
+  }
+  EXPECT_EQ(service.cache().size(), 4u);
+  EXPECT_EQ(service.cache().misses(), 4u);
+
+  // The 0.3 entries dropped the edges seen in one trace of four.
+  LogCache cache(4);
+  PrepareOptions all;
+  PrepareOptions frequent;
+  frequent.graph.min_edge_frequency = 0.3;
+  auto full = cache.GetOrLoad(log1, "trace", all);
+  auto filtered = cache.GetOrLoad(log1, "trace", frequent);
+  ASSERT_TRUE(full.ok() && filtered.ok());
+  EXPECT_NE(full->get(), filtered->get());
+  EXPECT_LT((*filtered)->graph.NumEdges(), (*full)->graph.NumEdges());
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
 }
 
 // Regression: keys carry the file's content hash, so a log rewritten
@@ -109,13 +197,13 @@ TEST(LogCacheTest, RewrittenFileIsReparsedNotServedStale) {
   LogCache cache(4);
   auto before = cache.GetOrLoad(path, "auto");
   ASSERT_TRUE(before.ok());
-  EXPECT_EQ((*before)->NumTraces(), 2u);
+  EXPECT_EQ((*before)->log.NumTraces(), 2u);
 
   WriteTraceLog("log_cache_stale.txt", "x;y\nx;z\ny;z\n");
   auto after = cache.GetOrLoad(path, "auto");
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)->NumTraces(), 3u);
-  EXPECT_NE((*after)->FindEvent("x"), kInvalidEvent);
+  EXPECT_EQ((*after)->log.NumTraces(), 3u);
+  EXPECT_NE((*after)->log.FindEvent("x"), kInvalidEvent);
   EXPECT_EQ(cache.misses(), 2u);  // both versions were real loads
   EXPECT_EQ(cache.hits(), 0u);
 
@@ -139,7 +227,7 @@ TEST(LogCacheTest, ConcurrentFirstTouchesShareOneLoad) {
   LogCache cache(4);
   constexpr int kThreads = 8;
   std::latch start(kThreads);
-  std::vector<std::shared_ptr<const EventLog>> logs(kThreads);
+  std::vector<std::shared_ptr<const PreparedLog>> logs(kThreads);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
@@ -155,7 +243,7 @@ TEST(LogCacheTest, ConcurrentFirstTouchesShareOneLoad) {
     ASSERT_NE(log, nullptr);
     EXPECT_EQ(log.get(), logs[0].get());
   }
-  EXPECT_EQ(logs[0]->NumTraces(), 4000u);
+  EXPECT_EQ(logs[0]->log.NumTraces(), 4000u);
   std::remove(path.c_str());
 }
 
@@ -229,8 +317,10 @@ TEST(LogCacheTest, ByteBudgetBoundsResidentLogsAndExportsGauge) {
   const std::string small1 = WriteTraceLog("log_cache_budget_s1.txt", "a;b\n");
   const std::string small2 = WriteTraceLog("log_cache_budget_s2.txt", "c;d\n");
 
+  // Each entry costs its log, graph and label parts: about 265 bytes per
+  // small log and 560 for the big one, so the big load evicts one small.
   ObsContext obs;
-  LogCache cache(8, &obs, nullptr, /*max_cost_bytes=*/200);
+  LogCache cache(8, &obs, nullptr, /*max_cost_bytes=*/900);
   ASSERT_TRUE(cache.GetOrLoad(small1, "auto").ok());
   const double gauge_one =
       obs.metrics.GetGauge("serve.cache_bytes")->value();
@@ -239,7 +329,8 @@ TEST(LogCacheTest, ByteBudgetBoundsResidentLogsAndExportsGauge) {
 
   ASSERT_TRUE(cache.GetOrLoad(small2, "auto").ok());
   ASSERT_TRUE(cache.GetOrLoad(big, "auto").ok());  // evicts down to budget
-  EXPECT_LE(cache.cost_bytes(), 200u);
+  EXPECT_LE(cache.cost_bytes(), 900u);
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(static_cast<uint64_t>(
                 obs.metrics.GetGauge("serve.cache_bytes")->value()),
             cache.cost_bytes());
@@ -370,6 +461,73 @@ TEST(BatchMatchServiceTest, RunStreamEmitsOneResultPerJob) {
   EXPECT_EQ(service.cache().misses(), 2u);
   EXPECT_EQ(service.cache().hits(), 4u);
 
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
+}
+
+// A directory named as a log gets an IOError response and the stream
+// goes on to the next line. The read failure used to escape the job as
+// an exception, which cancelled every line still queued behind it.
+TEST(BatchMatchServiceTest, DirectoryLogIsAnsweredAndStreamContinues) {
+  const std::string log1 = WriteTraceLog("service_dirline_1.txt", "a;b\n");
+  const std::string log2 = WriteTraceLog("service_dirline_2.txt", "a;b\n");
+  const std::string dir = TempDir() + "/service_dirline_dir.xes";
+  std::filesystem::create_directories(dir);
+  ServiceOptions options;
+  options.threads = 1;
+  BatchMatchService service(options);
+  std::istringstream in(R"({"id":"dir","log1":")" + dir + R"(","log2":")" +
+                        log2 + "\"}\n" + R"({"id":"next","log1":")" + log1 +
+                        R"(","log2":")" + log2 + R"(","labels":"none"})" +
+                        "\n");
+  std::ostringstream out;
+  EXPECT_EQ(service.RunStream(in, out), 2u);
+  std::istringstream lines(out.str());
+  std::string line;
+  int answered = 0;
+  while (std::getline(lines, line)) {
+    ++answered;
+    if (line.find("\"id\":\"dir\"") != std::string::npos) {
+      EXPECT_NE(line.find("\"code\":\"IOError\""), std::string::npos) << line;
+    } else {
+      EXPECT_NE(line.find("\"id\":\"next\""), std::string::npos) << line;
+      EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(answered, 2);
+  std::filesystem::remove_all(dir);
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
+}
+
+// Concurrent matches of one pair share one prepared log per side and
+// only read it: every answer is the same bytes.
+TEST(BatchMatchServiceTest, ConcurrentMatchesShareOnePreparedLog) {
+  const std::string log1 =
+      WriteTraceLog("service_shared_1.txt", "a;b;c;d\na;b;d\na;c;d\n");
+  const std::string log2 =
+      WriteTraceLog("service_shared_2.txt", "a;b;c;d\na;c;b;d\nb;c;d\n");
+  ServiceOptions options;
+  options.threads = 1;
+  BatchMatchService service(options);
+  const std::string job = R"({"id":"s","log1":")" + log1 + R"(","log2":")" +
+                          log2 + R"(","prob":true})";
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::string> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      answers[static_cast<size_t>(i)] = StripMillis(service.HandleJobLine(job));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_NE(answers[0].find("\"status\":\"ok\""), std::string::npos)
+      << answers[0];
+  for (const std::string& answer : answers) EXPECT_EQ(answer, answers[0]);
+  EXPECT_EQ(service.cache().misses(), 2u);
+  EXPECT_EQ(service.cache().hits(), 2u * kThreads - 2u);
   std::remove(log1.c_str());
   std::remove(log2.c_str());
 }

@@ -87,6 +87,30 @@ TEST_F(ShardedServiceTest, SingleShardMatchesPlainServiceByteForByte) {
   }
 }
 
+// A directory named as a log is answered with an IOError by the shard
+// worker, which then serves the next line. The read failure used to
+// escape the worker as an exception and abort the server.
+TEST_F(ShardedServiceTest, DirectoryLogIsAnsweredAndNextLineServed) {
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.total_threads = 2;
+  ShardedMatchService router(options);
+  const std::string dir = TempDir() + "/sharded_service_dir.txt";
+  std::filesystem::create_directories(dir);
+  const std::string failed = router.HandleLineSync(
+      "{\"id\":\"dir\",\"log1\":\"" + dir + "\",\"log2\":\"" + log2_ +
+      "\"}");
+  EXPECT_NE(failed.find("\"id\":\"dir\""), std::string::npos) << failed;
+  EXPECT_NE(failed.find("\"code\":\"IOError\""), std::string::npos) << failed;
+  const std::string next = router.HandleLineSync(JobLine("next"));
+  EXPECT_NE(next.find("\"status\":\"ok\""), std::string::npos) << next;
+  router.WaitDrained();
+  for (int i = 0; i < router.num_shards(); ++i) {
+    EXPECT_EQ(router.shard_inflight(i), 0);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ShardedServiceTest, RoutingIsDeterministicAndCanonicalized) {
   ShardedServiceOptions options;
   options.num_shards = 4;

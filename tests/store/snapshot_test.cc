@@ -92,17 +92,61 @@ TEST(HashingTest, SeedChangesHash) {
             Hash64(std::string_view("payload"), 1));
 }
 
+// Split anywhere, the incremental state folds the same bytes as the
+// one-shot hash: at every cut of every length around the 32-byte stripe,
+// and in uneven three-way splits.
+TEST(HashingTest, IncrementalMatchesOneShot) {
+  std::string data;
+  for (size_t i = 0; i < 200; ++i) {
+    data.push_back(static_cast<char>((i * 131 + 7) & 0xFF));
+  }
+  for (size_t len = 0; len <= 100; ++len) {
+    const uint64_t expected = Hash64(data.data(), len, 3);
+    for (size_t cut = 0; cut <= len; ++cut) {
+      Hash64State state(3);
+      state.Update(data.data(), cut);
+      state.Update(data.data() + cut, len - cut);
+      EXPECT_EQ(state.Digest(), expected) << len << " cut " << cut;
+    }
+  }
+  for (size_t a : {1u, 5u, 31u, 33u, 64u}) {
+    for (size_t b : {0u, 2u, 30u, 32u, 70u}) {
+      Hash64State state;
+      state.Update(data.data(), a);
+      state.Update(data.data() + a, b);
+      state.Update(data.data() + a + b, data.size() - a - b);
+      EXPECT_EQ(state.Digest(), Hash64(data)) << a << "/" << b;
+    }
+  }
+}
+
+// HashFile streams in 64 KiB reads: every short length, and sizes on
+// either side of one, two and three read boundaries, must hash like the
+// whole contents in memory. A directory is an IOError, not a throw.
 TEST(HashingTest, HashFileMatchesInMemoryHash) {
   const std::string path = TempDir() + "/hashing_test_file.bin";
-  const std::string body = "some file contents\nwith two lines";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << body;
+  std::vector<size_t> sizes;
+  for (size_t len = 0; len <= 300; ++len) sizes.push_back(len);
+  for (size_t len : {65535u, 65536u, 65537u, 3u * 65536u + 31u}) {
+    sizes.push_back(len);
   }
-  Result<uint64_t> hashed = HashFile(path);
-  ASSERT_TRUE(hashed.ok());
-  EXPECT_EQ(hashed.value(), Hash64(body));
+  for (size_t len : sizes) {
+    std::string body(len, '\0');
+    for (size_t i = 0; i < len; ++i) {
+      body[i] = static_cast<char>((i * 2654435761u) >> 13);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << body;
+    }
+    Result<uint64_t> hashed = HashFile(path);
+    ASSERT_TRUE(hashed.ok()) << len;
+    EXPECT_EQ(hashed.value(), Hash64(body)) << len;
+  }
   std::remove(path.c_str());
+
+  Result<uint64_t> dir = HashFile(TempDir());
+  EXPECT_TRUE(dir.status().IsIOError()) << dir.status().ToString();
 }
 
 TEST(HashingTest, HashFileReportsMissingFile) {

@@ -378,7 +378,8 @@ int RunCorpusQuery(const Flags& flags, store::ArtifactStore* store,
   index::TopKScheduler scheduler(*corpus, topk_options);
 
   Timer query_timer;
-  Result<std::vector<index::TopKHit>> hits = scheduler.Query(*query);
+  Result<std::vector<index::TopKHit>> hits = scheduler.Query(
+      PrepareLog(*std::move(query), PrepareOptionsFor(match_options)));
   const double query_millis = query_timer.ElapsedMillis();
   if (!hits.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
