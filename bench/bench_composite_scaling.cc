@@ -1,22 +1,25 @@
-// Composite-search engine benchmark: times the full greedy composite
-// matching loop (candidate discovery + per-candidate graph builds + label
-// matrices + inner EMS runs) on a Figure-12-style synthetic instance,
-// comparing the trace-scan reference configuration against the
-// incremental engine (per-log direct-follows summary), serially and with
-// 4 worker threads — each with the Uc/Bd prunings on and off. Every
-// configuration reads its label matrices off one singleton matrix of the
-// two vocabularies.
+// Composite-search benchmark: times the full greedy composite matching
+// loop (matcher construction with both logs' trace summaries and the
+// singleton label matrix, candidate discovery, per-candidate graph builds
+// and label matrices, inner EMS runs) on a Figure-12-style synthetic
+// instance, serially and with 4 worker threads — each with the Uc/Bd
+// prunings on and off.
 //
-// Doubles as an equivalence harness: within each pruning mode every
-// configuration's composites, objective value, and similarity matrix are
-// checked bit-identical against the reference serial run, and the binary
-// exits nonzero on any mismatch — the CI perf-smoke step therefore also
-// guards the determinism contract of docs/CONCURRENCY.md.
+// Doubles as an equivalence harness, exiting nonzero on any mismatch:
+//   - within each pruning mode the 4-thread run's composites, objective
+//     and similarity matrix are bit-identical to the serial run's, so the
+//     CI perf-smoke step guards the determinism contract of
+//     docs/CONCURRENCY.md;
+//   - every configuration's final graphs equal, byte for byte, the
+//     test-only string-rewriting trace scan (tests/log/
+//     trace_count_reference.h) rebuilt from that configuration's
+//     composites, and so does each side's graph under every discovered
+//     candidate alone — the graphs the first greedy step builds — which
+//     still covers composite nodes when the search accepts no merge.
 //
 // When EMS_BENCH_JSON_DIR names a directory, writes BENCH_composite.json
 // there (atomically, tmp + rename) with per-configuration timing and the
-// headline end-to-end speedup (reference serial / incremental 4-thread,
-// prunings on).
+// headline end-to-end speedup (serial / 4 threads, prunings on).
 //
 // Flags: --activities=N (default 14), --traces=N (default 600),
 //        --composites=N (default 3), --reps=N (default 3), --seed=N.
@@ -26,7 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "core/composite_candidates.h"
 #include "core/composite_matcher.h"
+#include "graph/dependency_graph_builder.h"
+#include "log/trace_count_reference.h"
 #include "synth/dataset.h"
 #include "text/label_similarity.h"
 #include "util/json_writer.h"
@@ -37,7 +43,6 @@ namespace {
 
 struct Config {
   const char* name;
-  bool incremental;
   int threads;
 };
 
@@ -66,12 +71,11 @@ ConfigResult RunConfig(const Config& cfg, bool pruning, const LogPair& pair,
     opts.ems.c = 0.8;
     opts.prune_unchanged = pruning;
     opts.prune_bounds = pruning;
-    opts.incremental_graphs = cfg.incremental;
     opts.num_threads = cfg.threads;
-    // A fresh matcher per rep: the summary and the singleton label matrix
-    // must pay their own construction cost inside the timed region.
-    CompositeMatcher matcher(pair.log1, pair.log2, opts, &labels);
+    // A fresh matcher per rep: the summaries and the singleton label
+    // matrix pay their construction cost inside the timed region.
     Timer timer;
+    CompositeMatcher matcher(pair.log1, pair.log2, opts, &labels);
     Result<CompositeMatchResult> result = matcher.Match();
     const double ms = timer.ElapsedMillis();
     if (!result.ok()) {
@@ -93,7 +97,7 @@ ConfigResult RunConfig(const Config& cfg, bool pruning, const LogPair& pair,
   return r;
 }
 
-// Composites, objective, and matrix must match the reference to the last
+// Composites, objective, and matrix must match the serial run to the last
 // bit (stats may differ: prune counts depend on evaluation order).
 bool BitIdentical(const CompositeMatchResult& ref,
                   const CompositeMatchResult& got, std::string* why) {
@@ -119,6 +123,34 @@ bool BitIdentical(const CompositeMatchResult& ref,
   return true;
 }
 
+// The final graphs are the trace scan's graphs of the final composites.
+bool GraphsMatchTraceScan(const LogPair& pair,
+                          const CompositeMatchResult& result,
+                          std::string* why) {
+  *why = testing::TraceScanDifference(result.graph1, pair.log1,
+                                      result.composites1);
+  if (why->empty()) {
+    *why = testing::TraceScanDifference(result.graph2, pair.log2,
+                                        result.composites2);
+  }
+  return why->empty();
+}
+
+// Each discovered candidate's one-composite graph is the trace scan's.
+bool CandidateGraphsMatchTraceScan(const EventLog& log, size_t* checked,
+                                   std::string* why) {
+  const DependencyGraphBuilder builder(log);
+  for (const CompositeCandidate& cand : DiscoverCandidates(log)) {
+    Result<DependencyGraph> got = builder.BuildWithComposites({cand.events});
+    *why = got.ok()
+               ? testing::TraceScanDifference(*got, log, {cand.events})
+               : got.status().ToString();
+    if (!why->empty()) return false;
+    ++*checked;
+  }
+  return true;
+}
+
 void WriteJson(const std::vector<ConfigResult>& results, int activities,
                int traces, int reps, double speedup) {
   const char* env = std::getenv("EMS_BENCH_JSON_DIR");
@@ -128,9 +160,7 @@ void WriteJson(const std::vector<ConfigResult>& results, int activities,
   w.Key("figure");
   w.String("composite");
   w.Key("description");
-  w.String(
-      "Composite search: trace-scan reference vs incremental engine "
-      "(graph summary), serial and 4 threads");
+  w.String("Composite search: serial vs 4 threads, prunings on and off");
   w.Key("activities");
   w.Int(activities);
   w.Key("traces");
@@ -204,7 +234,7 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("=====================================================\n");
-  std::printf("composite — incremental search engine vs reference\n");
+  std::printf("composite — greedy search, serial vs 4 threads\n");
   std::printf("=====================================================\n");
   PairOptions pair_opts;
   pair_opts.num_activities = activities;
@@ -218,10 +248,21 @@ int Main(int argc, char** argv) {
               pair.log1.NumTraces(), pair.log2.NumTraces());
   QGramCosineSimilarity labels;
 
+  size_t candidate_graphs = 0;
+  for (const EventLog* log : {&pair.log1, &pair.log2}) {
+    std::string why;
+    if (!CandidateGraphsMatchTraceScan(*log, &candidate_graphs, &why)) {
+      std::fprintf(stderr, "GRAPH FAILURE: candidate vs trace scan: %s\n",
+                   why.c_str());
+      return 1;
+    }
+  }
+  std::printf("candidate graphs equal to the trace scan: %zu\n",
+              candidate_graphs);
+
   const Config configs[] = {
-      {"reference_1t", false, 1},
-      {"incremental_1t", true, 1},
-      {"incremental_4t", true, 4},
+      {"serial_1t", 1},
+      {"parallel_4t", 4},
   };
 
   std::vector<ConfigResult> results;
@@ -238,9 +279,16 @@ int Main(int argc, char** argv) {
           r.mean_millis, r.candidates_evaluated, r.pruned_by_bound,
           static_cast<unsigned long long>(r.ems_runs),
           static_cast<unsigned long long>(r.formula_evaluations));
+      std::string why;
+      if (!GraphsMatchTraceScan(pair, r.result, &why)) {
+        std::fprintf(stderr, "GRAPH FAILURE: %s (%s) vs trace scan: %s\n",
+                     r.name.c_str(), pruning ? "Uc+Bd" : "no pruning",
+                     why.c_str());
+        return 1;
+      }
     }
-    // Equivalence harness: within one pruning mode every configuration
-    // must reproduce the reference run to the last bit.
+    // Within one pruning mode the parallel run must reproduce the serial
+    // run to the last bit.
     for (size_t i = base + 1; i < results.size(); ++i) {
       std::string why;
       if (!BitIdentical(results[base].result, results[i].result, &why)) {
@@ -252,15 +300,14 @@ int Main(int argc, char** argv) {
       }
     }
     if (pruning) {
-      speedup = results[base + 2].best_millis > 0.0
-                    ? results[base].best_millis / results[base + 2].best_millis
+      speedup = results[base + 1].best_millis > 0.0
+                    ? results[base].best_millis / results[base + 1].best_millis
                     : 0.0;
     }
   }
-  std::printf("equivalence: all configurations bit-identical per pruning "
-              "mode\n");
-  std::printf("end-to-end speedup (reference_1t / incremental_4t, Uc+Bd): "
-              "%.2fx\n",
+  std::printf("equivalence: serial and 4 threads bit-identical per pruning "
+              "mode; final graphs equal the trace scan\n");
+  std::printf("end-to-end speedup (serial_1t / parallel_4t, Uc+Bd): %.2fx\n",
               speedup);
   WriteJson(results, activities, traces, reps, speedup);
   return 0;

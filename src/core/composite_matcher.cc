@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -48,15 +47,6 @@ class MemberIndex {
 
   std::unordered_map<std::string, NodeId> index_;
 };
-
-std::unordered_map<std::string, NodeId> NameIndex(const DependencyGraph& g) {
-  std::unordered_map<std::string, NodeId> idx;
-  for (NodeId v = 0; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    if (g.IsArtificial(v)) continue;
-    idx.emplace(g.NodeName(v), v);
-  }
-  return idx;
-}
 
 double CombinedAverage(const SimilarityMatrix& fwd,
                        const SimilarityMatrix& bwd) {
@@ -137,29 +127,13 @@ CompositeMatcher::CompositeMatcher(const EventLog& log1, const EventLog& log2,
                                    const CompositeOptions& options,
                                    const LabelSimilarity* label_measure)
     : log1_(log1), log2_(log2), options_(options),
-      label_measure_(label_measure),
+      label_measure_(label_measure), builder1_(log1), builder2_(log2),
       denom_(std::min(log1.NumEvents(), log2.NumEvents())) {
   // One assignment instruments every inner EMS/estimation run too.
   options_.ems.obs = options_.obs;
-  if (options_.incremental_graphs) {
-    builder1_ = std::make_unique<DependencyGraphBuilder>(log1_);
-    builder2_ = std::make_unique<DependencyGraphBuilder>(log2_);
-  }
   if (label_measure_ != nullptr) {
     event_labels_ = EventLabelMatrix(log1_, log2_, *label_measure_);
   }
-}
-
-CompositeMatcher::~CompositeMatcher() = default;
-
-Result<DependencyGraph> CompositeMatcher::BuildGraph(
-    int side, const std::vector<std::vector<EventId>>& w,
-    const DependencyGraphOptions& graph_opts) const {
-  const DependencyGraphBuilder* builder =
-      side == 1 ? builder1_.get() : builder2_.get();
-  if (builder != nullptr) return builder->BuildWithComposites(w, graph_opts);
-  const EventLog& log = side == 1 ? log1_ : log2_;
-  return DependencyGraph::BuildWithComposites(log, w, graph_opts);
 }
 
 void CompositeMatcher::SetCandidates(
@@ -181,8 +155,10 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
   GraphState state;
   DependencyGraphOptions graph_opts = options_.graph;
   graph_opts.add_artificial_event = true;
-  EMS_ASSIGN_OR_RETURN(state.g1, BuildGraph(1, w1, graph_opts));
-  EMS_ASSIGN_OR_RETURN(state.g2, BuildGraph(2, w2, graph_opts));
+  EMS_ASSIGN_OR_RETURN(state.g1,
+                       builder1_.BuildWithComposites(w1, graph_opts));
+  EMS_ASSIGN_OR_RETURN(state.g2,
+                       builder2_.BuildWithComposites(w2, graph_opts));
 
   std::vector<std::vector<double>> labels;
   const std::vector<std::vector<double>>* labels_ptr = nullptr;
@@ -251,15 +227,17 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
     for (NodeId v : g_new.Ancestors(merged)) {
       affected_bwd[static_cast<size_t>(v)] = true;
     }
-    auto old_index = NameIndex(g_old);
+    // Old and new nodes pair by member set: display names need not be
+    // unique (an event named "a+b" next to a composite {a, b}).
+    const MemberIndex old_index(g_old);
     frozen_fwd.assign(g_new.NumNodes(), false);
     frozen_bwd.assign(g_new.NumNodes(), false);
     std::vector<NodeId> old_of(g_new.NumNodes(), -1);
     for (NodeId v = 0; v < static_cast<NodeId>(g_new.NumNodes()); ++v) {
       if (g_new.IsArtificial(v)) continue;
-      auto it = old_index.find(g_new.NodeName(v));
-      if (it == old_index.end()) continue;
-      old_of[static_cast<size_t>(v)] = it->second;
+      const NodeId old_v = old_index.Find(g_new.Members(v));
+      if (old_v < 0) continue;
+      old_of[static_cast<size_t>(v)] = old_v;
       if (!affected_fwd[static_cast<size_t>(v)]) {
         frozen_fwd[static_cast<size_t>(v)] = true;
         ++stats->rows_frozen;
@@ -374,10 +352,6 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
 Result<CompositeMatchResult> CompositeMatcher::Match() {
   ScopedSpan span(options_.obs, "composite_search");
   stats_ = CompositeStats{};
-  // Builder counters accumulate across Match calls on one matcher; the
-  // obs flush below reports this run's delta only.
-  const uint64_t base_builds1 = builder1_ ? builder1_->incremental_builds() : 0;
-  const uint64_t base_builds2 = builder2_ ? builder2_->incremental_builds() : 0;
   if (!explicit_candidates_) {
     ScopedSpan discovery(options_.obs, "candidate_discovery");
     candidates1_ = DiscoverCandidates(log1_, options_.candidates);
@@ -657,17 +631,9 @@ Result<CompositeMatchResult> CompositeMatcher::Match() {
                  static_cast<uint64_t>(stats_.prob_ranked_steps));
     ObsSetGauge(options_.obs, "composite.objective",
                 result.average_similarity);
-    if (builder1_ != nullptr && builder2_ != nullptr) {
-      const uint64_t builds1 = builder1_->incremental_builds() - base_builds1;
-      const uint64_t builds2 = builder2_->incremental_builds() - base_builds2;
-      ObsIncrement(options_.obs, "graph.incremental_builds",
-                   builds1 + builds2);
-      // Each incremental build replaces one full scan of that log's
-      // traces in the reference path.
-      ObsIncrement(options_.obs, "graph.incremental_trace_scans_saved",
-                   builds1 * builder1_->num_traces() +
-                       builds2 * builder2_->num_traces());
-    }
+    // Every evaluation, the initial one included, builds both graphs.
+    ObsIncrement(options_.obs, "graph.builds",
+                 2 * (1 + static_cast<uint64_t>(stats_.candidates_evaluated)));
   }
   return result;
 }
@@ -727,6 +693,10 @@ Result<CompositeMatchResult> ExactCompositeMatch(
   if (label_measure != nullptr) {
     event_labels = EventLabelMatrix(log1, log2, *label_measure);
   }
+  const DependencyGraphBuilder builder1(log1);
+  const DependencyGraphBuilder builder2(log2);
+  DependencyGraphOptions graph_opts = options.graph;
+  graph_opts.add_artificial_event = true;
   CompositeMatchResult best;
   best.average_similarity = -1.0;
   for (const auto& f1 : families1) {
@@ -736,12 +706,10 @@ Result<CompositeMatchResult> ExactCompositeMatch(
       std::vector<std::vector<EventId>> w2;
       for (size_t j : f2) w2.push_back(candidates2[j].events);
 
-      DependencyGraphOptions graph_opts = options.graph;
-      graph_opts.add_artificial_event = true;
-      EMS_ASSIGN_OR_RETURN(DependencyGraph g1, DependencyGraph::BuildWithComposites(
-                                                   log1, w1, graph_opts));
-      EMS_ASSIGN_OR_RETURN(DependencyGraph g2, DependencyGraph::BuildWithComposites(
-                                                   log2, w2, graph_opts));
+      EMS_ASSIGN_OR_RETURN(DependencyGraph g1,
+                           builder1.BuildWithComposites(w1, graph_opts));
+      EMS_ASSIGN_OR_RETURN(DependencyGraph g2,
+                           builder2.BuildWithComposites(w2, graph_opts));
       std::vector<std::vector<double>> labels;
       const std::vector<std::vector<double>>* labels_ptr = nullptr;
       if (label_measure != nullptr) {

@@ -13,18 +13,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/composite_candidates.h"
 #include "core/ems_similarity.h"
+#include "graph/dependency_graph_builder.h"
 #include "prob/em_engine.h"
 #include "text/label_similarity.h"
 #include "util/status.h"
 
 namespace ems {
-
-class DependencyGraphBuilder;
 
 /// Objective the greedy search maximizes per step.
 enum class CompositeObjective {
@@ -82,12 +80,6 @@ struct CompositeOptions {
   /// Hard cap on greedy steps (paper's loop is unbounded; candidates are
   /// finite so this is a safety net).
   int max_steps = 64;
-
-  /// Build candidate graphs from a one-time per-log direct-follows
-  /// summary (DependencyGraphBuilder) instead of re-scanning every trace
-  /// per candidate. Bit-identical to the trace-scan path, which remains
-  /// available as the equivalence reference when this is false.
-  bool incremental_graphs = true;
 
   /// Workers for evaluating one greedy step's candidates concurrently:
   /// 1 = serial (default), 0 = hardware concurrency. Winner selection is
@@ -199,7 +191,6 @@ class CompositeMatcher {
   CompositeMatcher(const EventLog& log1, const EventLog& log2,
                    const CompositeOptions& options,
                    const LabelSimilarity* label_measure = nullptr);
-  ~CompositeMatcher();
 
   /// Runs the greedy loop to a fixed point and returns the result.
   Result<CompositeMatchResult> Match();
@@ -217,13 +208,6 @@ class CompositeMatcher {
     SimilarityMatrix backward;
     double average = 0.0;
   };
-
-  // Collapsed graph of one side's log under accepted composites `w`:
-  // aggregated from the per-log summary when incremental_graphs is on,
-  // the reference trace scan otherwise (bit-identical either way).
-  Result<DependencyGraph> BuildGraph(
-      int side, const std::vector<std::vector<EventId>>& w,
-      const DependencyGraphOptions& graph_opts) const;
 
   // Builds graphs for the given accepted composite sets and computes both
   // directional matrices from scratch (or with Uc row reuse against
@@ -248,9 +232,10 @@ class CompositeMatcher {
   bool explicit_candidates_ = false;
   CompositeStats stats_;
 
-  // Iteration-invariant state hoisted out of the candidate loop.
-  std::unique_ptr<DependencyGraphBuilder> builder1_;
-  std::unique_ptr<DependencyGraphBuilder> builder2_;
+  // Iteration-invariant state hoisted out of the candidate loop: each
+  // log's trace summary builds every collapsed graph of that side.
+  DependencyGraphBuilder builder1_;
+  DependencyGraphBuilder builder2_;
   // S^L between the two logs' event vocabularies, computed once; every
   // candidate graph's label matrix is read off it (MemberLabelMatrix).
   std::vector<std::vector<double>> event_labels_;

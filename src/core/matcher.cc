@@ -266,9 +266,9 @@ Result<MatchResult> Matcher::Match(const EventLog& log1,
     EMS_ASSIGN_OR_RETURN(result,
                          MatchPrepared(options_, log1, log2, std::move(g1),
                                        std::move(g2), labels1, labels2));
+    ObsIncrement(obs, "graph.builds", 2);
   }
   if (obs != nullptr) {
-    ObsIncrement(obs, "graph.builds", 2);
     ObsSetGauge(obs, "graph.nodes_left",
                 static_cast<double>(result.graph1.NumNodes()));
     ObsSetGauge(obs, "graph.nodes_right",

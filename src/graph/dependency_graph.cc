@@ -1,8 +1,6 @@
 #include "graph/dependency_graph.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -75,85 +73,6 @@ DependencyGraph DependencyGraph::FromCounts(
     g.AddEdge(pair.a + offset, pair.b + offset, f);
   }
   if (g.has_artificial_) g.FinalizeArtificial();
-  return g;
-}
-
-Result<DependencyGraph> DependencyGraph::BuildWithComposites(
-    const EventLog& log, const std::vector<std::vector<EventId>>& composites,
-    const DependencyGraphOptions& options) {
-  // Map each member event to its composite index; -1 = not in a composite.
-  std::vector<int> composite_of(log.NumEvents(), -1);
-  for (size_t k = 0; k < composites.size(); ++k) {
-    if (composites[k].size() < 1) {
-      return Status::InvalidArgument("empty composite");
-    }
-    for (EventId e : composites[k]) {
-      if (e < 0 || static_cast<size_t>(e) >= log.NumEvents()) {
-        return Status::InvalidArgument("composite contains invalid event id");
-      }
-      if (composite_of[static_cast<size_t>(e)] != -1) {
-        return Status::InvalidArgument("composites overlap on event '" +
-                                       log.EventName(e) + "'");
-      }
-      composite_of[static_cast<size_t>(e)] = static_cast<int>(k);
-    }
-  }
-
-  // Composite display names: members joined with '+' in id order.
-  std::vector<std::string> composite_names(composites.size());
-  for (size_t k = 0; k < composites.size(); ++k) {
-    std::vector<EventId> sorted = composites[k];
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<std::string> parts;
-    parts.reserve(sorted.size());
-    for (EventId e : sorted) parts.push_back(log.EventName(e));
-    composite_names[k] = Join(parts, "+");
-  }
-
-  // Rewrite traces: a maximal run of events belonging to the same
-  // composite collapses into one occurrence of the composite event.
-  EventLog rewritten;
-  // Pre-intern composite events so their ids are stable, then real events
-  // in original order for determinism.
-  std::vector<EventId> composite_ids(composites.size());
-  for (size_t k = 0; k < composites.size(); ++k) {
-    composite_ids[k] = rewritten.AddEvent(composite_names[k]);
-  }
-  for (const Trace& t : log.traces()) {
-    std::vector<std::string> names;
-    names.reserve(t.size());
-    int run_composite = -1;
-    for (EventId e : t) {
-      int k = composite_of[static_cast<size_t>(e)];
-      if (k >= 0 && k == run_composite) continue;  // extend current run
-      run_composite = k;
-      names.push_back(k >= 0 ? composite_names[static_cast<size_t>(k)]
-                             : log.EventName(e));
-    }
-    rewritten.AddTrace(names);
-  }
-
-  DependencyGraph g = Build(rewritten, options);
-  // Fix Members() to report original EventIds (Build gives rewritten ids).
-  const NodeId offset = g.has_artificial_ ? 1 : 0;
-  for (NodeId v = offset; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    EventId rew = g.members_[static_cast<size_t>(v)][0];
-    const std::string& name = rewritten.EventName(rew);
-    // Composite node?
-    bool is_composite = false;
-    for (size_t k = 0; k < composites.size(); ++k) {
-      if (name == composite_names[k]) {
-        g.members_[static_cast<size_t>(v)] = composites[k];
-        is_composite = true;
-        break;
-      }
-    }
-    if (!is_composite) {
-      EventId original = log.FindEvent(name);
-      EMS_DCHECK(original != kInvalidEvent);
-      g.members_[static_cast<size_t>(v)] = {original};
-    }
-  }
   return g;
 }
 
@@ -396,97 +315,6 @@ std::vector<NodeId> DependencyGraph::Ancestors(NodeId v) const {
 std::vector<NodeId> DependencyGraph::Descendants(NodeId v) const {
   EMS_DCHECK(ValidNode(v));
   return Reachable(*this, v, /*reverse=*/false);
-}
-
-Result<DependencyGraph> DependencyGraph::MergeNodes(
-    const std::vector<NodeId>& nodes) const {
-  if (nodes.size() < 2) {
-    return Status::InvalidArgument("MergeNodes requires >= 2 nodes");
-  }
-  std::set<NodeId> merge_set;
-  for (NodeId v : nodes) {
-    if (!ValidNode(v) || IsArtificial(v)) {
-      return Status::InvalidArgument("MergeNodes: invalid or artificial node");
-    }
-    if (!merge_set.insert(v).second) {
-      return Status::InvalidArgument("MergeNodes: duplicate node");
-    }
-  }
-
-  DependencyGraph g;
-  g.has_artificial_ = has_artificial_;
-  if (g.has_artificial_) g.AddNode("<X>", 1.0, {});
-
-  // Old-node -> new-node map. Merged members all map to one node.
-  std::vector<NodeId> remap(NumNodes(), -1);
-  const NodeId start = has_artificial_ ? 1 : 0;
-
-  // Merged node first (stable position), then survivors in order.
-  std::vector<std::string> merged_parts;
-  double merged_freq = 0.0;
-  std::vector<EventId> merged_members;
-  for (NodeId v : merge_set) {
-    merged_parts.push_back(names_[static_cast<size_t>(v)]);
-    merged_freq = std::max(merged_freq, node_freq_[static_cast<size_t>(v)]);
-    for (EventId e : members_[static_cast<size_t>(v)]) {
-      merged_members.push_back(e);
-    }
-  }
-  std::sort(merged_members.begin(), merged_members.end());
-  NodeId merged_id = static_cast<NodeId>(g.NumNodes());
-  g.AddNode(Join(merged_parts, "+"), merged_freq, merged_members);
-  for (NodeId v : merge_set) remap[static_cast<size_t>(v)] = merged_id;
-
-  for (NodeId v = start; v < static_cast<NodeId>(NumNodes()); ++v) {
-    if (merge_set.count(v)) continue;
-    remap[static_cast<size_t>(v)] = static_cast<NodeId>(g.NumNodes());
-    g.AddNode(names_[static_cast<size_t>(v)], node_freq_[static_cast<size_t>(v)],
-              members_[static_cast<size_t>(v)]);
-  }
-
-  // Parallel edges keep the maximum frequency; internal edges vanish.
-  std::map<std::pair<NodeId, NodeId>, double> new_edges;
-  for (NodeId a = start; a < static_cast<NodeId>(NumNodes()); ++a) {
-    const auto& succ = post_[static_cast<size_t>(a)];
-    const auto& freq = post_freq_[static_cast<size_t>(a)];
-    for (size_t i = 0; i < succ.size(); ++i) {
-      NodeId b = succ[i];
-      if (IsArtificial(b)) continue;  // artificial edges rebuilt below
-      NodeId na = remap[static_cast<size_t>(a)];
-      NodeId nb = remap[static_cast<size_t>(b)];
-      if (na == nb) continue;
-      auto key = std::make_pair(na, nb);
-      auto it = new_edges.find(key);
-      if (it == new_edges.end()) new_edges.emplace(key, freq[i]);
-      else it->second = std::max(it->second, freq[i]);
-    }
-  }
-  for (const auto& [key, f] : new_edges) g.AddEdge(key.first, key.second, f);
-  if (g.has_artificial_) g.FinalizeArtificial();
-  return g;
-}
-
-DependencyGraph DependencyGraph::FilterEdges(double threshold) const {
-  DependencyGraph g;
-  g.has_artificial_ = has_artificial_;
-  const NodeId start = has_artificial_ ? 1 : 0;
-  if (has_artificial_) g.AddNode("<X>", 1.0, {});
-  for (NodeId v = start; v < static_cast<NodeId>(NumNodes()); ++v) {
-    g.AddNode(names_[static_cast<size_t>(v)],
-              node_freq_[static_cast<size_t>(v)],
-              members_[static_cast<size_t>(v)]);
-  }
-  for (NodeId a = start; a < static_cast<NodeId>(NumNodes()); ++a) {
-    const auto& succ = post_[static_cast<size_t>(a)];
-    const auto& freq = post_freq_[static_cast<size_t>(a)];
-    for (size_t i = 0; i < succ.size(); ++i) {
-      if (IsArtificial(succ[i])) continue;
-      if (freq[i] < threshold) continue;
-      g.AddEdge(a, succ[i], freq[i]);
-    }
-  }
-  if (g.has_artificial_) g.FinalizeArtificial();
-  return g;
 }
 
 namespace {

@@ -1,9 +1,9 @@
 // Event dependency graph (Definition 1) with the artificial event v^X
 // (Section 2) that makes dislocated matching possible, minimum-frequency
-// filtering, node merging for composite events (Section 4), and the
-// structural quantities the algorithms need: pre/post sets, longest
-// distances l(v) from v^X (Proposition 2), and ancestor sets
-// (Proposition 4).
+// filtering, and the structural quantities the algorithms need: pre/post
+// sets, longest distances l(v) from v^X (Proposition 2), and ancestor
+// sets (Proposition 4). Graphs with composite events collapsed into one
+// node (Section 4) come from DependencyGraphBuilder.
 #pragma once
 
 #include <cstdint>
@@ -76,17 +76,6 @@ class DependencyGraph {
   /// Builds the dependency graph of `log` (Definition 1 + Section 2).
   static DependencyGraph Build(const EventLog& log,
                                const DependencyGraphOptions& options = {});
-
-  /// Builds the graph of `log` after collapsing each composite in
-  /// `composites` (disjoint sets of EventIds) into a single node: maximal
-  /// runs of a composite's members occurring consecutively in a trace
-  /// become one occurrence of the composite event. Singleton events not
-  /// covered by any composite remain as-is.
-  ///
-  /// Returns InvalidArgument if composites overlap or contain invalid ids.
-  static Result<DependencyGraph> BuildWithComposites(
-      const EventLog& log, const std::vector<std::vector<EventId>>& composites,
-      const DependencyGraphOptions& options = {});
 
   /// Constructs a graph directly from explicit data (used by tests that
   /// pin the paper's running-example frequencies, and by generators).
@@ -176,17 +165,6 @@ class DependencyGraph {
 
   /// All descendants of `v` (nodes reachable from v), excluding v^X and v.
   std::vector<NodeId> Descendants(NodeId v) const;
-
-  /// Graph-level node merging (edge contraction) for composite events when
-  /// no log is available: the merged node's frequency is the max of member
-  /// frequencies, and parallel edges keep the max frequency. Edges
-  /// internal to the merged set disappear. `nodes` must be >= 2 distinct
-  /// real nodes.
-  Result<DependencyGraph> MergeNodes(const std::vector<NodeId>& nodes) const;
-
-  /// Copy with real edges below `threshold` removed (minimum frequency
-  /// control; artificial edges retained).
-  DependencyGraph FilterEdges(double threshold) const;
 
   /// Adjacency of one direction flattened into contiguous CSR arrays —
   /// the form the optimized EMS kernel scans (see docs/PERFORMANCE.md).

@@ -12,10 +12,6 @@ namespace ems {
 
 DependencyGraphBuilder::DependencyGraphBuilder(const EventLog& log)
     : log_(log), num_traces_(log.NumTraces()) {
-  for (const std::string& name : log.event_names()) {
-    if (name.find('+') != std::string::npos) plus_in_names_ = true;
-  }
-
   std::vector<char> seen_event(log.NumEvents(), 0);
   // Group key -> index into groups_. std::map keeps keys alive for the
   // duration of the loop so groups_ can hold copies without re-hashing.
@@ -60,30 +56,24 @@ DependencyGraphBuilder::DependencyGraphBuilder(const EventLog& log)
 Result<DependencyGraph> DependencyGraphBuilder::BuildWithComposites(
     const std::vector<std::vector<EventId>>& composites,
     const DependencyGraphOptions& options) const {
-  if (plus_in_names_) {
-    // By-name interning in the rewritten log could alias a composite's
-    // joined display name with a real event name; the trace-scan path
-    // resolves that arithmetic naturally, so delegate to it.
-    fallback_builds_.fetch_add(1, std::memory_order_relaxed);
-    return DependencyGraph::BuildWithComposites(log_, composites, options);
-  }
-
-  // Validation identical to DependencyGraph::BuildWithComposites (same
-  // order, same messages) so callers see the same statuses on both paths.
-  std::vector<int> composite_of(log_.NumEvents(), -1);
-  for (size_t k = 0; k < composites.size(); ++k) {
-    if (composites[k].size() < 1) {
+  // Symbol of each event in the collapsed log: composites take ids
+  // 0..K-1, then every event no composite covers that occurs in a trace,
+  // in stream first-occurrence order.
+  const int32_t num_composites = static_cast<int32_t>(composites.size());
+  std::vector<int32_t> sym_of(log_.NumEvents(), -1);
+  for (int32_t k = 0; k < num_composites; ++k) {
+    if (composites[static_cast<size_t>(k)].empty()) {
       return Status::InvalidArgument("empty composite");
     }
-    for (EventId e : composites[k]) {
+    for (EventId e : composites[static_cast<size_t>(k)]) {
       if (e < 0 || static_cast<size_t>(e) >= log_.NumEvents()) {
         return Status::InvalidArgument("composite contains invalid event id");
       }
-      if (composite_of[static_cast<size_t>(e)] != -1) {
+      if (sym_of[static_cast<size_t>(e)] != -1) {
         return Status::InvalidArgument("composites overlap on event '" +
                                        log_.EventName(e) + "'");
       }
-      composite_of[static_cast<size_t>(e)] = static_cast<int>(k);
+      sym_of[static_cast<size_t>(e)] = k;
     }
   }
 
@@ -97,17 +87,6 @@ Result<DependencyGraph> DependencyGraphBuilder::BuildWithComposites(
     composite_names[k] = Join(parts, "+");
   }
 
-  // Symbol table of the (virtual) rewritten log: composites take ids
-  // 0..K-1 (pre-interned), then every non-member event that occurs in a
-  // trace, in stream first-occurrence order — exactly the interning order
-  // of the reference path's rewritten EventLog.
-  const int32_t num_composites = static_cast<int32_t>(composites.size());
-  std::vector<int32_t> sym_of(log_.NumEvents(), -1);
-  for (size_t k = 0; k < composites.size(); ++k) {
-    for (EventId e : composites[k]) {
-      sym_of[static_cast<size_t>(e)] = static_cast<int32_t>(k);
-    }
-  }
   int32_t num_symbols = num_composites;
   std::vector<EventId> singleton_event;  // symbol id - K -> original event
   for (EventId e : first_occurrence_) {
@@ -149,10 +128,9 @@ Result<DependencyGraph> DependencyGraphBuilder::BuildWithComposites(
     }
   }
 
-  // Assemble the graph exactly as DependencyGraph::Build does on the
-  // rewritten log: artificial node first, event nodes in symbol order,
-  // edges in (a, b) order, then artificial fan-in/out. Frequencies are the
-  // same integer-count divisions, so every double is bit-identical.
+  // Assemble the graph as DependencyGraph::Build does: artificial node
+  // first, event nodes in symbol order, edges in (a, b) order, then
+  // artificial fan-in/out; every frequency is count / num_traces.
   DependencyGraph g;
   g.has_artificial_ = options.add_artificial_event;
   if (g.has_artificial_) g.AddNode("<X>", 1.0, {});
@@ -177,8 +155,8 @@ Result<DependencyGraph> DependencyGraphBuilder::BuildWithComposites(
     (void)entry;
     keys.push_back(key);
   }
-  // (sa << 32) | sb sorts exactly like the reference's std::map over
-  // (sa, sb) pairs for non-negative symbol ids.
+  // (sa << 32) | sb sorts like the (sa, sb) pairs for non-negative
+  // symbol ids.
   std::sort(keys.begin(), keys.end());
   for (int64_t key : keys) {
     const EdgeEntry& entry = edge_counts[key];
@@ -191,8 +169,6 @@ Result<DependencyGraph> DependencyGraphBuilder::BuildWithComposites(
     g.AddEdge(sa + offset, sb + offset, f);
   }
   if (g.has_artificial_) g.FinalizeArtificial();
-
-  incremental_builds_.fetch_add(1, std::memory_order_relaxed);
   return g;
 }
 

@@ -1,27 +1,28 @@
-// Incremental dependency-graph construction for the composite search
-// (Section 4). DependencyGraph::BuildWithComposites re-scans every trace
-// of the log for every candidate the greedy loop evaluates; this builder
-// summarizes the log ONCE — distinct-event and distinct-succession sets
-// per group of equivalent traces — and aggregates candidate graphs from
-// the summary in O(vocabulary + distinct successions) per build.
+// Composite-collapsed dependency graphs (Section 4: a composite event is
+// "one node in constructing the dependency graph"). The greedy search
+// builds one graph per candidate it evaluates; this builder summarizes
+// the log ONCE — distinct-event and distinct-succession sets per group of
+// equivalent traces — and aggregates each candidate graph from the
+// summary in O(vocabulary + distinct successions) per build.
 //
-// The output is bit-identical to the trace-scan path: node order, edge
-// order, members, and every frequency double match
-// DependencyGraph::BuildWithComposites exactly (pinned by
-// tests/graph/dependency_graph_builder_test.cc). The equivalence rests on
-// two facts about run-collapsing a trace t under the member->composite
-// map rho:
+// A build equals run-collapsing every trace under the member->composite
+// map rho and counting Definition 1 on the result. Two facts about
+// collapse(t) make the summary sufficient:
 //   - the distinct events of collapse(t) are rho(distinct events of t);
 //   - the distinct successions of collapse(t) are the image under rho of
 //     the distinct successions of t, minus pairs with rho(a) == rho(b)
 //     (a maximal run emits no internal succession, and (v, v) pairs never
 //     become edges).
 // Both are functions of the per-trace distinct sets alone, so traces with
-// equal distinct sets can be aggregated with a multiplicity.
+// equal distinct sets can be aggregated with a multiplicity. Nodes are
+// resolved by EventId, never by name: an event whose own name is "a+b"
+// keeps its node next to a composite {a, b}. The string-rewriting trace
+// scan this replaces is the test-only reference in
+// tests/log/trace_count_reference.h; tests/graph/
+// dependency_graph_builder_test.cc pins the two to the same bytes.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -41,26 +42,20 @@ class DependencyGraphBuilder {
  public:
   explicit DependencyGraphBuilder(const EventLog& log);
 
-  /// Drop-in replacement for DependencyGraph::BuildWithComposites(log,
-  /// composites, options): same graph, bit for bit, same error statuses.
-  /// Falls back to the trace-scan path when any event name contains '+'
-  /// (the composite display-name separator) — the only case where the
-  /// rewritten log's name-interning could alias distinct symbols.
+  /// The graph of the log after collapsing each composite in
+  /// `composites` (disjoint sets of EventIds) into a single node: maximal
+  /// runs of a composite's members occurring consecutively in a trace
+  /// become one occurrence of the composite event. Composite nodes come
+  /// first, in `composites` order, named by their members' names joined
+  /// with '+' in id order; then every other event that occurs in a
+  /// trace, in order of first occurrence. Edges are in (a, b) order and
+  /// every frequency is count / num_traces.
+  ///
+  /// Returns InvalidArgument if a composite is empty, composites overlap,
+  /// or an id is invalid.
   Result<DependencyGraph> BuildWithComposites(
       const std::vector<std::vector<EventId>>& composites,
       const DependencyGraphOptions& options = {}) const;
-
-  /// Builds completed from the summary (no trace re-scan).
-  uint64_t incremental_builds() const {
-    return incremental_builds_.load(std::memory_order_relaxed);
-  }
-
-  /// Builds delegated to the reference trace-scan path ('+' in a name).
-  uint64_t fallback_builds() const {
-    return fallback_builds_.load(std::memory_order_relaxed);
-  }
-
-  size_t num_traces() const { return num_traces_; }
 
   /// Distinct (event set, succession set) classes found; the per-build
   /// work is proportional to their total size, not the log's.
@@ -77,19 +72,11 @@ class DependencyGraphBuilder {
 
   const EventLog& log_;
   size_t num_traces_ = 0;
-  // EventIds in order of first occurrence over the trace stream — the
-  // interning order of the rewritten log's non-composite events. Events
-  // never occurring in a trace are absent (they get no node, exactly as
-  // in the reference path).
+  // EventIds in order of first occurrence over the trace stream: the node
+  // order of the events no composite covers. Events never occurring in a
+  // trace are absent and get no node.
   std::vector<EventId> first_occurrence_;
   std::vector<TraceGroup> groups_;
-  // '+' occurs in an event name: composite display names could collide
-  // with singleton names under by-name interning; delegate to the
-  // reference path instead of reproducing the aliasing arithmetic.
-  bool plus_in_names_ = false;
-
-  mutable std::atomic<uint64_t> incremental_builds_{0};
-  mutable std::atomic<uint64_t> fallback_builds_{0};
 };
 
 }  // namespace ems

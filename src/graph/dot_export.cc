@@ -1,7 +1,10 @@
 #include "graph/dot_export.h"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/string_util.h"
 
@@ -73,20 +76,24 @@ Status WriteMatchDot(const MatchResult& result, std::ostream& out,
   EmitNodesAndEdges(result.graph2, options, "b", out);
   out << "  }\n";
 
-  // Cross-edges: resolve correspondences back to node ids by member name
-  // sets (display names are unique per graph).
+  // Cross-edges: resolve correspondences back to node ids by members. A
+  // correspondence lists its node's member names in Members() order, and
+  // the display name joins them in id order. Names may themselves
+  // contain '+', so the names are joined, never the display name split.
   auto find_node = [](const DependencyGraph& g,
                       const std::vector<std::string>& names) -> NodeId {
     for (NodeId v = 0; v < static_cast<NodeId>(g.NumNodes()); ++v) {
       if (g.IsArtificial(v)) continue;
-      if (g.Members(v).size() != names.size()) continue;
-      // Member names come from the log; the node display name joins them
-      // with '+'. Compare as sorted joined strings.
-      std::vector<std::string> a = names;
-      std::sort(a.begin(), a.end());
-      std::vector<std::string> b = Split(g.NodeName(v), '+');
-      std::sort(b.begin(), b.end());
-      if (a == b) return v;
+      const std::vector<EventId>& members = g.Members(v);
+      if (members.size() != names.size()) continue;
+      std::vector<std::pair<EventId, std::string>> by_id;
+      for (size_t i = 0; i < names.size(); ++i) {
+        by_id.emplace_back(members[i], names[i]);
+      }
+      std::sort(by_id.begin(), by_id.end());
+      std::vector<std::string> parts;
+      for (auto& [id, name] : by_id) parts.push_back(std::move(name));
+      if (Join(parts, "+") == g.NodeName(v)) return v;
     }
     return -1;
   };

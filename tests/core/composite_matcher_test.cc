@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/thread_pool.h"
+#include "log/trace_count_reference.h"
 #include "paper_example.h"
 #include "synth/dataset.h"
 
@@ -241,10 +242,9 @@ LogPair InjectedPair() {
   return MakeLogPair(Testbed::kDsFB, pair_opts);
 }
 
-// The fast paths (incremental graph summaries and the parallel greedy
-// step) must be invisible in the result: same composites, bitwise-equal
-// objective, and a similarity matrix with zero deviation from the serial
-// reference configuration.
+// The parallel greedy step must be invisible in the result: same
+// composites, bitwise-equal objective, and a similarity matrix with zero
+// deviation from the serial run.
 void ExpectBitIdentical(const CompositeMatchResult& ref,
                         const CompositeMatchResult& got,
                         const std::string& what) {
@@ -256,23 +256,44 @@ void ExpectBitIdentical(const CompositeMatchResult& ref,
   EXPECT_EQ(ref.similarity.MaxAbsDifference(got.similarity), 0.0) << what;
 }
 
-TEST(CompositeMatcherTest, FastPathsBitIdenticalToReference) {
+// The search's final graphs are the string-rewriting trace scan's graphs
+// of its accepted composites, byte for byte.
+void ExpectGraphsMatchTraceScan(const EventLog& log1, const EventLog& log2,
+                                const CompositeMatchResult& result,
+                                DependencyGraphOptions graph) {
+  graph.add_artificial_event = true;
+  EXPECT_EQ(testing::TraceScanDifference(result.graph1, log1,
+                                         result.composites1, graph),
+            "");
+  EXPECT_EQ(testing::TraceScanDifference(result.graph2, log2,
+                                         result.composites2, graph),
+            "");
+}
+
+TEST(CompositeMatcherTest, FinalGraphsMatchTraceScanReference) {
   LogPair pair = InjectedPair();
   QGramCosineSimilarity qgram;
-  CompositeOptions reference_opts = Opts();
-  reference_opts.delta = 0.005;
-  reference_opts.ems.alpha = 0.5;
-  reference_opts.incremental_graphs = false;
-  CompositeMatcher reference(pair.log1, pair.log2, reference_opts, &qgram);
-  Result<CompositeMatchResult> ref = reference.Match();
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  CompositeOptions opts = Opts();
+  opts.delta = 0.005;
+  opts.ems.alpha = 0.5;
+  for (double min_edge_frequency : {0.0, 0.1}) {
+    opts.graph.min_edge_frequency = min_edge_frequency;
+    CompositeMatcher matcher(pair.log1, pair.log2, opts, &qgram);
+    Result<CompositeMatchResult> result = matcher.Match();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GE(result->stats.merges_accepted, 1);
+    ExpectGraphsMatchTraceScan(pair.log1, pair.log2, *result, opts.graph);
+  }
 
-  CompositeOptions opts = reference_opts;
-  opts.incremental_graphs = true;
-  CompositeMatcher matcher(pair.log1, pair.log2, opts, &qgram);
-  Result<CompositeMatchResult> got = matcher.Match();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectBitIdentical(*ref, *got, "incremental=1");
+  EventLog log1 = BuildPaperLog1();
+  EventLog log2 = BuildPaperLog2();
+  CandidateOptions cand_opts;
+  cand_opts.min_confidence = 1.0;
+  Result<CompositeMatchResult> exact = ExactCompositeMatch(
+      log1, log2, DiscoverCandidates(log1, cand_opts),
+      DiscoverCandidates(log2, cand_opts), Opts());
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ExpectGraphsMatchTraceScan(log1, log2, *exact, Opts().graph);
 }
 
 TEST(CompositeMatcherTest, ParallelStepBitIdenticalToSerial) {
@@ -363,6 +384,54 @@ TEST(CompositeMatcherTest, UcRemapsFrozenRowsAcrossNodeIdShifts) {
   }
   EXPECT_EQ(results[0].composites1, results[1].composites1);
   EXPECT_EQ(results[0].composites2, results[1].composites2);
+  EXPECT_NEAR(results[0].average_similarity, results[1].average_similarity,
+              1e-3);
+  EXPECT_LE(results[0].similarity.MaxAbsDifference(results[1].similarity),
+            1e-3);
+}
+
+// The same shape on a log with an event named "a+b": once the composite
+// {a, b} is merged, two nodes of log 1's graph are named "a+b". Uc must
+// pair the next step's nodes with the previous step's by member set; a
+// pairing by name replays the composite's rows into the event's.
+TEST(CompositeMatcherTest, UcRemapsFrozenRowsWhenNamesRepeat) {
+  EventLog log1;
+  log1.AddTrace({"a", "b", "c", "d", "e"});
+  log1.AddTrace({"a", "b", "x", "c", "d"});
+  log1.AddTrace({"a+b", "e"});
+  log1.AddTrace({"a+b", "y", "e"});
+  // Log 2 is log 1 with {a, b} already one event: that merge wins the
+  // first step.
+  EventLog log2;
+  log2.AddTrace({"P", "C", "D", "E"});
+  log2.AddTrace({"P", "X", "C", "D"});
+  log2.AddTrace({"Q", "E"});
+  log2.AddTrace({"Q", "Y", "E"});
+  const std::vector<EventId> ab = {log1.FindEvent("a"), log1.FindEvent("b")};
+  const std::vector<EventId> cd = {log1.FindEvent("c"), log1.FindEvent("d")};
+
+  CompositeMatchResult results[2];
+  for (bool uc : {false, true}) {
+    CompositeOptions opts = Opts();
+    opts.delta = -1.0;  // accept every step's best merge
+    opts.prune_unchanged = uc;
+    opts.prune_bounds = false;
+    opts.max_steps = 2;
+    CompositeMatcher matcher(log1, log2, opts);
+    matcher.SetCandidates({CompositeCandidate{ab, 1.0},
+                           CompositeCandidate{cd, 1.0}},
+                          {});
+    Result<CompositeMatchResult> result = matcher.Match();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // {a, b} first, so the second step starts from a graph with two
+    // nodes named "a+b".
+    ASSERT_EQ(result->composites1,
+              (std::vector<std::vector<EventId>>{ab, cd}));
+    if (uc) {
+      EXPECT_GT(result->stats.rows_frozen, 0u);
+    }
+    results[uc ? 1 : 0] = std::move(*result);
+  }
   EXPECT_NEAR(results[0].average_similarity, results[1].average_similarity,
               1e-3);
   EXPECT_LE(results[0].similarity.MaxAbsDifference(results[1].similarity),

@@ -1,9 +1,10 @@
-// Pins DependencyGraphBuilder::BuildWithComposites bit-identical to the
-// trace-scan reference (DependencyGraph::BuildWithComposites) — node
-// order, names, members, every frequency double, and the artificial
-// event — across synthetic, CSV, and XES logs, composite shapes, and
-// graph options. The composite search relies on this equivalence to swap
-// the builder in without changing any result.
+// Pins DependencyGraphBuilder::BuildWithComposites to the test-only
+// string-rewriting trace scan (tests/log/trace_count_reference.h) byte
+// for byte — node order, names, members, every frequency's bits and both
+// adjacency lists — across synthetic, CSV and XES logs, composite
+// families the candidate discovery proposes, and graph options. Where an
+// event's own name equals a composite's joined name the two differ by
+// design: the builder resolves nodes by id and keeps both.
 #include "graph/dependency_graph_builder.h"
 
 #include <optional>
@@ -14,44 +15,29 @@
 
 #include <gtest/gtest.h>
 
+#include "core/composite_candidates.h"
 #include "graph/dependency_graph.h"
 #include "log/log_io.h"
+#include "log/trace_count_reference.h"
 #include "log/xes.h"
 #include "synth/dataset.h"
+#include "util/random.h"
 
 namespace ems {
 namespace {
 
-// Exact (bitwise, via EXPECT_EQ on doubles) structural equality.
-void ExpectGraphsIdentical(const DependencyGraph& ref,
-                           const DependencyGraph& got) {
-  ASSERT_EQ(ref.NumNodes(), got.NumNodes());
-  EXPECT_EQ(ref.has_artificial(), got.has_artificial());
-  EXPECT_EQ(ref.NumEdges(), got.NumEdges());
-  for (NodeId v = 0; v < static_cast<NodeId>(ref.NumNodes()); ++v) {
-    EXPECT_EQ(ref.NodeName(v), got.NodeName(v)) << "node " << v;
-    EXPECT_EQ(ref.NodeFrequency(v), got.NodeFrequency(v)) << "node " << v;
-    EXPECT_EQ(ref.Members(v), got.Members(v)) << "node " << v;
-    ASSERT_EQ(ref.Successors(v), got.Successors(v)) << "node " << v;
-    EXPECT_EQ(ref.SuccessorFrequencies(v), got.SuccessorFrequencies(v))
-        << "node " << v;
-    ASSERT_EQ(ref.Predecessors(v), got.Predecessors(v)) << "node " << v;
-    EXPECT_EQ(ref.PredecessorFrequencies(v), got.PredecessorFrequencies(v))
-        << "node " << v;
-  }
-}
+using testing::BuildWithCompositesByTraceScan;
+using testing::RewrittenGraph;
+using testing::TraceScanDifference;
 
 void ExpectBuilderMatchesReference(
     const EventLog& log, const std::vector<std::vector<EventId>>& composites,
     const DependencyGraphOptions& options = {}) {
-  Result<DependencyGraph> ref =
-      DependencyGraph::BuildWithComposites(log, composites, options);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   DependencyGraphBuilder builder(log);
   Result<DependencyGraph> got =
       builder.BuildWithComposites(composites, options);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectGraphsIdentical(*ref, *got);
+  EXPECT_EQ(TraceScanDifference(*got, log, composites, options), "");
 }
 
 EventLog SmallLog() {
@@ -156,21 +142,115 @@ TEST(DependencyGraphBuilderTest, SyntheticPairMatchesReference) {
   }
 }
 
-TEST(DependencyGraphBuilderTest, PlusInNameFallsBackToReference) {
+TEST(DependencyGraphBuilderTest, CollapsesRuns) {
+  EventLog log;
+  log.AddTrace({"a", "c", "d", "b"});
+  log.AddTrace({"a", "c", "d", "b"});
+  EventId c = log.FindEvent("c");
+  EventId d = log.FindEvent("d");
+  Result<DependencyGraph> g = DependencyGraphBuilder(log).BuildWithComposites(
+      {{d, c}});
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  // 4 original events -> 3 nodes (+ artificial); the composite comes first
+  // and keeps its members in the order given.
+  ASSERT_EQ(g->NumNodes(), 4u);
+  EXPECT_EQ(g->NodeName(1), "c+d");
+  EXPECT_EQ(g->Members(1), (std::vector<EventId>{d, c}));
+  EXPECT_DOUBLE_EQ(g->NodeFrequency(1), 1.0);
+  EXPECT_EQ(g->NodeName(2), "a");
+  EXPECT_EQ(g->NodeName(3), "b");
+  EXPECT_TRUE(g->HasEdge(2, 1));
+  EXPECT_TRUE(g->HasEdge(1, 3));
+}
+
+// A '+' in an event name is just a character: the composite {c, d} is
+// named "c+d", which aliases nothing, so the rewrite agrees.
+TEST(DependencyGraphBuilderTest, PlusInNameMatchesReference) {
   EventLog log;
   log.AddTrace({"a+b", "c", "d"});
   log.AddTrace({"a+b", "d", "c"});
   EventId c = log.FindEvent("c");
   EventId d = log.FindEvent("d");
-  DependencyGraphBuilder builder(log);
-  Result<DependencyGraph> got = builder.BuildWithComposites({{c, d}});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  Result<DependencyGraph> ref =
-      DependencyGraph::BuildWithComposites(log, {{c, d}});
-  ASSERT_TRUE(ref.ok());
-  ExpectGraphsIdentical(*ref, *got);
-  EXPECT_EQ(builder.fallback_builds(), 1u);
-  EXPECT_EQ(builder.incremental_builds(), 0u);
+  ExpectBuilderMatchesReference(log, {});
+  ExpectBuilderMatchesReference(log, {{c, d}});
+  ExpectBuilderMatchesReference(log, {{d, log.FindEvent("a+b")}});
+}
+
+// An event named "a+b" keeps its own node next to the composite {a, b}:
+// two nodes share the display name, told apart by their members. The
+// string rewrite merged them into one node at f = 1.0.
+TEST(DependencyGraphBuilderTest, EventNamedLikeCompositeKeepsItsNode) {
+  EventLog log;
+  log.AddTrace({"a", "b", "c"});
+  log.AddTrace({"a+b", "c"});
+  EventId a = log.FindEvent("a");
+  EventId b = log.FindEvent("b");
+  EventId ab = log.FindEvent("a+b");
+  EventId c = log.FindEvent("c");
+  Result<DependencyGraph> g =
+      DependencyGraphBuilder(log).BuildWithComposites({{a, b}});
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ASSERT_EQ(g->NumNodes(), 4u);  // v^X, {a, b}, c, "a+b"
+  EXPECT_EQ(g->NodeName(1), "a+b");
+  EXPECT_EQ(g->Members(1), (std::vector<EventId>{a, b}));
+  EXPECT_EQ(g->NodeFrequency(1), 0.5);
+  EXPECT_EQ(g->NodeName(2), "c");
+  EXPECT_EQ(g->Members(2), (std::vector<EventId>{c}));
+  EXPECT_EQ(g->NodeFrequency(2), 1.0);
+  EXPECT_EQ(g->NodeName(3), "a+b");
+  EXPECT_EQ(g->Members(3), (std::vector<EventId>{ab}));
+  EXPECT_EQ(g->NodeFrequency(3), 0.5);
+  EXPECT_EQ(g->EdgeFrequency(1, 2), 0.5);
+  EXPECT_EQ(g->EdgeFrequency(3, 2), 0.5);
+
+  Result<RewrittenGraph> merged = BuildWithCompositesByTraceScan(log, {{a, b}});
+  ASSERT_TRUE(merged.ok());
+  ASSERT_EQ(merged->graph.NumNodes(), 3u);
+  EXPECT_EQ(merged->graph.NodeFrequency(1), 1.0);
+}
+
+// Seeded families of disjoint candidates, as the greedy search proposes
+// them, over generated logs of both sides of several pairs.
+TEST(DependencyGraphBuilderTest, DiscoveredFamiliesMatchReference) {
+  DependencyGraphOptions min_freq;
+  min_freq.min_edge_frequency = 0.2;
+  DependencyGraphOptions no_artificial;
+  no_artificial.add_artificial_event = false;
+  CandidateOptions discovery;
+  discovery.min_confidence = 0.5;
+  size_t families = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    PairOptions opts;
+    opts.num_activities = 10 + static_cast<int>(seed);
+    opts.num_traces = 40;
+    opts.num_composites = 2;
+    opts.seed = seed;
+    LogPair pair = MakeLogPair(Testbed::kDsFB, opts);
+    Rng rng(seed);
+    for (const EventLog* log : {&pair.log1, &pair.log2}) {
+      std::vector<CompositeCandidate> candidates =
+          DiscoverCandidates(*log, discovery);
+      for (int round = 0; round < 4; ++round) {
+        rng.Shuffle(&candidates);
+        std::vector<char> used(log->NumEvents(), 0);
+        std::vector<std::vector<EventId>> family;
+        for (const CompositeCandidate& cand : candidates) {
+          bool free = true;
+          for (EventId e : cand.events) free = free && !used[e];
+          if (!free) continue;
+          for (EventId e : cand.events) used[e] = 1;
+          family.push_back(cand.events);
+          SCOPED_TRACE("seed " + std::to_string(seed) + " family of " +
+                       std::to_string(family.size()));
+          ExpectBuilderMatchesReference(*log, family);
+          ExpectBuilderMatchesReference(*log, family, min_freq);
+          ExpectBuilderMatchesReference(*log, family, no_artificial);
+          ++families;
+        }
+      }
+    }
+  }
+  EXPECT_GT(families, 50u);
 }
 
 TEST(DependencyGraphBuilderTest, ErrorStatusesMatchReference) {
@@ -185,25 +265,20 @@ TEST(DependencyGraphBuilderTest, ErrorStatusesMatchReference) {
       {{{0, 1}, {1, 2}}},     // overlap on event
   };
   for (const Case& c : cases) {
-    Result<DependencyGraph> ref =
-        DependencyGraph::BuildWithComposites(log, c.composites);
+    Result<RewrittenGraph> ref =
+        BuildWithCompositesByTraceScan(log, c.composites);
     Result<DependencyGraph> got = builder.BuildWithComposites(c.composites);
     ASSERT_FALSE(ref.ok());
     ASSERT_FALSE(got.ok());
+    EXPECT_TRUE(got.status().IsInvalidArgument());
     EXPECT_EQ(ref.status().ToString(), got.status().ToString());
   }
 }
 
-TEST(DependencyGraphBuilderTest, CountsBuildsAndGroups) {
-  EventLog log = SmallLog();
-  DependencyGraphBuilder builder(log);
-  EXPECT_EQ(builder.num_traces(), 5u);
+TEST(DependencyGraphBuilderTest, GroupsEquivalentTraces) {
+  const EventLog log = SmallLog();
   // The two identical traces share one group.
-  EXPECT_EQ(builder.num_trace_groups(), 4u);
-  ASSERT_TRUE(builder.BuildWithComposites({}).ok());
-  ASSERT_TRUE(builder.BuildWithComposites({{0, 1}}).ok());
-  EXPECT_EQ(builder.incremental_builds(), 2u);
-  EXPECT_EQ(builder.fallback_builds(), 0u);
+  EXPECT_EQ(DependencyGraphBuilder(log).num_trace_groups(), 4u);
 }
 
 TEST(DependencyGraphBuilderTest, ConcurrentBuildsAreIdentical) {
@@ -211,8 +286,6 @@ TEST(DependencyGraphBuilderTest, ConcurrentBuildsAreIdentical) {
   EventId b = log.FindEvent("b");
   EventId c = log.FindEvent("c");
   const DependencyGraphBuilder builder(log);
-  Result<DependencyGraph> ref = builder.BuildWithComposites({{b, c}});
-  ASSERT_TRUE(ref.ok());
 
   constexpr int kThreads = 4;
   std::vector<std::optional<Result<DependencyGraph>>> results(kThreads);
@@ -227,7 +300,7 @@ TEST(DependencyGraphBuilderTest, ConcurrentBuildsAreIdentical) {
   for (const auto& r : results) {
     ASSERT_TRUE(r.has_value());
     ASSERT_TRUE(r->ok());
-    ExpectGraphsIdentical(*ref, **r);
+    EXPECT_EQ(TraceScanDifference(**r, log, {{b, c}}), "");
   }
 }
 

@@ -78,15 +78,6 @@ TEST(DependencyGraphTest, MinEdgeFrequencyFilters) {
   EXPECT_TRUE(g.HasEdge(0, a));
 }
 
-TEST(DependencyGraphTest, FilterEdgesCopy) {
-  EventLog log = SimpleLog();
-  DependencyGraph g = DependencyGraph::Build(log);
-  DependencyGraph filtered = g.FilterEdges(0.5);
-  EXPECT_LT(filtered.NumEdges(), g.NumEdges());
-  EXPECT_EQ(filtered.NumNodes(), g.NumNodes());
-  EXPECT_FALSE(filtered.HasEdge(1, 3));  // a->c gone
-}
-
 TEST(DependencyGraphTest, SelfLoopsAreNotEdges) {
   EventLog log;
   log.AddTrace({"a", "a", "b"});
@@ -145,78 +136,6 @@ TEST(DependencyGraphTest, AncestorsAndDescendants) {
   for (NodeId v : g2.Ancestors(1 + testing::N6)) {
     EXPECT_FALSE(g2.IsArtificial(v));
   }
-}
-
-TEST(DependencyGraphTest, MergeNodesContractsEdges) {
-  DependencyGraph g1 = testing::BuildPaperGraph1();
-  Result<DependencyGraph> merged_result =
-      g1.MergeNodes({1 + testing::C, 1 + testing::D});
-  ASSERT_TRUE(merged_result.ok());
-  const DependencyGraph& m = *merged_result;
-  EXPECT_EQ(m.NumNodes(), g1.NumNodes() - 1);
-  // Find the merged node by member set.
-  NodeId merged = -1;
-  for (NodeId v = 1; v < static_cast<NodeId>(m.NumNodes()); ++v) {
-    if (m.Members(v).size() == 2) merged = v;
-  }
-  ASSERT_GE(merged, 0);
-  EXPECT_DOUBLE_EQ(m.NodeFrequency(merged), 1.0);  // max of members
-  // A -> CD (was A -> C) and CD -> E (was D -> E) survive.
-  NodeId a = -1, e = -1;
-  for (NodeId v = 1; v < static_cast<NodeId>(m.NumNodes()); ++v) {
-    if (m.NodeName(v) == "PaidCash") a = v;
-    if (m.NodeName(v) == "ShipGoods") e = v;
-  }
-  ASSERT_GE(a, 0);
-  ASSERT_GE(e, 0);
-  EXPECT_TRUE(m.HasEdge(a, merged));
-  EXPECT_TRUE(m.HasEdge(merged, e));
-}
-
-TEST(DependencyGraphTest, MergeNodesRejectsBadInput) {
-  DependencyGraph g1 = testing::BuildPaperGraph1();
-  EXPECT_TRUE(g1.MergeNodes({1}).status().IsInvalidArgument());
-  EXPECT_TRUE(g1.MergeNodes({1, 1}).status().IsInvalidArgument());
-  EXPECT_TRUE(g1.MergeNodes({0, 1}).status().IsInvalidArgument());  // v^X
-}
-
-TEST(DependencyGraphTest, BuildWithCompositesCollapsesRuns) {
-  EventLog log;
-  log.AddTrace({"a", "c", "d", "b"});
-  log.AddTrace({"a", "c", "d", "b"});
-  EventId c = log.FindEvent("c");
-  EventId d = log.FindEvent("d");
-  Result<DependencyGraph> g =
-      DependencyGraph::BuildWithComposites(log, {{c, d}});
-  ASSERT_TRUE(g.ok());
-  // 4 original events -> 3 nodes (+ artificial).
-  EXPECT_EQ(g->NumNodes(), 4u);
-  NodeId comp = -1;
-  for (NodeId v = 1; v < 4; ++v) {
-    if (g->Members(v).size() == 2) comp = v;
-  }
-  ASSERT_GE(comp, 0);
-  EXPECT_EQ(g->NodeName(comp), "c+d");
-  std::vector<EventId> members = g->Members(comp);
-  std::sort(members.begin(), members.end());
-  EXPECT_EQ(members, (std::vector<EventId>{c, d}));
-  EXPECT_DOUBLE_EQ(g->NodeFrequency(comp), 1.0);
-}
-
-TEST(DependencyGraphTest, BuildWithCompositesRejectsOverlap) {
-  EventLog log;
-  log.AddTrace({"a", "b", "c"});
-  Result<DependencyGraph> g =
-      DependencyGraph::BuildWithComposites(log, {{0, 1}, {1, 2}});
-  EXPECT_TRUE(g.status().IsInvalidArgument());
-}
-
-TEST(DependencyGraphTest, BuildWithCompositesRejectsInvalidIds) {
-  EventLog log;
-  log.AddTrace({"a"});
-  Result<DependencyGraph> g =
-      DependencyGraph::BuildWithComposites(log, {{0, 99}});
-  EXPECT_TRUE(g.status().IsInvalidArgument());
 }
 
 TEST(DependencyGraphTest, AverageDegreeCountsAllEdges) {

@@ -9,6 +9,15 @@
 namespace ems {
 namespace {
 
+size_t CountCrossEdges(const std::string& dot) {
+  size_t cross = 0;
+  for (size_t pos = 0; (pos = dot.find("color=red", pos)) != std::string::npos;
+       ++pos) {
+    ++cross;
+  }
+  return cross;
+}
+
 TEST(DotExportTest, ContainsNodesAndEdges) {
   DependencyGraph g = testing::BuildPaperGraph1();
   std::string dot = ToDot(g);
@@ -58,12 +67,25 @@ TEST(DotExportTest, MatchDotLinksCorrespondences) {
   EXPECT_NE(dot.find("cluster_right"), std::string::npos);
   EXPECT_NE(dot.find("color=red"), std::string::npos);
   // One cross edge per correspondence.
-  size_t cross = 0, pos = 0;
-  while ((pos = dot.find("color=red", pos)) != std::string::npos) {
-    ++cross;
-    pos += 1;
-  }
-  EXPECT_EQ(cross, result->correspondences.size());
+  EXPECT_EQ(CountCrossEdges(dot), result->correspondences.size());
+}
+
+// A singleton event whose own name contains '+' still gets its cross
+// edge: nodes resolve by members, not by splitting display names.
+TEST(DotExportTest, MatchDotLinksEventNamedWithPlus) {
+  EventLog log1;
+  log1.AddTrace({"receive", "ship+pack", "bill"});
+  log1.AddTrace({"receive", "ship+pack", "bill"});
+  EventLog log2;
+  log2.AddTrace({"receive", "ship+pack", "bill"});
+  log2.AddTrace({"receive", "ship+pack", "bill"});
+  Matcher matcher;
+  Result<MatchResult> result = matcher.Match(log1, log2);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->correspondences.size(), 3u);
+  std::ostringstream out;
+  ASSERT_TRUE(WriteMatchDot(*result, out).ok());
+  EXPECT_EQ(CountCrossEdges(out.str()), 3u);
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 #include "log/trace_count_reference.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <tuple>
+
+#include "util/string_util.h"
 
 namespace ems {
 namespace testing {
@@ -114,6 +119,133 @@ DependencyGraph BuildByTraceScan(const EventLog& log,
   }
   return DependencyGraph::FromExplicit(log.event_names(), node_frequencies,
                                        edges, options);
+}
+
+Result<RewrittenGraph> BuildWithCompositesByTraceScan(
+    const EventLog& log, const std::vector<std::vector<EventId>>& composites,
+    const DependencyGraphOptions& options) {
+  // Map each member event to its composite index; -1 = not in a composite.
+  std::vector<int> composite_of(log.NumEvents(), -1);
+  for (size_t k = 0; k < composites.size(); ++k) {
+    if (composites[k].empty()) {
+      return Status::InvalidArgument("empty composite");
+    }
+    for (EventId e : composites[k]) {
+      if (e < 0 || static_cast<size_t>(e) >= log.NumEvents()) {
+        return Status::InvalidArgument("composite contains invalid event id");
+      }
+      if (composite_of[static_cast<size_t>(e)] != -1) {
+        return Status::InvalidArgument("composites overlap on event '" +
+                                       log.EventName(e) + "'");
+      }
+      composite_of[static_cast<size_t>(e)] = static_cast<int>(k);
+    }
+  }
+
+  // Composite display names: members joined with '+' in id order.
+  std::vector<std::string> composite_names(composites.size());
+  for (size_t k = 0; k < composites.size(); ++k) {
+    std::vector<EventId> sorted = composites[k];
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::string> parts;
+    for (EventId e : sorted) parts.push_back(log.EventName(e));
+    composite_names[k] = Join(parts, "+");
+  }
+
+  // Pre-intern composite events so their ids come first, then rewrite
+  // traces: a maximal run of one composite's members collapses into one
+  // occurrence of the composite event.
+  EventLog rewritten;
+  for (const std::string& name : composite_names) rewritten.AddEvent(name);
+  for (const Trace& t : log.traces()) {
+    std::vector<std::string> names;
+    int run_composite = -1;
+    for (EventId e : t) {
+      const int k = composite_of[static_cast<size_t>(e)];
+      if (k >= 0 && k == run_composite) continue;  // extend current run
+      run_composite = k;
+      names.push_back(k >= 0 ? composite_names[static_cast<size_t>(k)]
+                             : log.EventName(e));
+    }
+    rewritten.AddTrace(names);
+  }
+
+  RewrittenGraph out{BuildByTraceScan(rewritten, options), {}};
+  // Original members by name: a composite's name first, else the event.
+  for (NodeId v = 0; v < static_cast<NodeId>(out.graph.NumNodes()); ++v) {
+    if (out.graph.IsArtificial(v)) {
+      out.members.emplace_back();
+      continue;
+    }
+    const std::string& name = out.graph.NodeName(v);
+    auto it = std::find(composite_names.begin(), composite_names.end(), name);
+    if (it != composite_names.end()) {
+      out.members.push_back(composites[static_cast<size_t>(
+          it - composite_names.begin())]);
+    } else {
+      out.members.push_back({log.FindEvent(name)});
+    }
+  }
+  return out;
+}
+
+namespace {
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](double x, double y) { return Bits(x) == Bits(y); });
+}
+
+}  // namespace
+
+std::string GraphDifference(const DependencyGraph& got,
+                            const RewrittenGraph& want) {
+  const DependencyGraph& g = want.graph;
+  if (got.has_artificial() != g.has_artificial()) return "v^X differs";
+  if (got.NumNodes() != g.NumNodes()) {
+    return "nodes: got " + std::to_string(got.NumNodes()) + ", want " +
+           std::to_string(g.NumNodes());
+  }
+  for (NodeId v = 0; v < static_cast<NodeId>(g.NumNodes()); ++v) {
+    const std::string node = "node " + std::to_string(v) + " ";
+    if (got.NodeName(v) != g.NodeName(v)) {
+      return node + "name: got '" + got.NodeName(v) + "', want '" +
+             g.NodeName(v) + "'";
+    }
+    if (got.Members(v) != want.members[static_cast<size_t>(v)]) {
+      return node + "members differ";
+    }
+    if (Bits(got.NodeFrequency(v)) != Bits(g.NodeFrequency(v))) {
+      return node + "frequency differs";
+    }
+    if (got.Successors(v) != g.Successors(v) ||
+        !SameBits(got.SuccessorFrequencies(v), g.SuccessorFrequencies(v))) {
+      return node + "successors differ";
+    }
+    if (got.Predecessors(v) != g.Predecessors(v) ||
+        !SameBits(got.PredecessorFrequencies(v),
+                  g.PredecessorFrequencies(v))) {
+      return node + "predecessors differ";
+    }
+  }
+  return "";
+}
+
+std::string TraceScanDifference(
+    const DependencyGraph& got, const EventLog& log,
+    const std::vector<std::vector<EventId>>& composites,
+    const DependencyGraphOptions& options) {
+  Result<RewrittenGraph> want =
+      BuildWithCompositesByTraceScan(log, composites, options);
+  if (!want.ok()) return "trace scan failed: " + want.status().ToString();
+  return GraphDifference(got, *want);
 }
 
 }  // namespace testing

@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "obs/context.h"
+#include "serve/expected_render.h"
 #include "serve/log_cache.h"
 #include "serve/lru_cache.h"
 #include "serve/service.h"
 #include "util/json_parser.h"
-#include "util/json_writer.h"
 
 namespace ems {
 namespace serve {
@@ -108,39 +108,6 @@ TEST(LogCacheTest, MissingFileReportsErrorWithoutCaching) {
   std::filesystem::remove_all(dir);
 }
 
-// The rendering of a match from "correspondences" to the end, as the
-// service writes it for a non-prob job.
-std::string ExpectedTail(const MatchResult& result) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("correspondences");
-  w.BeginArray();
-  for (const Correspondence& c : result.correspondences) {
-    w.BeginObject();
-    w.Key("left");
-    w.BeginArray();
-    for (const std::string& n : c.events1) w.String(n);
-    w.EndArray();
-    w.Key("right");
-    w.BeginArray();
-    for (const std::string& n : c.events2) w.String(n);
-    w.EndArray();
-    w.Key("similarity");
-    w.Number(c.similarity);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("ems");
-  w.BeginObject();
-  w.Key("iterations");
-  w.Int(result.ems_stats.iterations);
-  w.Key("formula_evaluations");
-  w.Int(static_cast<long long>(result.ems_stats.formula_evaluations));
-  w.EndObject();
-  w.EndObject();
-  return w.str().substr(1);
-}
-
 // A prepared log holds a graph built under the request's graph options:
 // two requests on one pair that differ in min_edge_frequency get their
 // own entries, and each answer is Matcher::Match's at that option.
@@ -184,6 +151,38 @@ TEST(LogCacheTest, GraphOptionsGetSeparateEntries) {
   ASSERT_TRUE(full.ok() && filtered.ok());
   EXPECT_NE(full->get(), filtered->get());
   EXPECT_LT((*filtered)->graph.NumEdges(), (*full)->graph.NumEdges());
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
+}
+
+// The served composite search answers exactly what Matcher::Match does
+// with the same options. Log 1 has an event named "a+b" next to a and b,
+// so once {a, b} merges two nodes carry that display name.
+TEST(BatchMatchServiceTest, CompositeJobMatchesMatcherByteForByte) {
+  const std::string log1 = WriteTraceLog(
+      "serve_composite_1.txt", "a;b;c;d\na;b;c;d\na+b;c;d\na;b;d;c\n");
+  const std::string log2 = WriteTraceLog(
+      "serve_composite_2.txt", "ab;c;d\nab;c;d\nab;d\nx;d;c\n");
+  ServiceOptions options;
+  options.threads = 2;
+  BatchMatchService service(options);
+  const std::string line = service.HandleJobLine(
+      R"({"id":"c","log1":")" + log1 + R"(","log2":")" + log2 +
+      R"(","format":"trace","composites":true,"delta":0.001})");
+  ASSERT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
+
+  MatchOptions match;
+  match.label_measure = LabelMeasure::kQGramCosine;
+  match.ems.alpha = 0.5;
+  match.match_composites = true;
+  match.composite.delta = 0.001;
+  Result<EventLog> a = LoadEventLog(log1, "trace");
+  Result<EventLog> b = LoadEventLog(log2, "trace");
+  ASSERT_TRUE(a.ok() && b.ok());
+  Result<MatchResult> direct = Matcher(match).Match(*a, *b);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_GE(direct->composite_stats.merges_accepted, 1);
+  EXPECT_EQ(StripMillis(line), ExpectedLine("c", *direct));
   std::remove(log1.c_str());
   std::remove(log2.c_str());
 }

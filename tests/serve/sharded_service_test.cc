@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/context.h"
+#include "serve/expected_render.h"
 #include "serve/service.h"
 #include "util/json_parser.h"
 
@@ -85,6 +86,38 @@ TEST_F(ShardedServiceTest, SingleShardMatchesPlainServiceByteForByte) {
     EXPECT_NE(via_router.find("\"status\":\"ok\""), std::string::npos)
         << via_router;
   }
+}
+
+// A composite job through the router answers exactly what
+// Matcher::Match does with the same options. Log 1 has an event named
+// "a+b" next to a and b.
+TEST_F(ShardedServiceTest, CompositeJobMatchesMatcherByteForByte) {
+  const std::string log1 = TempDir() + "/sharded_service_composite1.txt";
+  const std::string log2 = TempDir() + "/sharded_service_composite2.txt";
+  WriteFile(log1, "a;b;c;d\na;b;c;d\na+b;c;d\na;b;d;c\n");
+  WriteFile(log2, "ab;c;d\nab;c;d\nab;d\nx;d;c\n");
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.total_threads = 2;
+  ShardedMatchService router(options);
+  const std::string line = router.HandleLineSync(
+      "{\"id\":\"c\",\"log1\":\"" + log1 + "\",\"log2\":\"" + log2 +
+      "\",\"format\":\"trace\",\"composites\":true,\"delta\":0.001}");
+
+  MatchOptions match;
+  match.label_measure = LabelMeasure::kQGramCosine;
+  match.ems.alpha = 0.5;
+  match.match_composites = true;
+  match.composite.delta = 0.001;
+  Result<EventLog> a = LoadEventLog(log1, "trace");
+  Result<EventLog> b = LoadEventLog(log2, "trace");
+  ASSERT_TRUE(a.ok() && b.ok());
+  Result<MatchResult> direct = Matcher(match).Match(*a, *b);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_GE(direct->composite_stats.merges_accepted, 1);
+  EXPECT_EQ(StripMillis(line), ExpectedLine("c", *direct));
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
 }
 
 // A directory named as a log is answered with an IOError by the shard

@@ -8,6 +8,7 @@
 
 #include "core/matcher.h"
 #include "exec/thread_pool.h"
+#include "graph/dependency_graph_builder.h"
 #include "paper_example.h"
 #include "util/string_util.h"
 
@@ -106,7 +107,7 @@ TEST(LabelSimilarityMatrixTest, CompositeNodesUseMemberMax) {
   EventId c = log.FindEvent("checkinv");
   EventId v = log.FindEvent("validate");
   Result<DependencyGraph> g1 =
-      DependencyGraph::BuildWithComposites(log, {{c, v}});
+      DependencyGraphBuilder(log).BuildWithComposites({{c, v}});
   ASSERT_TRUE(g1.ok());
   EventLog log2;
   log2.AddTrace({"validate", "deliver"});
@@ -157,8 +158,9 @@ TEST(LabelProfilesTest, PreparedMatrixEqualsPerCellMax) {
 // matrix of the two vocabularies (member max) equals the direct matrix
 // over the graph's node names, for every measure. Log 1 has an event
 // whose own name contains '+' inside a composite, and an event "a+b" that
-// the trace-scan build merges into the composite {a, b}; log 2 has a
-// composite with an empty-named member.
+// keeps its own node next to the composite {a, b}: both nodes are named
+// "a+b", and both have the parts a and b. Log 2 has a composite with an
+// empty-named member.
 TEST(LabelProfilesTest, MemberMaxEqualsCompositeGraphMatrix) {
   EventLog log1;
   log1.AddTrace({"Check Stock", "ship+pack", "Receive", "a", "b", "Bill"});
@@ -169,12 +171,19 @@ TEST(LabelProfilesTest, MemberMaxEqualsCompositeGraphMatrix) {
   log2.AddTrace({"check stock", "x", "", "bill"});
   const auto id1 = [&](const char* name) { return log1.FindEvent(name); };
   const auto id2 = [&](const char* name) { return log2.FindEvent(name); };
-  Result<DependencyGraph> g1 = DependencyGraph::BuildWithComposites(
-      log1, {{id1("Check Stock"), id1("ship+pack")}, {id1("a"), id1("b")}});
-  Result<DependencyGraph> g2 = DependencyGraph::BuildWithComposites(
-      log2, {{id2("SHIP"), id2("pack")}, {id2("x"), id2("")}});
+  const DependencyGraphBuilder builder1(log1);
+  const DependencyGraphBuilder builder2(log2);
+  Result<DependencyGraph> g1 = builder1.BuildWithComposites(
+      {{id1("Check Stock"), id1("ship+pack")}, {id1("a"), id1("b")}});
+  Result<DependencyGraph> g2 = builder2.BuildWithComposites(
+      {{id2("SHIP"), id2("pack")}, {id2("x"), id2("")}});
   ASSERT_TRUE(g1.ok()) << g1.status().ToString();
   ASSERT_TRUE(g2.ok()) << g2.status().ToString();
+  size_t named_ab = 0;
+  for (NodeId v = 1; v < static_cast<NodeId>(g1->NumNodes()); ++v) {
+    if (g1->NodeName(v) == "a+b") ++named_ab;
+  }
+  ASSERT_EQ(named_ab, 2u);
   for (const auto& measure : AllMeasures()) {
     const int q = ProfileQ(*measure);
     const std::vector<std::vector<double>> events = LabelSimilarityMatrix(
