@@ -1,7 +1,8 @@
-// Telemetry-overhead benchmark: the same NDJSON job stream driven
-// through BatchMatchService with the telemetry plane off (the pre-plane
-// behavior: no owned ObsContext, no per-job span trees, no flight
-// recorder, no quantile observations) and on (the default). The quantity
+// Telemetry-overhead benchmark: the same NDJSON job stream piped through
+// a one-shard ShardedMatchService::RunStream, the stdin path of
+// ems_serve, with the telemetry plane off (the pre-plane behavior: no
+// owned ObsContext, no per-job span trees, no flight recorder, no
+// quantile observations) and on (the default). The quantity
 // reported is the relative wall-clock overhead of telemetry=on, which
 // the observability plan budgets at < 5%. Off/on runs are interleaved
 // rep by rep (after one unmeasured warmup pair) so machine drift cancels
@@ -20,19 +21,21 @@
 // Flags: --activities=N (default 20), --traces=N (default 300),
 //        --jobs=N (default 64), --reps=N (default 3),
 //        --threads=N (default 4), --seed=N (default 23).
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "log/event_log.h"
 #include "log/log_io.h"
-#include "serve/service.h"
+#include "serve/sharded_service.h"
 #include "synth/log_generator.h"
 #include "synth/process_tree.h"
 #include "util/json_writer.h"
@@ -58,20 +61,28 @@ std::string StripMillis(const std::string& line) {
   return line.substr(0, key) + line.substr(end);
 }
 
-// Runs the job stream once; returns wall millis and the sorted,
-// millis-stripped result lines.
-double RunOnce(const serve::ServiceOptions& options,
-               const std::string& jobs_ndjson,
+// Pipes the job file through the router once; returns wall millis and
+// the sorted, millis-stripped result lines.
+double RunOnce(const serve::ShardedServiceOptions& options,
+               const std::string& jobs_path, const std::string& out_path,
                std::vector<std::string>* lines_out) {
-  serve::BatchMatchService service(options);
-  std::istringstream in(jobs_ndjson);
-  std::ostringstream out;
+  serve::ShardedMatchService router(options);
+  const int in_fd = ::open(jobs_path.c_str(), O_RDONLY);
+  const int out_fd =
+      ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (in_fd < 0 || out_fd < 0) {
+    std::fprintf(stderr, "cannot open %s or %s\n", jobs_path.c_str(),
+                 out_path.c_str());
+    std::exit(1);
+  }
   Timer timer;
-  service.RunStream(in, out);
+  router.RunStream(in_fd, out_fd);
   const double millis = timer.ElapsedMillis();
+  ::close(in_fd);
+  ::close(out_fd);
   if (lines_out != nullptr) {
     lines_out->clear();
-    std::istringstream results(out.str());
+    std::ifstream results(out_path);
     std::string line;
     while (std::getline(results, line)) {
       if (!line.empty()) lines_out->push_back(StripMillis(line));
@@ -177,20 +188,29 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::string jobs_ndjson;
-  for (int i = 0; i < jobs; ++i) {
-    jobs_ndjson += "{\"id\":\"j" + std::to_string(i) + "\",\"log1\":\"" +
-                   log1_path + "\",\"log2\":\"" + log2_path +
-                   "\",\"format\":\"trace\"}\n";
+  const std::string jobs_path = dir + "/bench_serve_obs_jobs.ndjson";
+  const std::string out_path = dir + "/bench_serve_obs_results.ndjson";
+  {
+    std::ofstream jobs_file(jobs_path);
+    for (int i = 0; i < jobs; ++i) {
+      jobs_file << "{\"id\":\"j" << i << "\",\"log1\":\"" << log1_path
+                << "\",\"log2\":\"" << log2_path
+                << "\",\"format\":\"trace\"}\n";
+    }
+    if (!jobs_file) {
+      std::fprintf(stderr, "error writing %s\n", jobs_path.c_str());
+      return 1;
+    }
   }
 
-  serve::ServiceOptions base;
-  base.threads = threads;
+  serve::ShardedServiceOptions base;
+  base.num_shards = 1;
+  base.total_threads = threads;
   base.cache_capacity = 4;
 
-  serve::ServiceOptions options_off = base;
+  serve::ShardedServiceOptions options_off = base;
   options_off.telemetry = false;
-  serve::ServiceOptions options_on = base;
+  serve::ShardedServiceOptions options_on = base;
   options_on.telemetry = true;
 
   // Interleave the two configurations rep by rep instead of sweeping one
@@ -199,13 +219,13 @@ int Main(int argc, char** argv) {
   // drift straight into the ratio. Paired runs see the same machine.
   // One unmeasured warmup pair first (cold file reads, pool spin-up).
   std::vector<std::string> lines_off, lines_on;
-  RunOnce(options_off, jobs_ndjson, &lines_off);
-  RunOnce(options_on, jobs_ndjson, &lines_on);
+  RunOnce(options_off, jobs_path, out_path, &lines_off);
+  RunOnce(options_on, jobs_path, out_path, &lines_on);
   double off_best = 0.0;
   double on_best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    const double off_ms = RunOnce(options_off, jobs_ndjson, nullptr);
-    const double on_ms = RunOnce(options_on, jobs_ndjson, nullptr);
+    const double off_ms = RunOnce(options_off, jobs_path, out_path, nullptr);
+    const double on_ms = RunOnce(options_on, jobs_path, out_path, nullptr);
     if (rep == 0 || off_ms < off_best) off_best = off_ms;
     if (rep == 0 || on_ms < on_best) on_best = on_ms;
   }
@@ -227,8 +247,10 @@ int Main(int argc, char** argv) {
               lines_on.size());
   WriteJson(off_best, on_best, overhead, jobs, reps, threads);
 
-  std::remove(log1_path.c_str());
-  std::remove(log2_path.c_str());
+  for (const std::string* path : {&log1_path, &log2_path, &jobs_path,
+                                  &out_path}) {
+    std::remove(path->c_str());
+  }
   // 15% is the hard failure line: three times the budget, leaving noise
   // headroom on loaded CI machines while still catching regressions.
   if (overhead > 0.15) {

@@ -155,10 +155,20 @@ Result<CompositeMatcher::GraphState> CompositeMatcher::Evaluate(
   GraphState state;
   DependencyGraphOptions graph_opts = options_.graph;
   graph_opts.add_artificial_event = true;
-  EMS_ASSIGN_OR_RETURN(state.g1,
-                       builder1_.BuildWithComposites(w1, graph_opts));
-  EMS_ASSIGN_OR_RETURN(state.g2,
-                       builder2_.BuildWithComposites(w2, graph_opts));
+  // A candidate changes one side only; the other side's graph is the
+  // step-entry state's, which is only read here (parallel tasks share it).
+  if (previous != nullptr && !merged_on_side1) {
+    state.g1 = previous->g1;
+  } else {
+    EMS_ASSIGN_OR_RETURN(state.g1,
+                         builder1_.BuildWithComposites(w1, graph_opts));
+  }
+  if (previous != nullptr && merged_on_side1) {
+    state.g2 = previous->g2;
+  } else {
+    EMS_ASSIGN_OR_RETURN(state.g2,
+                         builder2_.BuildWithComposites(w2, graph_opts));
+  }
 
   std::vector<std::vector<double>> labels;
   const std::vector<std::vector<double>>* labels_ptr = nullptr;
@@ -631,9 +641,10 @@ Result<CompositeMatchResult> CompositeMatcher::Match() {
                  static_cast<uint64_t>(stats_.prob_ranked_steps));
     ObsSetGauge(options_.obs, "composite.objective",
                 result.average_similarity);
-    // Every evaluation, the initial one included, builds both graphs.
+    // The initial evaluation builds both graphs; each candidate builds
+    // the side it changes and copies the other from the step's state.
     ObsIncrement(options_.obs, "graph.builds",
-                 2 * (1 + static_cast<uint64_t>(stats_.candidates_evaluated)));
+                 2 + static_cast<uint64_t>(stats_.candidates_evaluated));
   }
   return result;
 }

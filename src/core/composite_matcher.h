@@ -210,8 +210,9 @@ class CompositeMatcher {
   };
 
   // Builds graphs for the given accepted composite sets and computes both
-  // directional matrices from scratch (or with Uc row reuse against
-  // `previous` when merging `merged_on_side1`/`new_composite`). Const and
+  // directional matrices from scratch (or, when merging
+  // `merged_on_side1`/`new_composite`, builds that side only, copies the
+  // other from `previous` and reuses its rows under Uc). Const and
   // data-race-free against concurrent calls: all counters go to `stats`,
   // spans to `obs` (null inside parallel tasks — one TraceRecorder cannot
   // interleave concurrent spans), and `serial_ems` pins the inner EMS to

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -20,20 +21,74 @@
 namespace ems {
 namespace net {
 
-// One accepted client: the socket, the response-side serialization, and
-// the pending-emit accounting that keeps the socket open until every
-// handled line was answered.
+namespace {
+
+// One served input's response side, shared by the line loop and every
+// emit it hands out, so a late emit never outlives it.
+struct LineSink {
+  int fd = -1;
+  std::mutex mu;  // one whole response line at a time, and the count
+  std::condition_variable answered;
+  size_t pending = 0;  // lines handed out and not answered yet
+  bool dead = false;   // a write failed: drop further responses
+};
+
+}  // namespace
+
+LinesServed ServeLines(
+    int in_fd, int out_fd,
+    const std::function<void(const std::string&, EmitFn)>& handle,
+    ObsContext* obs) {
+  LinesServed served;
+#ifndef _WIN32
+  auto sink = std::make_shared<LineSink>();
+  sink->fd = out_fd;
+  FdLineReader reader(in_fd);
+  std::string line;
+  while (reader.ReadLine(&line)) {
+    if (line.empty()) continue;
+    ++served.lines;
+    ObsIncrement(obs, "net.lines_read");
+    {
+      std::lock_guard<std::mutex> lock(sink->mu);
+      ++sink->pending;
+    }
+    handle(line, [sink, obs](const std::string& response) {
+      std::lock_guard<std::mutex> lock(sink->mu);
+      if (!sink->dead && !WriteAll(sink->fd, response + "\n").ok()) {
+        // The peer is gone; jobs already admitted still run to
+        // completion, their responses just have nowhere to go.
+        sink->dead = true;
+        ObsIncrement(obs, "net.write_errors");
+      }
+      --sink->pending;
+      sink->answered.notify_all();
+    });
+  }
+  served.too_large = reader.too_large();
+  std::unique_lock<std::mutex> lock(sink->mu);
+  if (served.too_large && !sink->dead) {
+    // The line was never parsed, so the answer carries no id; reading
+    // stops here.
+    ObsIncrement(obs, "net.lines_too_large");
+    (void)WriteAll(out_fd, "{\"status\":\"too_large\",\"error\":\"line longer "
+                           "than " + std::to_string(kMaxLineBytes) +
+                               " bytes\"}\n");
+  }
+  // EOF, drain half-close or a refused line: every handled line is
+  // answered before the caller may close the descriptors.
+  sink->answered.wait(lock, [&sink] { return sink->pending == 0; });
+#endif
+  return served;
+}
+
+// One accepted client: the socket and its reader thread. fd_mu guards
+// the descriptor's lifetime against the drain's half-close.
 struct TcpServer::Connection {
   int fd = -1;
+  std::mutex fd_mu;
   std::thread thread;
   std::atomic<bool> finished{false};
-
-  std::mutex write_mu;
-  bool dead = false;  // write failed; swallow further emits
-
-  std::mutex pending_mu;
-  std::condition_variable pending_cv;
-  size_t pending = 0;
 };
 
 TcpServer::TcpServer(const TcpServerOptions& options, LineHandler* handler)
@@ -56,42 +111,73 @@ Status TcpServer::Start() {
   if (::pipe(wake_pipe_) != 0) {
     return Status::IOError(std::string("pipe: ") + std::strerror(errno));
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
+  Status bound = Bind();
+  if (!bound.ok()) {
+    if (listen_fd_ >= 0) ::close(listen_fd_);
     listen_fd_ = -1;
-    return Status::InvalidArgument("bad IPv4 address '" + options_.host +
-                                   "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, options_.backlog) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError("bind/listen " + options_.host + ":" +
-                           std::to_string(options_.port) + ": " + err);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  } else {
-    port_ = options_.port;
+    return bound;
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 #endif
 }
+
+#ifndef _WIN32
+Status TcpServer::Bind() {
+  const std::string& path = options_.unix_path;
+  listen_fd_ = ::socket(path.empty() ? AF_INET : AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) {
+    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+  }
+  std::string where;
+  int rc = 0;
+  if (!path.empty()) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(addr.sun_path)) {
+      return Status::InvalidArgument("socket path too long: " + path);
+    }
+    // A leftover socket file from a killed process must not block a
+    // restart, but a path a live server still answers on must not be
+    // stolen: a connect that succeeds means the address is in use, a
+    // refused one that the file is stale and safe to unlink.
+    if (Result<int> probe = ConnectUnix(path); probe.ok()) {
+      ::close(*probe);
+      return Status::IOError("socket " + path +
+                             " is in use by a running server");
+    }
+    ::unlink(path.c_str());
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    where = path;
+    rc = ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  } else {
+    int one = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(options_.port));
+    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
+      return Status::InvalidArgument("bad IPv4 address '" + options_.host +
+                                     "'");
+    }
+    where = options_.host + ":" + std::to_string(options_.port);
+    rc = ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  }
+  if (rc < 0 || ::listen(listen_fd_, options_.backlog) < 0) {
+    return Status::IOError("bind/listen " + where + ": " +
+                           std::strerror(errno));
+  }
+  if (path.empty()) {
+    sockaddr_in bound{};
+    socklen_t len = sizeof(bound);
+    port_ = ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+                          &len) == 0
+                ? ntohs(bound.sin_port)
+                : options_.port;
+  }
+  return Status::OK();
+}
+#endif
 
 void TcpServer::RequestDrain() {
 #ifndef _WIN32
@@ -171,8 +257,10 @@ void TcpServer::AcceptLoop() {
       continue;
     }
 
-    int one = 1;
-    ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (options_.unix_path.empty()) {
+      int one = 1;
+      ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
     auto conn = std::make_shared<Connection>();
     conn->fd = conn_fd;
     {
@@ -190,16 +278,17 @@ void TcpServer::AcceptLoop() {
   // Responses for already-handled lines still flow — SHUT_RD only.
   ::close(listen_fd_);
   listen_fd_ = -1;
+  if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
   std::vector<std::shared_ptr<Connection>> live;
   {
     std::lock_guard<std::mutex> lock(mu_);
     live = connections_;
   }
   for (auto& conn : live) {
-    // write_mu guards fd lifetime: a finished connection has already
-    // closed (and reset) its descriptor, and the number may have been
-    // reused by an unrelated socket by now.
-    std::lock_guard<std::mutex> lock(conn->write_mu);
+    // A finished connection has already closed (and reset) its
+    // descriptor, and the number may have been reused by an unrelated
+    // socket by now.
+    std::lock_guard<std::mutex> lock(conn->fd_mu);
     if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RD);
   }
 #endif
@@ -207,49 +296,16 @@ void TcpServer::AcceptLoop() {
 
 void TcpServer::ServeConnection(std::shared_ptr<Connection> conn) {
 #ifndef _WIN32
-  FdLineReader reader(conn->fd);
-  std::string line;
-  while (reader.ReadLine(&line)) {
-    if (line.empty()) continue;
-    ObsIncrement(options_.obs, "net.lines_read");
-    {
-      std::lock_guard<std::mutex> lock(conn->pending_mu);
-      ++conn->pending;
-    }
-    ObsContext* obs = options_.obs;
-    EmitFn emit = [this, conn, obs](const std::string& response) {
-      {
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        if (!conn->dead) {
-          Status st = WriteAll(conn->fd, response + "\n");
-          if (!st.ok()) {
-            // The peer is gone; jobs already admitted still run to
-            // completion, their responses just have nowhere to go.
-            conn->dead = true;
-            ObsIncrement(obs, "net.write_errors");
-          }
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(conn->pending_mu);
-        --conn->pending;
-      }
-      conn->pending_cv.notify_all();
-    };
-    handler_->HandleLine(line, std::move(emit));
-  }
-
-  // EOF (client done or drain half-close): every handled line must be
-  // answered before the socket closes.
+  (void)ServeLines(
+      conn->fd, conn->fd,
+      [this](const std::string& line, EmitFn emit) {
+        handler_->HandleLine(line, std::move(emit));
+      },
+      options_.obs);
   {
-    std::unique_lock<std::mutex> lock(conn->pending_mu);
-    conn->pending_cv.wait(lock, [&conn] { return conn->pending == 0; });
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
+    std::lock_guard<std::mutex> lock(conn->fd_mu);
     ::close(conn->fd);
     conn->fd = -1;
-    conn->dead = true;
   }
   conn->finished.store(true, std::memory_order_release);
   {

@@ -1,10 +1,12 @@
-// TCP front end of the matching service: a line-oriented server that
-// accepts concurrent client connections and hands every received NDJSON
-// line to a LineHandler together with an emit callback for the response
-// line. The server owns the transport concerns only — framing, per-
-// connection write serialization, connection caps, drain — while the
-// handler (serve::ShardedMatchService) owns routing, admission control,
-// and rendering.
+// Listener front end of the matching service: a line-oriented server
+// that accepts concurrent client connections on a TCP port or a Unix
+// domain socket path and hands every received NDJSON line to a
+// LineHandler together with an emit callback for the response line. The
+// server owns the transport concerns only — accepting, connection caps,
+// drain — while the handler (serve::ShardedMatchService) owns routing,
+// admission control, and rendering. Connections and the stdin pipe share
+// one line loop, ServeLines: framing, the line cap and write
+// serialization.
 //
 // Lifecycle:
 //   TcpServer server(options, &handler);
@@ -16,7 +18,8 @@
 // (one write to a wake pipe). The accept loop then stops accepting,
 // half-closes the read side of every live connection so readers see EOF
 // after the bytes already in flight, and Wait() joins once every
-// connection has received a response for every line it sent.
+// connection has received a response for every line it sent. A Unix
+// listener removes its socket file when the accept loop exits.
 #pragma once
 
 #include <atomic>
@@ -53,6 +56,23 @@ class LineHandler {
   virtual void HandleLine(const std::string& line, EmitFn emit) = 0;
 };
 
+/// How one input ended.
+struct LinesServed {
+  uint64_t lines = 0;      // non-blank lines handed to the handler
+  bool too_large = false;  // a line passed kMaxLineBytes
+};
+
+/// The line loop of every transport: reads '\n'-terminated lines from
+/// `in_fd` until EOF, skips blank ones, hands each to `handle` with an
+/// emit that writes its response line to `out_fd` (whole lines, one at a
+/// time), and returns once every handed line was answered. A line longer
+/// than kMaxLineBytes stops the reading; it is answered with one
+/// `too_large` line. Admission is `handle`'s concern.
+LinesServed ServeLines(
+    int in_fd, int out_fd,
+    const std::function<void(const std::string&, EmitFn)>& handle,
+    ObsContext* obs);
+
 /// Server configuration.
 struct TcpServerOptions {
   /// IPv4 address to bind. Loopback by default: exposing the service
@@ -61,6 +81,11 @@ struct TcpServerOptions {
 
   /// Port to bind; 0 picks an ephemeral port (read it back via port()).
   int port = 0;
+
+  /// Unix domain socket path to bind instead of host:port. A stale
+  /// socket file is replaced; a path a live server answers on is
+  /// refused.
+  std::string unix_path;
 
   /// listen(2) backlog.
   int backlog = 64;
@@ -84,10 +109,11 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   /// Binds, listens, and starts the accept thread. IOError when the
-  /// address is unavailable.
+  /// address is unavailable or the Unix path is in use.
   Status Start();
 
-  /// The bound port (after Start); useful with options.port == 0.
+  /// The bound port (after Start); useful with options.port == 0. Zero
+  /// on a Unix listener.
   int port() const { return port_; }
 
   /// Begins the graceful drain. Async-signal-safe (a single write to an
@@ -107,6 +133,7 @@ class TcpServer {
  private:
   struct Connection;
 
+  Status Bind();
   void AcceptLoop();
   void ServeConnection(std::shared_ptr<Connection> conn);
   void ReapFinished(bool join_all);

@@ -57,20 +57,29 @@ bool FdLineReader::ReadLine(std::string* line) {
   return false;
 #else
   line->clear();
+  if (too_large_) return false;
   for (;;) {
-    const size_t nl = buffer_.find('\n', pos_);
+    const size_t nl = buffer_.find('\n', scan_);
+    const size_t end = nl != std::string::npos ? nl : buffer_.size();
+    if (end - pos_ > kMaxLineBytes) {
+      too_large_ = true;
+      std::string().swap(buffer_);
+      pos_ = scan_ = 0;
+      return false;
+    }
     if (nl != std::string::npos) {
       line->assign(buffer_, pos_, nl - pos_);
-      pos_ = nl + 1;
+      pos_ = scan_ = nl + 1;
       // Compact once the consumed prefix dominates, so a long-lived
       // connection does not grow the buffer without bound.
       if (pos_ > 1 && pos_ * 2 > buffer_.size()) {
         buffer_.erase(0, pos_);
-        pos_ = 0;
+        pos_ = scan_ = 0;
       }
       if (!line->empty() && line->back() == '\r') line->pop_back();
       return true;
     }
+    scan_ = buffer_.size();
     if (eof_) {
       // Hand back a final unterminated line exactly once.
       if (pos_ < buffer_.size()) {

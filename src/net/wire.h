@@ -1,11 +1,12 @@
 // Byte-level plumbing of the networked service: host:port parsing,
 // buffered newline-delimited reads from a file descriptor, SIGPIPE-safe
 // full writes, and client-side connect helpers for both transports (TCP
-// and Unix domain sockets). The wire grammar is the same NDJSON the
-// stdin/Unix-socket service speaks — one JSON object per '\n'-terminated
-// line (docs/SERVING.md) — so these helpers are all a client needs.
+// and Unix domain sockets). The wire grammar is the same NDJSON on every
+// transport — one JSON object per '\n'-terminated line (docs/SERVING.md)
+// — so these helpers are all a client needs.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -13,6 +14,11 @@
 
 namespace ems {
 namespace net {
+
+/// The longest line a reader buffers, terminator excluded. Every request
+/// and response of the protocol is far below it; a longer line is
+/// refused instead of growing memory without bound.
+inline constexpr size_t kMaxLineBytes = size_t{16} << 20;
 
 /// A parsed "host:port" endpoint.
 struct HostPort {
@@ -36,17 +42,22 @@ class FdLineReader {
   /// Fills `line` (without the terminator) and returns true, or returns
   /// false at end of stream. A final unterminated line is returned
   /// before EOF is reported. Read errors surface as EOF (the connection
-  /// is gone either way); error() tells them apart.
+  /// is gone either way); error() tells them apart. A line longer than
+  /// kMaxLineBytes ends the stream too: the reader drops its buffer,
+  /// reads no further and reports too_large().
   bool ReadLine(std::string* line);
 
   bool error() const { return error_; }
+  bool too_large() const { return too_large_; }
 
  private:
   int fd_;
   std::string buffer_;
-  size_t pos_ = 0;
+  size_t pos_ = 0;   // start of the next line
+  size_t scan_ = 0;  // bytes before this hold no '\n'
   bool eof_ = false;
   bool error_ = false;
+  bool too_large_ = false;
 };
 
 /// Writes all of `data`, looping over short writes. Uses MSG_NOSIGNAL on

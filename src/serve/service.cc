@@ -5,14 +5,10 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <istream>
-#include <map>
 #include <mutex>
-#include <ostream>
 #include <string_view>
 #include <type_traits>
 
-#include "exec/parallel.h"
 #include "index/corpus_io.h"
 #include "index/topk_scheduler.h"
 #include "obs/context.h"
@@ -467,33 +463,6 @@ std::string RenderTopKResult(const std::string& id, size_t k,
   return w.str();
 }
 
-void StatsIntervals::WriteJson(const MetricsRegistry& metrics,
-                               JsonWriter* w) {
-  MetricsSnapshot snapshot = CaptureMetricsSnapshot(metrics);
-  std::map<std::string, double> rates;
-  double interval = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (has_last_) {
-      rates = DiffRates(last_, snapshot);
-      interval = snapshot.at_seconds - last_.at_seconds;
-    }
-    last_ = snapshot;
-    has_last_ = true;
-  }
-  w->Key("snapshot");
-  snapshot.WriteJson(w);
-  w->Key("interval_seconds");
-  w->Number(interval);
-  w->Key("rates");
-  w->BeginObject();
-  for (const auto& [name, rate] : rates) {
-    w->Key(name);
-    w->Number(rate);
-  }
-  w->EndObject();
-}
-
 namespace {
 
 std::optional<store::ArtifactStore> OpenStore(const ServiceOptions& options) {
@@ -548,7 +517,10 @@ std::string BatchMatchService::HandleJobLine(const std::string& line) {
 
 std::string BatchMatchService::HandleRequest(Request request) {
   if (request.kind == Request::Kind::kAdmin) {
-    return HandleAdminCommand(request.cmd, request.id);
+    return RenderError(request.id,
+                       Status::InvalidArgument("admin command '" +
+                                               request.cmd +
+                                               "' is answered by the router"));
   }
   return RunJob(std::move(request), nullptr);
 }
@@ -614,18 +586,12 @@ std::string BatchMatchService::RunJob(Request request, TopKAnswer* answer) {
   ObsIncrement(options_.obs, "serve.jobs_submitted");
   if (topk) ObsIncrement(options_.obs, "serve.topk_jobs");
   if (append) ObsIncrement(options_.obs, "serve.append_jobs");
-  jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
   Timer timer;
 
-  // Every job gets a request id — the client's, even on a line that
-  // fails validation, or an assigned req-N when the line is not JSON or
-  // carries none — propagated into the job's span tree and the flight
+  // The request id — the client's, even on a line that fails validation,
+  // or the router's req-N — goes into the job's span tree and the flight
   // recorder.
-  const std::string request_id =
-      !request.id.empty()
-          ? request.id
-          : "req-" + std::to_string(next_request_seq_.fetch_add(
-                         1, std::memory_order_relaxed));
+  const std::string& request_id = request.id;
 
   // The per-job trace is private to the request (the shared registry
   // would interleave concurrent jobs); its span snapshot lands in the
@@ -637,9 +603,6 @@ std::string BatchMatchService::RunJob(Request request, TopKAnswer* answer) {
       (topk ? "topk:" : append ? "append:" : "request:") + request_id);
 
   Status failure = request.status;
-  if (failure.ok() && cancel_.cancelled()) {
-    failure = Status::Cancelled("service shutting down");
-  }
   std::string response;
   if (failure.ok()) {
     const Job job{request_id, job_obs.get(), timer};
@@ -687,7 +650,6 @@ std::string BatchMatchService::RunJob(Request request, TopKAnswer* answer) {
     LogInfo(std::string(topk ? "topk " : append ? "append " : "job ") +
             request_id + " failed: " + failure.message());
   }
-  jobs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
   return response;
 }
 
@@ -768,7 +730,7 @@ Result<std::string> BatchMatchService::RunTopK(TopKRequest& request,
   opts.k = request.k;
   opts.match = request.options;
   // Candidate evaluations fan out on the service pool; when this job
-  // itself runs on a pool worker (RunStream, shard pools) the nested
+  // itself runs on a pool worker (as every routed job does) the nested
   // group degrades to serial inside the worker, which is exactly the
   // per-job parallelism budget match jobs get.
   opts.pool = &pool_;
@@ -815,138 +777,6 @@ void BatchMatchService::RefreshCorpusMember(const std::string& path,
         std::make_shared<const index::CorpusIndex>(std::move(refreshed));
     ObsIncrement(options_.obs, "stream.corpus_refreshes");
   }
-}
-
-std::string BatchMatchService::HandleAdminCommand(const std::string& cmd,
-                                                  const std::string& id) {
-  ObsIncrement(options_.obs, "serve.admin_commands");
-  if (cmd == "stats") return RenderStats(id);
-  if (cmd == "health") return RenderHealth(id);
-  if (cmd == "slow") return RenderSlow(id);
-  return RenderError(id,
-                     Status::InvalidArgument(
-                         "unknown cmd '" + cmd + "' (stats|health|slow)"));
-}
-
-std::string BatchMatchService::RenderStats(const std::string& id) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("ok");
-  w.Key("cmd");
-  w.String("stats");
-  w.Key("uptime_seconds");
-  w.Number(UptimeSeconds());
-  if (options_.obs != nullptr) {
-    stats_intervals_.WriteJson(options_.obs->metrics, &w);
-  }
-  w.Key("cache");
-  w.BeginObject();
-  w.Key("entries");
-  w.Int(static_cast<long long>(cache_.size()));
-  w.Key("bytes");
-  w.Int(static_cast<long long>(cache_.cost_bytes()));
-  w.Key("hits");
-  w.Int(static_cast<long long>(cache_.hits()));
-  w.Key("misses");
-  w.Int(static_cast<long long>(cache_.misses()));
-  w.EndObject();
-  w.Key("pool");
-  w.BeginObject();
-  w.Key("threads");
-  w.Int(pool_.num_threads());
-  w.Key("queue_depth");
-  w.Int(static_cast<long long>(pool_.QueueDepth()));
-  w.Key("queue_capacity");
-  w.Int(static_cast<long long>(options_.queue_capacity));
-  w.Key("jobs_in_flight");
-  w.Int(jobs_in_flight_.load(std::memory_order_relaxed));
-  w.EndObject();
-  w.EndObject();
-  return w.str();
-}
-
-std::string BatchMatchService::RenderHealth(const std::string& id) {
-  const size_t depth = pool_.QueueDepth();
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("ok");
-  w.Key("cmd");
-  w.String("health");
-  w.Key("healthy");
-  w.Bool(!cancel_.cancelled());
-  w.Key("draining");
-  w.Bool(cancel_.cancelled());
-  w.Key("uptime_seconds");
-  w.Number(UptimeSeconds());
-  w.Key("queue_depth");
-  w.Int(static_cast<long long>(depth));
-  w.Key("queue_capacity");
-  w.Int(static_cast<long long>(options_.queue_capacity));
-  w.Key("threads");
-  w.Int(pool_.num_threads());
-  w.Key("jobs_in_flight");
-  w.Int(jobs_in_flight_.load(std::memory_order_relaxed));
-  w.EndObject();
-  return w.str();
-}
-
-std::string BatchMatchService::RenderSlow(const std::string& id) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("ok");
-  w.Key("cmd");
-  w.String("slow");
-  w.Key("flight_recorder");
-  if (flight_ != nullptr) {
-    flight_->WriteJson(&w);
-  } else {
-    w.Null();
-  }
-  w.EndObject();
-  return w.str();
-}
-
-size_t BatchMatchService::RunStream(std::istream& in, std::ostream& out) {
-  std::mutex out_mu;
-  size_t lines = 0;
-  exec::TaskGroup group(&pool_, cancel_.token());
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (cancel_.cancelled()) break;
-    ++lines;
-    // Admin probes answer from the reader thread: a queue full of match
-    // jobs must never delay a stats/health scrape. Appends are real work
-    // (parse, graph maintenance, a warm match) and schedule on the pool
-    // like any job.
-    Request request = ParseRequest(line);
-    if (request.kind == Request::Kind::kAdmin) {
-      std::string result = HandleAdminCommand(request.cmd, request.id);
-      std::lock_guard<std::mutex> lock(out_mu);
-      out << result << "\n";
-      out.flush();
-      continue;
-    }
-    group.Run([this, &out, &out_mu,
-               request = std::move(request)]() mutable -> Status {
-      std::string result = HandleRequest(std::move(request));
-      std::lock_guard<std::mutex> lock(out_mu);
-      out << result << "\n";
-      out.flush();
-      return Status::OK();
-    });
-  }
-  (void)group.Wait();
-  return lines;
 }
 
 }  // namespace serve

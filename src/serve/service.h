@@ -37,8 +37,8 @@
 //
 // Ids: a string "id" is echoed as sent and a number as its integer text
 // (7 -> "7"), on every request kind and on a line that fails
-// validation; lines without one (or that are not JSON) get an assigned
-// "req-N".
+// validation; the router (serve/sharded_service.h) assigns "req-N" to
+// lines without one (or that are not JSON) before they reach a shard.
 //
 // Top-k corpus queries ride the same protocol, dispatched on the
 // `query` key (docs/CORPUS.md): rank the members of a corpus against
@@ -62,22 +62,13 @@
 // through the artifact store, so repeated queries against one corpus
 // skip the build entirely.
 //
-// Admin commands ride the same NDJSON protocol (one object per line,
-// dispatched on the `cmd` key) and are answered inline — never queued
-// behind match jobs — so a saturated service still reports:
-//   {"cmd": "stats"}  -> metrics snapshot: counters, integer gauges,
-//                        per-outcome latency quantiles (p50/p90/p99),
-//                        interval rates since the previous stats call,
-//                        cache and pool gauges
-//   {"cmd": "health"} -> liveness: queue depth/capacity, threads,
-//                        jobs in flight, uptime
-//   {"cmd": "slow"}   -> flight-recorder dump: span trees of the N
-//                        slowest and N most recently failed requests
+// Admin commands ({"cmd": "stats" | "health" | "slow" | "drain"}) ride
+// the same NDJSON protocol; the router answers them inline, never
+// queued behind match jobs (docs/OBSERVABILITY.md). A shard never sees
+// one.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -85,21 +76,17 @@
 #include <vector>
 
 #include "core/matcher.h"
-#include "exec/cancellation.h"
 #include "exec/thread_pool.h"
 #include "index/corpus_index.h"
 #include "index/topk_scheduler.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics_snapshot.h"
 #include "serve/log_cache.h"
 #include "serve/stream_session.h"
 #include "store/artifact_store.h"
-#include "util/timer.h"
 
 namespace ems {
 
 struct ObsContext;
-class JsonWriter;
 
 namespace serve {
 
@@ -108,8 +95,7 @@ struct ServiceOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serve jobs serially.
   int threads = 0;
 
-  /// Bounded job queue; a client streaming faster than the pool drains
-  /// blocks here (backpressure) instead of growing memory.
+  /// Bounded job queue; the router's admission cap sits on top of it.
   size_t queue_capacity = 256;
 
   /// LRU capacity of the parsed-log cache, in logs.
@@ -172,13 +158,13 @@ struct TopKRequest {
   MatchOptions options;
 };
 
-/// One request line, parsed once. The kind follows the dispatch rules
-/// both services share: `"cmd": "append"` is a streaming append job
-/// (docs/STREAMING.md: a match job plus either `traces`, an array of
-/// arrays of event names appended to log1, or `delta`, a log file whose
-/// traces are appended), any other `cmd` an admin command answered
-/// inline, a `query` key a top-k query, and anything else a match job.
-/// Only the payload of `kind` is filled.
+/// One request line, parsed once. The kind follows the dispatch rules:
+/// `"cmd": "append"` is a streaming append job (docs/STREAMING.md: a
+/// match job plus either `traces`, an array of arrays of event names
+/// appended to log1, or `delta`, a log file whose traces are appended),
+/// any other `cmd` an admin command answered inline, a `query` key a
+/// top-k query, and anything else a match job. Only the payload of
+/// `kind` is filled.
 struct Request {
   enum class Kind { kMatch, kTopK, kAppend, kAdmin };
   Kind kind = Kind::kMatch;
@@ -216,36 +202,22 @@ std::string RenderTopKResult(const std::string& id, size_t k,
                              const TopKAnswer& answer, double millis,
                              int shards = -1);
 
-/// The interval block of a stats response — "snapshot",
-/// "interval_seconds" and "rates" (counter deltas over the seconds since
-/// the previous call) — shared by both services' stats commands.
-class StatsIntervals {
- public:
-  void WriteJson(const MetricsRegistry& metrics, JsonWriter* w);
-
- private:
-  std::mutex mu_;
-  MetricsSnapshot last_;
-  bool has_last_ = false;
-};
-
-/// \brief The batch matching service.
+/// \brief One worker shard of the matching service.
 ///
 /// HandleJobLine is the pure per-job path (parse -> load via cache ->
-/// match -> render), safe to call from any thread; RunStream drives it
-/// concurrently from an NDJSON stream. Results are emitted in
-/// completion order — clients correlate by id. Every job kind runs
-/// through one wrapper that owns the request id, the per-job trace and
-/// root span, the timer, the outcome counters, the flight record and the
-/// in-flight count.
+/// match -> render), safe to call from any thread; the router
+/// (ShardedMatchService) schedules it on this shard's pool. Every job
+/// kind runs through one wrapper that owns the per-job trace and root
+/// span, the timer, the outcome counters and the flight record.
 class BatchMatchService {
  public:
   explicit BatchMatchService(const ServiceOptions& options);
   ~BatchMatchService();  // out of line: ObsContext is incomplete here
 
-  /// Processes one job or admin line synchronously and returns the
-  /// result line (without trailing newline). Never fails: malformed
-  /// requests render as status:"error" results.
+  /// Processes one job line synchronously and returns the result line
+  /// (without trailing newline). Never fails: malformed requests, and
+  /// admin commands, which only the router answers, render as
+  /// status:"error" results.
   std::string HandleJobLine(const std::string& line);
 
   /// HandleJobLine for a line already parsed (the sharded router's typed
@@ -258,22 +230,8 @@ class BatchMatchService {
   /// response when the query failed, empty otherwise.
   std::string QueryTopKShard(Request request, TopKAnswer* answer);
 
-  /// Reads lines from `in` until EOF, schedules match jobs on the pool,
-  /// and writes one result line per job to `out` as jobs complete.
-  /// Admin-command lines ({"cmd": ...}) are answered inline from the
-  /// reader thread — a full queue never blocks a stats or health probe.
-  /// Returns the number of lines processed (jobs plus admin commands).
-  size_t RunStream(std::istream& in, std::ostream& out);
-
-  /// Cooperatively stops a running RunStream: no further lines are
-  /// scheduled and queued jobs report Cancelled results.
-  void Cancel() { cancel_.Cancel(); }
-
   LogCache& cache() { return cache_; }
   exec::ThreadPool& pool() { return pool_; }
-
-  /// Live streaming-ingestion sessions (docs/STREAMING.md).
-  StreamSessionManager& stream_sessions() { return stream_sessions_; }
 
   /// The persistent artifact store, or null when `cache_dir` was empty
   /// or unusable.
@@ -288,29 +246,7 @@ class BatchMatchService {
   /// The slow/failed request retention, or null when telemetry is off.
   FlightRecorder* flight_recorder() { return flight_.get(); }
 
-  /// Seconds since the service was constructed.
-  double UptimeSeconds() const { return uptime_.ElapsedSeconds(); }
-
-  /// Jobs currently inside the job wrapper (racy snapshot; the sharded
-  /// router reads this for per-shard health).
-  int64_t jobs_in_flight() const {
-    return jobs_in_flight_.load(std::memory_order_relaxed);
-  }
-
-  /// The configured bounded-queue capacity (admission headroom).
-  size_t queue_capacity() const { return options_.queue_capacity; }
-
-  /// Renders one admin response (the `{"cmd": ...}` path of
-  /// HandleJobLine, exposed for direct calls): "stats", "health", or
-  /// "slow". Unknown commands render as status:"error".
-  std::string HandleAdminCommand(const std::string& cmd,
-                                 const std::string& id);
-
  private:
-  std::string RenderStats(const std::string& id);
-  std::string RenderHealth(const std::string& id);
-  std::string RenderSlow(const std::string& id);
-
   struct Job;  // what a job body sees of the wrapper (.cc)
 
   // The one job wrapper: bookkeeping around the body of `request`'s
@@ -343,13 +279,7 @@ class BatchMatchService {
   std::optional<store::ArtifactStore> store_;  // must outlive cache_
   LogCache cache_;
   StreamSessionManager stream_sessions_;  // after store_: borrows it
-  exec::CancellationSource cancel_;
   std::unique_ptr<FlightRecorder> flight_;
-  Timer uptime_;
-  std::atomic<uint64_t> next_request_seq_{1};
-  std::atomic<int64_t> jobs_in_flight_{0};
-
-  StatsIntervals stats_intervals_;
 
   // Tiny MRU cache of built corpus indexes (shared so concurrent top-k
   // jobs read one immutable index). An index over a 1k-member corpus is

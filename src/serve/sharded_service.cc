@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -138,35 +139,57 @@ int ShardedMatchService::ShardForPath(const std::string& path) const {
 
 void ShardedMatchService::HandleLine(const std::string& line,
                                      net::EmitFn emit) {
+  Route(line, std::move(emit), /*wait=*/false);
+}
+
+net::LinesServed ShardedMatchService::RunStream(int in_fd, int out_fd) {
+  return net::ServeLines(
+      in_fd, out_fd,
+      [this](const std::string& line, net::EmitFn emit) {
+        Route(line, std::move(emit), /*wait=*/true);
+      },
+      options_.obs);
+}
+
+void ShardedMatchService::Route(const std::string& line, net::EmitFn emit,
+                                bool wait) {
   Request request = ParseRequest(line);
   if (request.kind == Request::Kind::kAdmin) {
     emit(HandleAdmin(request.cmd, request.id));
     return;
   }
+  // One sequence for the whole router, drawn before routing: ids never
+  // collide across shards, and a refusal carries the id too.
+  if (request.id.empty()) {
+    request.id = "req-" + std::to_string(next_request_seq_.fetch_add(
+                              1, std::memory_order_relaxed));
+  }
   if (!request.status.ok()) {
     // Unroutable — bytes that are not JSON, or a job without its logs or
-    // with bad options: answered inline by shard 0's job wrapper, so
-    // malformed input gets the single service's error shape and counters.
+    // with bad options: answered by shard 0's job wrapper, so malformed
+    // input gets the job error shape and counters. A listener answers it
+    // inline; the pipe queues it on shard 0 to keep the input order.
     if (request.status.IsParseError()) {
       ObsIncrement(options_.obs, "net.protocol_errors");
     }
-    emit(shards_[0]->service->HandleRequest(std::move(request)));
+    if (!wait) {
+      emit(shards_[0]->service->HandleRequest(std::move(request)));
+      return;
+    }
+  } else if (request.kind == Request::Kind::kTopK) {
+    HandleTopK(std::move(request), emit, wait);
     return;
   }
-  if (request.kind == Request::Kind::kTopK) {
-    HandleTopK(std::move(request), emit);
-    return;
-  }
-
   // Appends route like matches, by the canonical path of log1 — the same
   // shard every match for that pair routes to, which is what keeps each
   // streaming session on exactly one shard.
   const std::string& log1 = request.kind == Request::Kind::kAppend
                                 ? request.append.log1
                                 : request.match.log1;
-  Shard& shard = *shards_[ring_.ShardFor(CanonicalPath(log1))];
+  Shard& shard = request.status.ok()
+                     ? *shards_[ring_.ShardFor(CanonicalPath(log1))]
+                     : *shards_[0];
   if (shard.routed != nullptr) shard.routed->Increment();
-
   if (draining()) {
     if (shard.rejected_draining != nullptr) {
       shard.rejected_draining->Increment();
@@ -176,28 +199,59 @@ void ShardedMatchService::HandleLine(const std::string& line,
     return;
   }
 
-  // Admission control at the network boundary: a bounded inflight budget
-  // per shard, shedding with an explicit response instead of buffering.
+  // Admission control at the boundary: a bounded inflight budget per
+  // shard. A listener sheds with an explicit response instead of
+  // buffering; the pipe waits for a slot and then for queue room.
   const std::string id = request.id;
-  const int64_t admitted =
-      shard.inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (admitted > static_cast<int64_t>(shard.max_inflight) ||
-      !shard.service->pool().TrySubmit(
-          [this, &shard, request = std::move(request), emit]() mutable {
-            emit(shard.service->HandleRequest(std::move(request)));
-            FinishShardJob(shard);
-          })) {
-    shard.inflight.fetch_sub(1, std::memory_order_acq_rel);
+  auto job = [this, &shard, request = std::move(request), emit]() mutable {
+    emit(shard.service->HandleRequest(std::move(request)));
+    FinishShardJob(shard);
+  };
+  if (Reserve({&shard}, wait) != nullptr) {
+    emit(Shed(shard, id));
+    return;
+  }
+  if (wait) {
+    shard.service->pool().Submit(std::move(job));
+  } else if (!shard.service->pool().TrySubmit(std::move(job))) {
+    FinishShardJob(shard);
     emit(Shed(shard, id));
     return;
   }
   if (shard.inflight_gauge != nullptr) {
-    shard.inflight_gauge->Set(static_cast<double>(admitted));
+    shard.inflight_gauge->Set(static_cast<double>(
+        shard.inflight.load(std::memory_order_relaxed)));
   }
   if (shard.queue_depth_gauge != nullptr) {
     shard.queue_depth_gauge->Set(
         static_cast<double>(shard.service->pool().QueueDepth()));
   }
+}
+
+ShardedMatchService::Shard* ShardedMatchService::Reserve(
+    const std::vector<Shard*>& shards, bool wait) {
+  auto full = [](const Shard* shard) {
+    return shard->inflight.load(std::memory_order_acquire) >=
+           static_cast<int64_t>(shard->max_inflight);
+  };
+  if (wait) {
+    std::unique_lock<std::mutex> lock(drain_mu_);
+    drain_cv_.wait(lock, [&] {
+      return std::none_of(shards.begin(), shards.end(), full);
+    });
+    for (Shard* shard : shards) {
+      shard->inflight.fetch_add(1, std::memory_order_acq_rel);
+    }
+    return nullptr;
+  }
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const int64_t admitted =
+        shards[i]->inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (admitted <= static_cast<int64_t>(shards[i]->max_inflight)) continue;
+    for (size_t j = 0; j <= i; ++j) FinishShardJob(*shards[j]);
+    return shards[i];
+  }
+  return nullptr;
 }
 
 std::string ShardedMatchService::Shed(Shard& shard, const std::string& id) {
@@ -208,6 +262,8 @@ std::string ShardedMatchService::Shed(Shard& shard, const std::string& id) {
   return RenderRefusal(id, true, shard.index, shard.max_inflight);
 }
 
+// Releases one admission slot — a finished job's, or a reservation that
+// was refused — and wakes the pipe and WaitDrained.
 void ShardedMatchService::FinishShardJob(Shard& shard) {
   if (shard.queue_depth_gauge != nullptr) {
     shard.queue_depth_gauge->Set(
@@ -242,7 +298,7 @@ struct ShardedMatchService::TopKAggregate {
 };
 
 void ShardedMatchService::HandleTopK(Request request,
-                                     const net::EmitFn& emit) {
+                                     const net::EmitFn& emit, bool wait) {
   // Resolve the full member list router-side: both the partition and the
   // merge tie-break need the same order the single service would use.
   TopKRequest& topk = request.topk;
@@ -273,26 +329,17 @@ void ShardedMatchService::HandleTopK(Request request,
     const int s = ring_.ShardFor(CanonicalPath(topk.members[g]));
     shard_members[static_cast<size_t>(s)].push_back(topk.members[g]);
   }
-  std::vector<int> involved;
+  std::vector<Shard*> involved;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!shard_members[s].empty()) involved.push_back(static_cast<int>(s));
+    if (shard_members[s].empty()) continue;
+    involved.push_back(shards_[s].get());
+    if (shards_[s]->routed != nullptr) shards_[s]->routed->Increment();
   }
 
-  // All-or-nothing admission: reserve an inflight slot on every involved
-  // shard, rolling back on the first full one — a partially admitted
-  // fan-out would hold slots while unable to answer.
-  for (size_t i = 0; i < involved.size(); ++i) {
-    Shard& shard = *shards_[static_cast<size_t>(involved[i])];
-    if (shard.routed != nullptr) shard.routed->Increment();
-    const int64_t admitted =
-        shard.inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (admitted <= static_cast<int64_t>(shard.max_inflight)) continue;
-    shard.inflight.fetch_sub(1, std::memory_order_acq_rel);
-    for (size_t j = 0; j < i; ++j) {
-      shards_[static_cast<size_t>(involved[j])]->inflight.fetch_sub(
-          1, std::memory_order_acq_rel);
-    }
-    emit(Shed(shard, request.id));
+  // All-or-nothing admission: a partially admitted fan-out would hold
+  // slots while unable to answer.
+  if (Shard* full = Reserve(involved, wait)) {
+    emit(Shed(*full, request.id));
     return;
   }
 
@@ -300,12 +347,12 @@ void ShardedMatchService::HandleTopK(Request request,
   aggregate->answers.resize(involved.size());
   aggregate->errors.resize(involved.size());
   for (size_t i = 0; i < involved.size(); ++i) {
-    Shard* shard = shards_[static_cast<size_t>(involved[i])].get();
+    Shard* shard = involved[i];
     // Each shard gets the typed request — every option included — over
     // its own member subset.
     Request sub = request;
     sub.topk.members =
-        std::move(shard_members[static_cast<size_t>(involved[i])]);
+        std::move(shard_members[static_cast<size_t>(shard->index)]);
     // The last shard to answer merges and emits before releasing its
     // slot, so WaitDrained also waits for the merged response.
     auto run = [this, shard, aggregate, i, sub]() {
@@ -431,7 +478,29 @@ std::string ShardedMatchService::RenderStats(const std::string& id) {
   w.Key("uptime_seconds");
   w.Number(uptime_.ElapsedSeconds());
   if (options_.obs != nullptr) {
-    stats_intervals_.WriteJson(options_.obs->metrics, &w);
+    // The snapshot, and the counter rates since the previous stats call.
+    MetricsSnapshot snapshot = CaptureMetricsSnapshot(options_.obs->metrics);
+    std::map<std::string, double> rates;
+    double interval = 0.0;
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      if (last_stats_.has_value()) {
+        rates = DiffRates(*last_stats_, snapshot);
+        interval = snapshot.at_seconds - last_stats_->at_seconds;
+      }
+      last_stats_ = snapshot;
+    }
+    w.Key("snapshot");
+    snapshot.WriteJson(&w);
+    w.Key("interval_seconds");
+    w.Number(interval);
+    w.Key("rates");
+    w.BeginObject();
+    for (const auto& [name, rate] : rates) {
+      w.Key(name);
+      w.Number(rate);
+    }
+    w.EndObject();
   }
   w.Key("router");
   w.BeginObject();
@@ -463,7 +532,7 @@ std::string ShardedMatchService::RenderStats(const std::string& id) {
     w.Key("queue_depth");
     w.Int(static_cast<long long>(service.pool().QueueDepth()));
     w.Key("queue_capacity");
-    w.Int(static_cast<long long>(service.queue_capacity()));
+    w.Int(static_cast<long long>(service.pool().QueueCapacity()));
     w.Key("threads");
     w.Int(service.pool().num_threads());
     w.Key("cache");
@@ -517,6 +586,10 @@ std::string ShardedMatchService::RenderHealth(const std::string& id) {
     w.Int(shard->inflight.load(std::memory_order_relaxed));
     w.Key("queue_depth");
     w.Int(static_cast<long long>(shard->service->pool().QueueDepth()));
+    w.Key("queue_capacity");
+    w.Int(static_cast<long long>(shard->service->pool().QueueCapacity()));
+    w.Key("threads");
+    w.Int(shard->service->pool().num_threads());
     w.EndObject();
   }
   w.EndArray();

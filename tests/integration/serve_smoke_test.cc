@@ -1,14 +1,34 @@
-// End-to-end smoke test of the ems_serve binary: pipes three job lines
-// through it and validates the JSON responses and the metrics export.
-// The binary path is injected by CMake as EMS_SERVE_BINARY.
+// End-to-end smoke test of the ems_serve binary: pipes job lines through
+// it and validates the JSON responses and the metrics export, and drives
+// its --socket listener with concurrent clients and SIGTERM. The binary
+// path is injected by CMake as EMS_SERVE_BINARY.
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#ifndef _WIN32
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <thread>
+
+#include "net/wire.h"
+
+extern char** environ;
+#endif
 
 namespace ems {
 namespace {
@@ -267,6 +287,211 @@ TEST(ServeSmokeTest, LogLevelControlsStderrVerbosity) {
   std::remove(err_quiet.c_str());
   std::remove(err_debug.c_str());
 }
+
+// A pipe never sheds: one worker, a one-slot queue, and every line of a
+// batch far longer than the admission cap is answered ok.
+TEST(ServeSmokeTest, PipeAnswersEveryJobAtAOneSlotQueue) {
+  const std::string dir = TempDir();
+  const std::string log1 = dir + "/serve_pipe_log1.txt";
+  const std::string log2 = dir + "/serve_pipe_log2.txt";
+  const std::string jobs = dir + "/serve_pipe_jobs.ndjson";
+  const std::string results = dir + "/serve_pipe_results.ndjson";
+  WriteFile(log1, "a;b;c;d\na;b;d\na;c;d\n");
+  WriteFile(log2, "a;b;c;d\na;c;b;d\nb;c;d\n");
+  std::ostringstream job_lines;
+  constexpr int kJobs = 100;
+  for (int i = 0; i < kJobs; ++i) {
+    job_lines << "{\"id\":\"p" << i << "\",\"log1\":\"" << log1
+              << "\",\"log2\":\"" << log2 << "\",\"labels\":\"none\"}\n";
+  }
+  WriteFile(jobs, job_lines.str());
+  const std::string cmd = std::string(EMS_SERVE_BINARY) +
+                          " --threads=1 --queue-size=1 < " + jobs + " > " +
+                          results + " 2> /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(results);
+  int ok = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
+    ++ok;
+  }
+  EXPECT_EQ(ok, kJobs);
+  for (const std::string& f : {log1, log2, jobs, results}) {
+    std::remove(f.c_str());
+  }
+}
+
+#ifndef _WIN32
+// An `ems_serve --socket=PATH` child process; SIGKILLed if a test ends
+// without stopping it.
+class SocketServer {
+ public:
+  explicit SocketServer(const std::string& path) {
+    const std::string socket_flag = "--socket=" + path;
+    char binary[] = EMS_SERVE_BINARY;
+    char threads[] = "--threads=1";
+    std::vector<char*> argv = {binary, const_cast<char*>(socket_flag.c_str()),
+                               threads, nullptr};
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, 0, "/dev/null", O_RDONLY, 0);
+    posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY, 0);
+    if (posix_spawn(&pid_, binary, &actions, nullptr, argv.data(),
+                    environ) != 0) {
+      pid_ = -1;
+    }
+    posix_spawn_file_actions_destroy(&actions);
+  }
+
+  ~SocketServer() {
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      ::waitpid(pid_, nullptr, 0);
+    }
+  }
+
+  bool started() const { return pid_ > 0; }
+
+  // Sends `signo` (0: none) and returns the exit code, or -1 when the
+  // process died by a signal or did not exit within ten seconds.
+  int Stop(int signo) {
+    if (signo != 0) ::kill(pid_, signo);
+    for (int i = 0; i < 1000; ++i) {
+      int status = 0;
+      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
+        pid_ = -1;
+        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+  }
+
+ private:
+  pid_t pid_ = -1;
+};
+
+// Connects to `path`, retrying while the server starts up.
+int ConnectWhenUp(const std::string& path) {
+  for (int i = 0; i < 500; ++i) {
+    Result<int> fd = net::ConnectUnix(path);
+    if (fd.ok()) return *fd;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+// Sends one line and returns the response line, or "" when none arrives
+// within `timeout_ms`.
+std::string Ask(int fd, const std::string& line, int timeout_ms) {
+  if (!net::WriteAll(fd, line + "\n").ok()) return "";
+  std::string response;
+  char c = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      return "";
+    }
+    if (::read(fd, &c, 1) != 1) return "";
+    if (c == '\n') return response;
+    response += c;
+  }
+}
+
+std::string SocketPath(const std::string& name) {
+  return TempDir() + "/" + name + ".sock";
+}
+
+// With client A connected and idle, client B's health probe is answered
+// at once: the listener serves clients concurrently.
+TEST(ServeSmokeTest, SocketServesAProbeBesideAnIdleClient) {
+  const std::string path = SocketPath("serve_smoke_concurrent");
+  ::unlink(path.c_str());
+  SocketServer server(path);
+  ASSERT_TRUE(server.started());
+  const int a = ConnectWhenUp(path);
+  ASSERT_GE(a, 0);
+  const int b = ConnectWhenUp(path);
+  ASSERT_GE(b, 0);
+  const std::string health = Ask(b, R"({"cmd":"health","id":"hb"})", 2000);
+  EXPECT_NE(health.find("\"id\":\"hb\""), std::string::npos) << health;
+  EXPECT_NE(health.find("\"healthy\":true"), std::string::npos) << health;
+  // A's own probe is answered too, on its own connection.
+  const std::string stats = Ask(a, R"({"cmd":"stats","id":"sa"})", 2000);
+  EXPECT_NE(stats.find("\"id\":\"sa\""), std::string::npos) << stats;
+  ::close(a);
+  ::close(b);
+  EXPECT_EQ(server.Stop(SIGTERM), 0);
+}
+
+// A stale socket file is replaced; a path a live server holds is refused
+// with a nonzero exit, and the live server keeps answering on it.
+TEST(ServeSmokeTest, SocketReplacesStaleFileAndRefusesALivePath) {
+  const std::string path = SocketPath("serve_smoke_stale");
+  ::unlink(path.c_str());
+  {
+    const int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(stale, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ::close(stale);  // the file stays, nobody listens
+  }
+  SocketServer server(path);
+  ASSERT_TRUE(server.started());
+  const int fd = ConnectWhenUp(path);
+  ASSERT_GE(fd, 0);
+  EXPECT_NE(Ask(fd, R"({"cmd":"health","id":"h1"})", 2000).find("\"h1\""),
+            std::string::npos);
+
+  SocketServer rival(path);
+  ASSERT_TRUE(rival.started());
+  const int rival_exit = rival.Stop(0);
+  EXPECT_GT(rival_exit, 0);
+  EXPECT_NE(Ask(fd, R"({"cmd":"health","id":"h2"})", 2000).find("\"h2\""),
+            std::string::npos);
+  ::close(fd);
+  EXPECT_EQ(server.Stop(SIGTERM), 0);
+}
+
+// SIGTERM drains: the answered client sees EOF, the process exits 0 and
+// the socket file is gone.
+TEST(ServeSmokeTest, SocketDrainsOnSigtermAndRemovesItsFile) {
+  const std::string dir = TempDir();
+  const std::string log1 = dir + "/serve_socket_log1.txt";
+  const std::string log2 = dir + "/serve_socket_log2.txt";
+  WriteFile(log1, "a;b;c;d\na;b;d\na;c;d\n");
+  WriteFile(log2, "a;b;c;d\na;c;b;d\nb;c;d\n");
+  const std::string path = SocketPath("serve_smoke_drain");
+  ::unlink(path.c_str());
+  SocketServer server(path);
+  ASSERT_TRUE(server.started());
+  const int fd = ConnectWhenUp(path);
+  ASSERT_GE(fd, 0);
+  const std::string job = Ask(fd,
+                              "{\"id\":\"j1\",\"log1\":\"" + log1 +
+                                  "\",\"log2\":\"" + log2 +
+                                  "\",\"labels\":\"none\"}",
+                              5000);
+  EXPECT_EQ(job.rfind(R"({"id":"j1","status":"ok")", 0), 0u) << job;
+
+  EXPECT_EQ(server.Stop(SIGTERM), 0);
+  char c = 0;
+  EXPECT_EQ(::read(fd, &c, 1), 0);  // drained: EOF, not a reset
+  ::close(fd);
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
+}
+#endif
 
 }  // namespace
 }  // namespace ems

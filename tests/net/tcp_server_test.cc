@@ -1,7 +1,8 @@
-// Transport behavior of the TCP front end: framing round trips,
-// concurrent connections, the connection cap, and the drain contract
-// (every accepted line answered, even when emits come late from worker
-// threads).
+// Transport behavior of the listener front end: framing round trips,
+// concurrent connections, the connection cap, the line cap, and the
+// drain contract (every accepted line answered, even when emits come
+// late from worker threads). The Unix socket path is driven end to end
+// by serve_smoke_test.
 #ifndef _WIN32
 
 #include "net/tcp_server.h"
@@ -169,6 +170,51 @@ TEST(TcpServerTest, DrainAnswersEveryAcceptedLine) {
   ::close(*fd);
   EXPECT_EQ(answered, 2);
   EXPECT_EQ(server.Wait(), 1u);
+}
+
+// A client sending a line past the cap gets one too_large line and a
+// close; the server stops reading it and keeps serving other clients.
+TEST(TcpServerTest, OverlongLineIsRefusedAndTheConnectionCloses) {
+  EchoHandler handler;
+  TcpServerOptions options;
+  ObsContext obs;
+  options.obs = &obs;
+  TcpServer server(options, &handler);
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<int> fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(WriteAll(*fd, "short\n").ok());
+  std::atomic<uint64_t> sent{0};
+  std::thread writer([fd = *fd, &sent] {
+    const std::string chunk(size_t{1} << 20, 'x');
+    while (sent.load() < 8 * kMaxLineBytes && WriteAll(fd, chunk).ok()) {
+      sent += chunk.size();
+    }
+  });
+  FdLineReader reader(*fd);
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "echo:short");
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line.rfind(R"({"status":"too_large")", 0), 0u) << line;
+  EXPECT_FALSE(reader.ReadLine(&line));  // the server closed
+  writer.join();
+  ::close(*fd);
+  EXPECT_LT(sent.load(), 4 * kMaxLineBytes);
+  EXPECT_EQ(obs.metrics.CounterValue("net.lines_too_large"), 1u);
+
+  Result<int> next = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(WriteAll(*next, "again\n").ok());
+  ::shutdown(*next, SHUT_WR);
+  FdLineReader next_reader(*next);
+  ASSERT_TRUE(next_reader.ReadLine(&line));
+  EXPECT_EQ(line, "echo:again");
+  ::close(*next);
+
+  server.RequestDrain();
+  EXPECT_EQ(server.Wait(), 2u);
 }
 
 TEST(TcpServerTest, RequestDrainIsIdempotentAndWaitReturns) {

@@ -1,13 +1,16 @@
 // Byte-level plumbing: endpoint parsing, line framing from a raw
-// descriptor, and full writes.
+// descriptor, the line cap, and full writes.
 #include "net/wire.h"
 
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #ifndef _WIN32
+#include <sys/socket.h>
 #include <unistd.h>
 #endif
 
@@ -85,6 +88,42 @@ TEST(FdLineReaderTest, HandlesLinesLargerThanTheReadChunk) {
   EXPECT_EQ(line, "tail");
   EXPECT_FALSE(reader.ReadLine(&line));
   ::close(fds[0]);
+}
+
+// A line of exactly kMaxLineBytes is served; the next, one byte longer,
+// ends the stream without buffering further: the writer's sends fail
+// once the reader closes, long before its own bound.
+TEST(FdLineReaderTest, RefusesALineLongerThanTheCap) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  uint64_t sent = 0;
+  std::thread writer([fd = fds[1], &sent] {
+    const std::string chunk(size_t{1} << 20, 'x');
+    bool ok = true;
+    while (ok && sent < kMaxLineBytes) {
+      ok = WriteAll(fd, chunk).ok();
+      sent += chunk.size();
+    }
+    ok = ok && WriteAll(fd, "\n").ok();
+    while (ok && sent < 8 * kMaxLineBytes) {
+      ok = WriteAll(fd, chunk).ok();
+      if (ok) sent += chunk.size();
+    }
+    ::close(fd);
+  });
+
+  FdLineReader reader(fds[0]);
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line.size(), kMaxLineBytes);
+  EXPECT_FALSE(reader.ReadLine(&line));
+  EXPECT_TRUE(reader.too_large());
+  EXPECT_FALSE(reader.error());
+  EXPECT_TRUE(line.empty());
+  EXPECT_FALSE(reader.ReadLine(&line));  // the stream stays ended
+  ::close(fds[0]);
+  writer.join();
+  EXPECT_LT(sent, 4 * kMaxLineBytes);
 }
 
 TEST(WriteAllTest, RoundTripsThroughAPipe) {

@@ -1,5 +1,5 @@
 // Seeded byte-mutation fuzzing of serve::ParseRequest, the one parser of
-// every request line both services read. Valid lines of every kind —
+// every request line the service reads. Valid lines of every kind —
 // match jobs with every option key, appends with inline traces or a
 // delta file, top-k queries by members or by corpus, admin commands —
 // are generated with string, numeric and absent ids, then truncated and

@@ -1,11 +1,11 @@
 // serve layer: LRU cache semantics, the log load-through cache, job-line
-// parsing, and the batch service end to end over in-memory streams.
+// parsing, and one worker shard end to end. The router's stream loop and
+// admin commands are tested in sharded_service_test.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <latch>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -425,80 +425,6 @@ TEST(BatchMatchServiceTest, HandlesJobsAndRendersErrors) {
   std::remove(log2.c_str());
 }
 
-TEST(BatchMatchServiceTest, RunStreamEmitsOneResultPerJob) {
-  const std::string log1 =
-      WriteTraceLog("service_stream_1.txt", "a;b;c\na;c;b\na;b;c\n");
-  const std::string log2 =
-      WriteTraceLog("service_stream_2.txt", "a;b;c\nb;a;c\n");
-
-  ServiceOptions options;
-  options.threads = 4;
-  BatchMatchService service(options);
-
-  std::ostringstream jobs;
-  const std::string pair = R"("log1":")" + log1 + R"(","log2":")" + log2 +
-                           R"(","labels":"none")";
-  jobs << R"({"id":"j1",)" << pair << "}\n";
-  jobs << "\n";  // blank lines are skipped
-  jobs << R"({"id":"j2",)" << pair << "}\n";
-  jobs << R"({"id":"j3",)" << pair << "}\n";
-
-  std::istringstream in(jobs.str());
-  std::ostringstream out;
-  EXPECT_EQ(service.RunStream(in, out), 3u);
-
-  std::vector<std::string> lines;
-  std::istringstream result(out.str());
-  std::string line;
-  while (std::getline(result, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);
-  for (const std::string& l : lines) {
-    EXPECT_NE(l.find("\"status\":\"ok\""), std::string::npos) << l;
-  }
-  // Six lookups over two distinct logs. Loads are single-flight, so each
-  // log loads once and every other lookup is a hit, whatever the timing.
-  EXPECT_EQ(service.cache().misses(), 2u);
-  EXPECT_EQ(service.cache().hits(), 4u);
-
-  std::remove(log1.c_str());
-  std::remove(log2.c_str());
-}
-
-// A directory named as a log gets an IOError response and the stream
-// goes on to the next line. The read failure used to escape the job as
-// an exception, which cancelled every line still queued behind it.
-TEST(BatchMatchServiceTest, DirectoryLogIsAnsweredAndStreamContinues) {
-  const std::string log1 = WriteTraceLog("service_dirline_1.txt", "a;b\n");
-  const std::string log2 = WriteTraceLog("service_dirline_2.txt", "a;b\n");
-  const std::string dir = TempDir() + "/service_dirline_dir.xes";
-  std::filesystem::create_directories(dir);
-  ServiceOptions options;
-  options.threads = 1;
-  BatchMatchService service(options);
-  std::istringstream in(R"({"id":"dir","log1":")" + dir + R"(","log2":")" +
-                        log2 + "\"}\n" + R"({"id":"next","log1":")" + log1 +
-                        R"(","log2":")" + log2 + R"(","labels":"none"})" +
-                        "\n");
-  std::ostringstream out;
-  EXPECT_EQ(service.RunStream(in, out), 2u);
-  std::istringstream lines(out.str());
-  std::string line;
-  int answered = 0;
-  while (std::getline(lines, line)) {
-    ++answered;
-    if (line.find("\"id\":\"dir\"") != std::string::npos) {
-      EXPECT_NE(line.find("\"code\":\"IOError\""), std::string::npos) << line;
-    } else {
-      EXPECT_NE(line.find("\"id\":\"next\""), std::string::npos) << line;
-      EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
-    }
-  }
-  EXPECT_EQ(answered, 2);
-  std::filesystem::remove_all(dir);
-  std::remove(log1.c_str());
-  std::remove(log2.c_str());
-}
-
 // Concurrent matches of one pair share one prepared log per side and
 // only read it: every answer is the same bytes.
 TEST(BatchMatchServiceTest, ConcurrentMatchesShareOnePreparedLog) {
@@ -621,181 +547,6 @@ TEST(BatchMatchServiceTest, CorruptCacheDirNeverFailsAJob) {
   std::remove(log2.c_str());
 }
 
-TEST(BatchMatchServiceTest, StatsCommandReportsQuantilesAndRates) {
-  const std::string log1 =
-      WriteTraceLog("service_stats_1.txt", "a;b;c\na;c;b\n");
-  const std::string log2 = WriteTraceLog("service_stats_2.txt", "a;b\nb;a\n");
-  ServiceOptions options;
-  options.threads = 1;
-  BatchMatchService service(options);
-  const std::string job = R"({"id":"s1","log1":")" + log1 + R"(","log2":")" +
-                          log2 + R"(","labels":"none"})";
-  EXPECT_NE(service.HandleJobLine(job).find("\"status\":\"ok\""),
-            std::string::npos);
-  (void)service.HandleJobLine(
-      R"({"id":"bad","log1":"/nope.txt","log2":"/nope2.txt"})");
-
-  // First stats call: full snapshot, no interval yet.
-  const std::string first =
-      service.HandleJobLine(R"({"cmd":"stats","id":"st1"})");
-  EXPECT_NE(first.find("\"id\":\"st1\""), std::string::npos);
-  EXPECT_NE(first.find("\"cmd\":\"stats\""), std::string::npos);
-  EXPECT_NE(first.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(first.find("\"snapshot\""), std::string::npos);
-  EXPECT_NE(first.find("\"serve.jobs_ok\":1"), std::string::npos);
-  EXPECT_NE(first.find("\"serve.jobs_failed\":1"), std::string::npos);
-  // Per-outcome latency quantiles from the quantile histograms.
-  EXPECT_NE(first.find("\"serve.latency_ms.ok\""), std::string::npos);
-  EXPECT_NE(first.find("\"serve.latency_ms.error\""), std::string::npos);
-  EXPECT_NE(first.find("\"p50\""), std::string::npos);
-  EXPECT_NE(first.find("\"p90\""), std::string::npos);
-  EXPECT_NE(first.find("\"p99\""), std::string::npos);
-  EXPECT_NE(first.find("\"cache\""), std::string::npos);
-  EXPECT_NE(first.find("\"pool\""), std::string::npos);
-
-  // Second stats call after another job: interval rates appear.
-  EXPECT_NE(service.HandleJobLine(job).find("\"status\":\"ok\""),
-            std::string::npos);
-  const std::string second =
-      service.HandleJobLine(R"({"cmd":"stats","id":"st2"})");
-  EXPECT_NE(second.find("\"rates\""), std::string::npos);
-  EXPECT_NE(second.find("\"interval_seconds\""), std::string::npos);
-  EXPECT_NE(second.find("\"serve.jobs_ok\":2"), std::string::npos);
-
-  std::remove(log1.c_str());
-  std::remove(log2.c_str());
-}
-
-TEST(BatchMatchServiceTest, HealthCommandReportsLiveness) {
-  ServiceOptions options;
-  options.threads = 2;
-  options.queue_capacity = 32;
-  BatchMatchService service(options);
-  const std::string health =
-      service.HandleJobLine(R"({"cmd":"health","id":"h1"})");
-  EXPECT_NE(health.find("\"id\":\"h1\""), std::string::npos);
-  EXPECT_NE(health.find("\"healthy\":true"), std::string::npos);
-  EXPECT_NE(health.find("\"draining\":false"), std::string::npos);
-  EXPECT_NE(health.find("\"queue_capacity\":32"), std::string::npos);
-  EXPECT_NE(health.find("\"threads\":2"), std::string::npos);
-  EXPECT_NE(health.find("\"jobs_in_flight\":0"), std::string::npos);
-  EXPECT_NE(health.find("\"uptime_seconds\""), std::string::npos);
-
-  service.Cancel();
-  const std::string draining =
-      service.HandleJobLine(R"({"cmd":"health","id":"h2"})");
-  EXPECT_NE(draining.find("\"healthy\":false"), std::string::npos);
-  EXPECT_NE(draining.find("\"draining\":true"), std::string::npos);
-}
-
-TEST(BatchMatchServiceTest, SlowCommandDumpsFlightRecords) {
-  const std::string log1 =
-      WriteTraceLog("service_slow_1.txt", "a;b;c\na;c;b\n");
-  const std::string log2 = WriteTraceLog("service_slow_2.txt", "a;b\nb;a\n");
-  ServiceOptions options;
-  options.threads = 1;
-  BatchMatchService service(options);
-  const std::string ok_job = R"({"id":"fast","log1":")" + log1 +
-                             R"(","log2":")" + log2 + R"(","labels":"none"})";
-  (void)service.HandleJobLine(ok_job);
-  (void)service.HandleJobLine(
-      R"({"id":"broken","log1":"/missing.txt","log2":"/missing2.txt"})");
-
-  const std::string slow = service.HandleJobLine(R"({"cmd":"slow","id":"sl"})");
-  EXPECT_NE(slow.find("\"cmd\":\"slow\""), std::string::npos);
-  EXPECT_NE(slow.find("\"flight_recorder\""), std::string::npos);
-  EXPECT_NE(slow.find("\"records_seen\":2"), std::string::npos);
-  // Both requests retained on the slow side; the failure also appears in
-  // recent_failures with its error and span tree.
-  EXPECT_NE(slow.find("\"fast\""), std::string::npos);
-  EXPECT_NE(slow.find("\"recent_failures\""), std::string::npos);
-  EXPECT_NE(slow.find("\"broken\""), std::string::npos);
-  EXPECT_NE(slow.find("\"request:fast\""), std::string::npos);  // span name
-  EXPECT_NE(slow.find("\"load_logs\""), std::string::npos);
-
-  std::remove(log1.c_str());
-  std::remove(log2.c_str());
-}
-
-TEST(BatchMatchServiceTest, UnknownAdminCommandRendersError) {
-  BatchMatchService service(ServiceOptions{});
-  const std::string line =
-      service.HandleJobLine(R"({"cmd":"reboot","id":"x"})");
-  EXPECT_NE(line.find("\"status\":\"error\""), std::string::npos);
-  EXPECT_NE(line.find("reboot"), std::string::npos);
-}
-
-TEST(BatchMatchServiceTest, JobsWithoutIdGetAssignedRequestIds) {
-  BatchMatchService service(ServiceOptions{});
-  const std::string line = service.HandleJobLine(
-      R"({"log1":"/missing1.txt","log2":"/missing2.txt"})");
-  EXPECT_NE(line.find("\"id\":\"req-"), std::string::npos);
-}
-
-TEST(BatchMatchServiceTest, TelemetryOffRunsBare) {
-  const std::string log1 =
-      WriteTraceLog("service_bare_1.txt", "a;b;c\na;c;b\n");
-  const std::string log2 = WriteTraceLog("service_bare_2.txt", "a;b\nb;a\n");
-  ServiceOptions options;
-  options.threads = 1;
-  options.telemetry = false;
-  BatchMatchService service(options);
-  EXPECT_EQ(service.obs(), nullptr);
-  EXPECT_EQ(service.flight_recorder(), nullptr);
-  const std::string line = service.HandleJobLine(
-      R"({"id":"b1","log1":")" + log1 + R"(","log2":")" + log2 +
-      R"(","labels":"none"})");
-  EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos);
-  // Admin commands still answer; stats degrades to the structural gauges.
-  const std::string stats = service.HandleJobLine(R"({"cmd":"stats"})");
-  EXPECT_NE(stats.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_EQ(stats.find("\"snapshot\""), std::string::npos);
-  EXPECT_NE(stats.find("\"cache\""), std::string::npos);
-  std::remove(log1.c_str());
-  std::remove(log2.c_str());
-}
-
-TEST(BatchMatchServiceTest, RunStreamAnswersAdminCommandsMidStream) {
-  const std::string log1 =
-      WriteTraceLog("service_admin_1.txt", "a;b;c\na;c;b\n");
-  const std::string log2 = WriteTraceLog("service_admin_2.txt", "a;b\nb;a\n");
-  ServiceOptions options;
-  options.threads = 2;
-  BatchMatchService service(options);
-
-  std::ostringstream jobs;
-  const std::string pair = R"("log1":")" + log1 + R"(","log2":")" + log2 +
-                           R"(","labels":"none")";
-  jobs << R"({"id":"j1",)" << pair << "}\n";
-  jobs << R"({"cmd":"stats","id":"mid-stats"})" << "\n";
-  jobs << R"({"id":"j2",)" << pair << "}\n";
-  jobs << R"({"cmd":"health","id":"mid-health"})" << "\n";
-
-  std::istringstream in(jobs.str());
-  std::ostringstream out;
-  EXPECT_EQ(service.RunStream(in, out), 4u);  // 2 jobs + 2 admin lines
-
-  const std::string output = out.str();
-  EXPECT_NE(output.find("\"id\":\"mid-stats\""), std::string::npos);
-  EXPECT_NE(output.find("\"id\":\"mid-health\""), std::string::npos);
-  EXPECT_NE(output.find("\"id\":\"j1\""), std::string::npos);
-  EXPECT_NE(output.find("\"id\":\"j2\""), std::string::npos);
-
-  std::remove(log1.c_str());
-  std::remove(log2.c_str());
-}
-
-TEST(BatchMatchServiceTest, CancelledServiceReportsCancelledJobs) {
-  ServiceOptions options;
-  options.threads = 1;
-  BatchMatchService service(options);
-  service.Cancel();
-  std::string line = service.HandleJobLine(
-      R"({"id":"late","log1":"a.txt","log2":"b.txt"})");
-  EXPECT_NE(line.find("\"status\":\"error\""), std::string::npos);
-  EXPECT_NE(line.find("Cancelled"), std::string::npos);
-}
-
 TEST(ParseRequestTest, ParsesAndValidatesTopK) {
   Request request = ParseRequest(
       R"({"id":"t1","query":"q.txt","topk":3,"members":["a.txt","b.txt"],)"
@@ -818,41 +569,6 @@ TEST(ParseRequestTest, ParsesAndValidatesTopK) {
   EXPECT_FALSE(ParseRequest(R"({"query":"q","members":[1]})").status.ok());
   EXPECT_FALSE(  // no query: not a top-k line, and no logs for a match
       ParseRequest(R"({"topk":2,"members":["a"]})").status.ok());
-}
-
-// One id rule for every request kind: a numeric id renders as its
-// integer text on a match, a top-k query, an append, an admin command
-// and a line that fails validation alike.
-TEST(BatchMatchServiceTest, NumericIdsRenderAsIntegerTextOnEveryKind) {
-  const std::string log1 =
-      WriteTraceLog("service_numeric_id_1.txt", "a;b;c\na;c;b\n");
-  const std::string log2 =
-      WriteTraceLog("service_numeric_id_2.txt", "a;b;c\nb;a;c\n");
-  ServiceOptions options;
-  options.threads = 1;
-  BatchMatchService service(options);
-  const std::string pair = R"("log1":")" + log1 + R"(","log2":")" + log2 +
-                           R"(","labels":"none")";
-
-  const std::string match = service.HandleJobLine(R"({"id":7,)" + pair + "}");
-  const std::string topk = service.HandleJobLine(
-      R"({"id":8,"query":")" + log1 + R"(","topk":1,"members":[")" + log2 +
-      R"("]})");
-  const std::string append = service.HandleJobLine(
-      R"({"cmd":"append","id":9,)" + pair + R"(,"traces":[["a","b"]]})");
-  const std::string admin =
-      service.HandleJobLine(R"({"cmd":"health","id":10})");
-  const std::string invalid =
-      service.HandleJobLine(R"({"id":11,)" + pair + R"(,"c":2})");
-  EXPECT_EQ(match.rfind(R"({"id":"7","status":"ok")", 0), 0u) << match;
-  EXPECT_EQ(topk.rfind(R"({"id":"8","status":"ok")", 0), 0u) << topk;
-  EXPECT_EQ(append.rfind(R"({"id":"9","status":"ok")", 0), 0u) << append;
-  EXPECT_EQ(admin.rfind(R"({"id":"10","status":"ok")", 0), 0u) << admin;
-  EXPECT_EQ(invalid.rfind(R"({"id":"11","status":"error")", 0), 0u)
-      << invalid;
-
-  std::remove(log1.c_str());
-  std::remove(log2.c_str());
 }
 
 // topk over an explicit member list: the indexed and the brute-forced

@@ -1,18 +1,24 @@
 // Router semantics: single-shard equivalence with the plain service,
 // deterministic canonical-path routing, admission-control rejections,
-// drain behavior, per-shard metrics, and the aggregated admin commands.
+// drain behavior, per-shard metrics, the admin commands, request ids,
+// and the pipe transport (RunStream).
 #include "serve/sharded_service.h"
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "net/wire.h"
 #include "obs/context.h"
 #include "serve/expected_render.h"
 #include "serve/service.h"
@@ -44,6 +50,40 @@ std::string StripMillis(const std::string& line) {
   return line.substr(0, key) + line.substr(end);
 }
 
+// Pipes `input` through RunStream and returns the response lines in
+// completion order.
+std::vector<std::string> PipeLines(ShardedMatchService& router,
+                                   const std::string& input,
+                                   net::LinesServed* served = nullptr) {
+  const std::string in_path = TempDir() + "/sharded_service_pipe_in.ndjson";
+  const std::string out_path = TempDir() + "/sharded_service_pipe_out.ndjson";
+  WriteFile(in_path, input);
+  const int in_fd = ::open(in_path.c_str(), O_RDONLY);
+  const int out_fd =
+      ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  EXPECT_GE(in_fd, 0);
+  EXPECT_GE(out_fd, 0);
+  const net::LinesServed result = router.RunStream(in_fd, out_fd);
+  ::close(in_fd);
+  ::close(out_fd);
+  if (served != nullptr) *served = result;
+  std::vector<std::string> lines;
+  std::ifstream out(out_path);
+  std::string line;
+  while (std::getline(out, line)) lines.push_back(line);
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+  return lines;
+}
+
+// A one-shard router with `threads` workers.
+ShardedServiceOptions OneShard(int threads) {
+  ShardedServiceOptions options;
+  options.num_shards = 1;
+  options.total_threads = threads;
+  return options;
+}
+
 class ShardedServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -61,6 +101,12 @@ class ShardedServiceTest : public ::testing::Test {
   std::string JobLine(const std::string& id) const {
     return "{\"id\":\"" + id + "\",\"log1\":\"" + log1_ + "\",\"log2\":\"" +
            log2_ + "\",\"labels\":\"none\"}";
+  }
+
+  // The pair's keys without braces or id, for composing lines.
+  std::string Pair() const {
+    return "\"log1\":\"" + log1_ + "\",\"log2\":\"" + log2_ +
+           "\",\"labels\":\"none\"";
   }
 
   std::string log1_;
@@ -501,6 +547,319 @@ TEST_F(ShardedServiceTest, AppendsRouteToTheSessionOwningShard) {
   EXPECT_EQ(router.obs()->metrics.CounterValue("stream.appends"), 2u);
   EXPECT_EQ(router.obs()->metrics.CounterValue("stream.warm_matches"), 1u);
   EXPECT_EQ(router.obs()->metrics.CounterValue("stream.session_matches"), 1u);
+}
+
+// The pipe transport: one response per non-blank line, and six cache
+// lookups over two distinct logs. Loads are single-flight, so each log
+// loads once and every other lookup is a hit, whatever the timing.
+TEST_F(ShardedServiceTest, RunStreamEmitsOneResultPerJob) {
+  ShardedMatchService router(OneShard(4));
+  net::LinesServed served;
+  const std::vector<std::string> lines = PipeLines(
+      router,
+      "{\"id\":\"j1\"," + Pair() + "}\n\n{\"id\":\"j2\"," + Pair() +
+          "}\n{\"id\":\"j3\"," + Pair() + "}\n",
+      &served);
+  EXPECT_EQ(served.lines, 3u);  // blank lines are skipped
+  EXPECT_FALSE(served.too_large);
+  ASSERT_EQ(lines.size(), 3u);
+  for (const std::string& l : lines) {
+    EXPECT_NE(l.find("\"status\":\"ok\""), std::string::npos) << l;
+  }
+  EXPECT_EQ(router.shard_service(0).cache().misses(), 2u);
+  EXPECT_EQ(router.shard_service(0).cache().hits(), 4u);
+}
+
+// A directory named as a log gets an IOError response and the stream
+// goes on to the next line.
+TEST_F(ShardedServiceTest, DirectoryLogIsAnsweredAndStreamContinues) {
+  const std::string dir = TempDir() + "/sharded_service_pipe_dir.xes";
+  std::filesystem::create_directories(dir);
+  ShardedMatchService router(OneShard(1));
+  const std::vector<std::string> lines = PipeLines(
+      router, "{\"id\":\"dir\",\"log1\":\"" + dir + "\",\"log2\":\"" + log2_ +
+                  "\"}\n{\"id\":\"next\"," + Pair() + "}\n");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind(R"({"id":"dir","status":"error","code":"IOError")",
+                           0),
+            0u)
+      << lines[0];
+  EXPECT_EQ(lines[1].rfind(R"({"id":"next","status":"ok")", 0), 0u)
+      << lines[1];
+  std::filesystem::remove_all(dir);
+}
+
+// On one worker the pipe answers in input order, a malformed line
+// included: it waits in shard 0's queue like a job, and id-less lines
+// are numbered in arrival order.
+TEST_F(ShardedServiceTest, RunStreamKeepsInputOrderOnOneWorker) {
+  ShardedMatchService router(OneShard(1));
+  const std::vector<std::string> lines =
+      PipeLines(router, "{\"id\":\"j1\"," + Pair() + "}\nnot json\n{" +
+                            Pair() + "}\n{\"id\":\"j4\"," + Pair() + "}\n");
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0].rfind(R"({"id":"j1","status":"ok")", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1].rfind(R"({"id":"req-1","status":"error")", 0), 0u)
+      << lines[1];
+  EXPECT_EQ(lines[2].rfind(R"({"id":"req-2","status":"ok")", 0), 0u)
+      << lines[2];
+  EXPECT_EQ(lines[3].rfind(R"({"id":"j4","status":"ok")", 0), 0u) << lines[3];
+}
+
+// A pipe never sheds: with one worker, a one-slot queue and an
+// admission cap of two, every line of a long batch waits for a slot and
+// is answered ok.
+TEST_F(ShardedServiceTest, PipeWaitsForASlotInsteadOfShedding) {
+  ShardedServiceOptions options = OneShard(1);
+  options.shard_queue_capacity = 1;
+  ShardedMatchService router(options);
+  std::string input;
+  constexpr int kJobs = 60;
+  for (int i = 0; i < kJobs; ++i) {
+    input += "{\"id\":\"p" + std::to_string(i) + "\"," + Pair() + "}\n";
+  }
+  const std::vector<std::string> lines = PipeLines(router, input);
+  ASSERT_EQ(lines.size(), static_cast<size_t>(kJobs));
+  for (const std::string& l : lines) {
+    EXPECT_NE(l.find("\"status\":\"ok\""), std::string::npos) << l;
+  }
+  EXPECT_EQ(router.obs()->metrics.CounterValue(
+                "net.jobs_rejected_overloaded"),
+            0u);
+}
+
+// A line past the cap is answered with too_large and ends the input;
+// what came before it is answered, what came after is never read.
+TEST_F(ShardedServiceTest, RunStreamRefusesAnOverlongLine) {
+  ShardedMatchService router(OneShard(1));
+  net::LinesServed served;
+  const std::vector<std::string> lines = PipeLines(
+      router,
+      "{\"id\":\"before\"," + Pair() + "}\n" +
+          std::string(net::kMaxLineBytes + 1, 'x') + "\n{\"id\":\"after\"," +
+          Pair() + "}\n",
+      &served);
+  EXPECT_TRUE(served.too_large);
+  EXPECT_EQ(served.lines, 1u);
+  ASSERT_EQ(lines.size(), 2u);
+  std::string all = lines[0] + lines[1];
+  EXPECT_NE(all.find(R"({"id":"before","status":"ok")"), std::string::npos);
+  EXPECT_NE(all.find(R"({"status":"too_large")"), std::string::npos) << all;
+  EXPECT_EQ(all.find("after"), std::string::npos);
+}
+
+TEST_F(ShardedServiceTest, StatsCommandReportsQuantilesAndRates) {
+  ShardedMatchService router(OneShard(1));
+  EXPECT_NE(router.HandleLineSync(JobLine("s1")).find("\"status\":\"ok\""),
+            std::string::npos);
+  (void)router.HandleLineSync(
+      R"({"id":"bad","log1":"/nope.txt","log2":"/nope2.txt"})");
+
+  // First stats call: full snapshot, no interval yet.
+  const std::string first =
+      router.HandleLineSync(R"({"cmd":"stats","id":"st1"})");
+  EXPECT_NE(first.find("\"id\":\"st1\""), std::string::npos);
+  EXPECT_NE(first.find("\"cmd\":\"stats\""), std::string::npos);
+  EXPECT_NE(first.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_NE(first.find("\"snapshot\""), std::string::npos);
+  EXPECT_NE(first.find("\"serve.jobs_ok\":1"), std::string::npos);
+  EXPECT_NE(first.find("\"serve.jobs_failed\":1"), std::string::npos);
+  // Per-outcome latency quantiles from the quantile histograms.
+  EXPECT_NE(first.find("\"serve.latency_ms.ok\""), std::string::npos);
+  EXPECT_NE(first.find("\"serve.latency_ms.error\""), std::string::npos);
+  EXPECT_NE(first.find("\"p50\""), std::string::npos);
+  EXPECT_NE(first.find("\"p90\""), std::string::npos);
+  EXPECT_NE(first.find("\"p99\""), std::string::npos);
+  // Cache and pool figures live in the per-shard blocks.
+  EXPECT_NE(first.find("\"cache\""), std::string::npos);
+  EXPECT_NE(first.find("\"threads\":1"), std::string::npos);
+
+  // Second stats call after another job: interval rates appear.
+  EXPECT_NE(router.HandleLineSync(JobLine("s2")).find("\"status\":\"ok\""),
+            std::string::npos);
+  const std::string second =
+      router.HandleLineSync(R"({"cmd":"stats","id":"st2"})");
+  EXPECT_NE(second.find("\"rates\""), std::string::npos);
+  EXPECT_NE(second.find("\"interval_seconds\""), std::string::npos);
+  EXPECT_NE(second.find("\"serve.jobs_ok\":2"), std::string::npos);
+}
+
+TEST_F(ShardedServiceTest, HealthCommandReportsLiveness) {
+  ShardedServiceOptions options = OneShard(2);
+  options.shard_queue_capacity = 32;
+  ShardedMatchService router(options);
+  const std::string health =
+      router.HandleLineSync(R"({"cmd":"health","id":"h1"})");
+  EXPECT_NE(health.find("\"id\":\"h1\""), std::string::npos);
+  EXPECT_NE(health.find("\"healthy\":true"), std::string::npos);
+  EXPECT_NE(health.find("\"draining\":false"), std::string::npos);
+  EXPECT_NE(health.find("\"queue_capacity\":32"), std::string::npos);
+  EXPECT_NE(health.find("\"threads\":2"), std::string::npos);
+  EXPECT_NE(health.find("\"jobs_in_flight\":0"), std::string::npos);
+  EXPECT_NE(health.find("\"uptime_seconds\""), std::string::npos);
+
+  router.Drain();
+  const std::string draining =
+      router.HandleLineSync(R"({"cmd":"health","id":"h2"})");
+  EXPECT_NE(draining.find("\"healthy\":false"), std::string::npos);
+  EXPECT_NE(draining.find("\"draining\":true"), std::string::npos);
+}
+
+TEST_F(ShardedServiceTest, SlowCommandDumpsFlightRecords) {
+  ShardedMatchService router(OneShard(1));
+  (void)router.HandleLineSync(JobLine("fast"));
+  (void)router.HandleLineSync(
+      R"({"id":"broken","log1":"/missing.txt","log2":"/missing2.txt"})");
+
+  const std::string slow =
+      router.HandleLineSync(R"({"cmd":"slow","id":"sl"})");
+  EXPECT_NE(slow.find("\"cmd\":\"slow\""), std::string::npos);
+  EXPECT_NE(slow.find("\"flight_recorder\""), std::string::npos);
+  EXPECT_NE(slow.find("\"records_seen\":2"), std::string::npos);
+  // Both requests retained on the slow side; the failure also appears in
+  // recent_failures with its error and span tree.
+  EXPECT_NE(slow.find("\"fast\""), std::string::npos);
+  EXPECT_NE(slow.find("\"recent_failures\""), std::string::npos);
+  EXPECT_NE(slow.find("\"broken\""), std::string::npos);
+  EXPECT_NE(slow.find("\"request:fast\""), std::string::npos);  // span name
+  EXPECT_NE(slow.find("\"load_logs\""), std::string::npos);
+}
+
+TEST_F(ShardedServiceTest, UnknownAdminCommandRendersError) {
+  ShardedMatchService router(OneShard(1));
+  const std::string line =
+      router.HandleLineSync(R"({"cmd":"reboot","id":"x"})");
+  EXPECT_NE(line.find("\"status\":\"error\""), std::string::npos);
+  EXPECT_NE(line.find("reboot"), std::string::npos);
+}
+
+TEST_F(ShardedServiceTest, TelemetryOffRunsBare) {
+  ShardedServiceOptions options = OneShard(1);
+  options.telemetry = false;
+  ShardedMatchService router(options);
+  EXPECT_EQ(router.obs(), nullptr);
+  EXPECT_EQ(router.shard_service(0).flight_recorder(), nullptr);
+  const std::string line = router.HandleLineSync(JobLine("b1"));
+  EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos);
+  // Admin commands still answer; stats degrades to the structural gauges.
+  const std::string stats = router.HandleLineSync(R"({"cmd":"stats"})");
+  EXPECT_NE(stats.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_EQ(stats.find("\"snapshot\""), std::string::npos);
+  EXPECT_NE(stats.find("\"cache\""), std::string::npos);
+}
+
+TEST_F(ShardedServiceTest, RunStreamAnswersAdminCommandsMidStream) {
+  ShardedMatchService router(OneShard(2));
+  net::LinesServed served;
+  const std::vector<std::string> lines = PipeLines(
+      router,
+      "{\"id\":\"j1\"," + Pair() + "}\n" +
+          R"({"cmd":"stats","id":"mid-stats"})" + "\n{\"id\":\"j2\"," +
+          Pair() + "}\n" + R"({"cmd":"health","id":"mid-health"})" + "\n",
+      &served);
+  EXPECT_EQ(served.lines, 4u);  // 2 jobs + 2 admin lines
+  std::string output;
+  for (const std::string& l : lines) output += l + "\n";
+  EXPECT_NE(output.find("\"id\":\"mid-stats\""), std::string::npos);
+  EXPECT_NE(output.find("\"id\":\"mid-health\""), std::string::npos);
+  EXPECT_NE(output.find("\"id\":\"j1\""), std::string::npos);
+  EXPECT_NE(output.find("\"id\":\"j2\""), std::string::npos);
+}
+
+// One id rule for every request kind: a numeric id renders as its
+// integer text on a match, a top-k query, an append, an admin command
+// and a line that fails validation alike.
+TEST_F(ShardedServiceTest, NumericIdsRenderAsIntegerTextOnEveryKind) {
+  ShardedMatchService router(OneShard(1));
+  const std::string match = router.HandleLineSync(R"({"id":7,)" + Pair() + "}");
+  const std::string topk = router.HandleLineSync(
+      R"({"id":8,"query":")" + log1_ + R"(","topk":1,"members":[")" + log2_ +
+      R"("]})");
+  const std::string append = router.HandleLineSync(
+      R"({"cmd":"append","id":9,)" + Pair() + R"(,"traces":[["a","b"]]})");
+  const std::string admin =
+      router.HandleLineSync(R"({"cmd":"health","id":10})");
+  const std::string invalid =
+      router.HandleLineSync(R"({"id":11,)" + Pair() + R"(,"c":2})");
+  EXPECT_EQ(match.rfind(R"({"id":"7","status":"ok")", 0), 0u) << match;
+  EXPECT_EQ(topk.rfind(R"({"id":"8","status":"ok")", 0), 0u) << topk;
+  EXPECT_EQ(append.rfind(R"({"id":"9","status":"ok")", 0), 0u) << append;
+  EXPECT_EQ(admin.rfind(R"({"id":"10","status":"ok")", 0), 0u) << admin;
+  EXPECT_EQ(invalid.rfind(R"({"id":"11","status":"error")", 0), 0u)
+      << invalid;
+}
+
+TEST_F(ShardedServiceTest, JobsWithoutIdGetAssignedRequestIds) {
+  ShardedMatchService router(OneShard(1));
+  const std::string line = router.HandleLineSync(
+      R"({"log1":"/missing1.txt","log2":"/missing2.txt"})");
+  EXPECT_NE(line.find("\"id\":\"req-"), std::string::npos) << line;
+}
+
+// The router numbers id-less lines from one sequence, before routing:
+// lines that land on different shards, and a line that is not JSON,
+// never share an id, and a shed id-less line carries its req-N.
+TEST_F(ShardedServiceTest, AssignedIdsAreDistinctAcrossShards) {
+  ShardedServiceOptions options;
+  options.num_shards = 4;
+  options.total_threads = 4;  // one worker per shard
+  options.max_inflight_per_shard = 1;
+  ShardedMatchService router(options);
+
+  // Logs that route to at least three different shards.
+  std::vector<std::string> logs;
+  std::set<int> shards;
+  for (int i = 0; i < 32 && shards.size() < 3; ++i) {
+    const std::string path =
+        TempDir() + "/sharded_ids_" + std::to_string(i) + ".txt";
+    WriteFile(path, "a;b\n");
+    if (shards.insert(router.ShardForPath(path)).second) logs.push_back(path);
+    else std::remove(path.c_str());
+  }
+  ASSERT_EQ(shards.size(), 3u);
+
+  std::set<std::string> ids;
+  std::vector<std::string> responses;
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& log : logs) {
+      responses.push_back(router.HandleLineSync(
+          "{\"log1\":\"" + log + "\",\"log2\":\"" + log2_ + "\"}"));
+    }
+  }
+  responses.push_back(router.HandleLineSync("not json"));
+  for (const std::string& response : responses) {
+    Result<JsonValue> doc = ParseJson(response);
+    ASSERT_TRUE(doc.ok()) << response;
+    const std::string id = doc->GetString("id", "");
+    EXPECT_EQ(id.rfind("req-", 0), 0u) << response;
+    EXPECT_TRUE(ids.insert(id).second) << "duplicate id " << id;
+  }
+
+  // Every slot released, park the worker of logs[0]'s shard, fill its
+  // one slot, and shed an id-less line.
+  router.WaitDrained();
+  const int shard = router.ShardForPath(logs[0]);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  ASSERT_TRUE(router.shard_service(shard).pool().Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  }));
+  const std::string idless =
+      "{\"log1\":\"" + logs[0] + "\",\"log2\":\"" + log2_ + "\"}";
+  router.HandleLine(idless, [](const std::string&) {});
+  const std::string shed = router.HandleLineSync(idless);
+  EXPECT_EQ(shed.rfind(R"({"id":"req-)", 0), 0u) << shed;
+  EXPECT_NE(shed.find("\"status\":\"overloaded\""), std::string::npos)
+      << shed;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  router.WaitDrained();
+  for (const std::string& log : logs) std::remove(log.c_str());
 }
 
 }  // namespace

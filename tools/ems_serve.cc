@@ -1,27 +1,27 @@
 // ems_serve: concurrent batch matching service. Reads newline-delimited
 // JSON job requests (see src/serve/service.h for the schema) from stdin,
-// a Unix socket, or a TCP listener, schedules them on a thread pool
-// behind an LRU log cache, and writes one JSON result line per job in
-// completion order. Admin commands ({"cmd":"stats"|"health"|"slow"|
-// "drain"}) ride the same protocol and are answered inline; tools/
-// ems_top renders them as a live dashboard.
+// a Unix socket, or a TCP listener, routes them across worker shards,
+// each a thread pool behind an LRU log cache, and writes one JSON result
+// line per job in completion order. Every mode runs the same sharded
+// router (src/serve/sharded_service.h); admin commands ({"cmd":"stats"|
+// "health"|"slow"|"drain"}) ride the same protocol and are answered
+// inline; tools/ems_top renders them as a live dashboard.
 //
 //   ems_serve [options] < jobs.ndjson > results.ndjson
 //
 // Options:
-//   --threads=N        worker threads (default 0 = hardware concurrency;
-//                      in --tcp mode, the total across all shards)
-//   --queue-size=N     bounded job queue capacity (default 256; per
-//                      shard in --tcp mode)
-//   --cache-size=N     parsed-log LRU capacity, in logs (default 64)
+//   --threads=N        worker threads across all shards (default 0 =
+//                      hardware concurrency)
+//   --queue-size=N     bounded job queue capacity per shard (default 256)
+//   --cache-size=N     parsed-log LRU capacity per shard, in logs
+//                      (default 64)
 //   --cache-bytes=N    parsed-log LRU byte budget (default 0 = entry
 //                      count only)
 //   --cache-dir=PATH   persistent artifact store directory
 //                      (docs/PERSISTENCE.md); restarting with the same
 //                      directory starts warm — the first job per log
-//                      loads its snapshot instead of re-parsing. In
-//                      --tcp mode shard i persists under
-//                      PATH/shard-<i>.
+//                      loads its snapshot instead of re-parsing. Shard i
+//                      persists under PATH/shard-<i>.
 //   --cache-dir-bytes=N byte budget of the on-disk store (default 0 =
 //                      unbounded; LRU file eviction)
 //   --metrics-out=PATH write a PipelineReport JSON (pool, cache, store,
@@ -37,27 +37,29 @@
 //   --log-level=L      structured stderr logging threshold:
 //                      error|warn|info|debug (default warn; one JSON
 //                      line per event)
-//   --socket=PATH      accept one client at a time on a Unix domain
-//                      socket instead of stdin/stdout (POSIX only). A
-//                      stale socket file left by a killed process is
-//                      replaced; a path owned by a live server is
-//                      refused.
-//   --tcp=HOST:PORT    sharded TCP mode (docs/SERVING.md): accept
-//                      concurrent connections, consistent-hash jobs
-//                      across shards, shed overload with explicit
-//                      `overloaded` responses. PORT 0 binds an ephemeral
-//                      port (see --tcp-announce).
+//   --socket=PATH      listen on a Unix domain socket instead of stdin/
+//                      stdout (POSIX only). A stale socket file left by
+//                      a killed process is replaced; a path owned by a
+//                      live server is refused.
+//   --tcp=HOST:PORT    listen on TCP (docs/SERVING.md). PORT 0 binds an
+//                      ephemeral port (see --tcp-announce).
 //   --tcp-announce=PATH write the bound "host:port" to PATH atomically
 //                      once listening (scripts discover ephemeral ports
 //                      this way)
-//   --shards=N         worker shards in --tcp mode (default 4)
+//   --shards=N         worker shards (default 4 under --tcp, 1 on stdin
+//                      and --socket)
 //   --vnodes=N         hash-ring virtual nodes per shard (default 64)
 //   --max-inflight=N   per-shard admission cap (default 0 = shard
 //                      threads + queue capacity)
 //
-// SIGTERM/SIGINT trigger a graceful drain in --socket and --tcp modes:
-// stop accepting, finish every admitted job, flush the stats exporter,
-// exit 0.
+// The two transports differ only in admission. The stdin pipe never
+// sheds: a job whose shard is at its cap waits for a slot, and the
+// service exits once every line up to EOF was answered. A listener (TCP
+// or Unix socket) takes concurrent clients and sheds a job past the cap
+// with an explicit `overloaded` response; SIGTERM/SIGINT drain it: stop
+// accepting, finish every admitted job, flush the stats exporter, exit
+// 0. A line longer than 16 MiB is answered with `too_large` and ends its
+// input: a connection closes, stdin mode exits 1.
 //
 // Example session (one job object per input line):
 //   $ ems_serve --threads=4 < jobs.ndjson
@@ -66,28 +68,18 @@
 //   {"cmd":"stats","id":"s1"}
 //   prints one result line per job and one snapshot line for the stats
 //   command.
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <iostream>
 #include <string>
 
 #ifndef _WIN32
 #include <csignal>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <ext/stdio_filebuf.h>  // libstdc++; socket fd -> iostream
 #endif
 
 #include "net/tcp_server.h"
 #include "net/wire.h"
 #include "obs/context.h"
 #include "obs/report.h"
-#include "serve/service.h"
 #include "serve/sharded_service.h"
 #include "serve/stats_exporter.h"
 #include "util/log.h"
@@ -105,13 +97,14 @@ void Usage(const char* argv0) {
                "          [--metrics-out=PATH] [--stats-out=PATH]\n"
                "          [--stats-interval=SECONDS] [--flight-slow=N]\n"
                "          [--flight-failed=N] [--log-level=LEVEL]\n"
-               "          [--socket=PATH]\n"
-               "          [--tcp=HOST:PORT] [--tcp-announce=PATH]\n"
+               "          [--socket=PATH | --tcp=HOST:PORT "
+               "[--tcp-announce=PATH]]\n"
                "          [--shards=N] [--vnodes=N] [--max-inflight=N]\n"
-               "reads NDJSON job lines from stdin (or the socket/TCP\n"
-               "listener), writes one JSON result line per job; schema\n"
-               "documented in src/serve/service.h, wire protocol in\n"
-               "docs/SERVING.md\n",
+               "routes NDJSON job lines from stdin (waiting at the\n"
+               "admission cap) or from a Unix socket/TCP listener\n"
+               "(shedding at it) across worker shards and writes one JSON\n"
+               "result line per job; schema in src/serve/service.h, wire\n"
+               "protocol in docs/SERVING.md\n",
                argv0);
 }
 
@@ -130,7 +123,7 @@ struct Flags {
   std::string socket_path;
   std::string tcp;
   std::string tcp_announce;
-  int shards = 4;
+  int shards = 0;  // 0: the mode's default
   int vnodes = 64;
   size_t max_inflight = 0;
 };
@@ -228,24 +221,12 @@ Result<Flags> ParseArgs(int argc, char** argv) {
 }
 
 #ifndef _WIN32
-// Graceful-drain signal plumbing. The handler may only touch lock-free
-// atomics and async-signal-safe syscalls (write/shutdown), so it pokes
-// the wake pipe, half-closes the in-flight socket-mode connection, and
-// forwards to TcpServer::RequestDrain (itself a CAS + pipe write).
-std::atomic<bool> g_drain_requested{false};
-std::atomic<int> g_active_conn_fd{-1};
-int g_signal_pipe[2] = {-1, -1};
-net::TcpServer* g_tcp_server = nullptr;  // set before handlers install
+// SIGTERM/SIGINT drain the listener. The handler may only make async-
+// signal-safe calls; RequestDrain is a CAS plus one pipe write.
+net::TcpServer* g_server = nullptr;  // set before handlers install
 
 extern "C" void HandleDrainSignal(int /*signo*/) {
-  g_drain_requested.store(true, std::memory_order_release);
-  if (g_tcp_server != nullptr) g_tcp_server->RequestDrain();
-  const int conn = g_active_conn_fd.load(std::memory_order_acquire);
-  if (conn >= 0) ::shutdown(conn, SHUT_RD);
-  if (g_signal_pipe[1] >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-  }
+  if (g_server != nullptr) g_server->RequestDrain();
 }
 
 void InstallDrainHandlers() {
@@ -255,101 +236,6 @@ void InstallDrainHandlers() {
   action.sa_flags = SA_RESTART;
   ::sigaction(SIGTERM, &action, nullptr);
   ::sigaction(SIGINT, &action, nullptr);
-}
-
-// Serves clients on a Unix domain socket, one connection at a time (each
-// connection streams NDJSON jobs and reads NDJSON results back). Clients
-// end their session by closing; SIGTERM/SIGINT drain: the current
-// connection's read side is half-closed so RunStream sees EOF, finishes
-// every queued job, and the loop exits 0.
-int ServeSocket(serve::BatchMatchService& service, const std::string& path) {
-  // A leftover socket file from a killed process must not block restart,
-  // but a path a live server still answers on must not be stolen: probe
-  // with a connect first — success means "address in use", refusal means
-  // the file is stale and safe to unlink.
-  if (Result<int> probe = net::ConnectUnix(path); probe.ok()) {
-    ::close(*probe);
-    LogError("socket " + path + " is in use by a running server");
-    return 2;
-  }
-  ::unlink(path.c_str());
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    LogError(std::string("socket: ") + std::strerror(errno));
-    return 1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    LogError("socket path too long: " + path);
-    ::close(listen_fd);
-    return 2;
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd, 4) < 0) {
-    LogError(std::string("bind/listen: ") + std::strerror(errno));
-    ::close(listen_fd);
-    return 1;
-  }
-  if (::pipe(g_signal_pipe) != 0) {
-    LogError(std::string("pipe: ") + std::strerror(errno));
-    ::close(listen_fd);
-    return 1;
-  }
-  InstallDrainHandlers();
-  LogInfo("listening on " + path);
-  int rc = 1;
-  for (;;) {
-    if (g_drain_requested.load(std::memory_order_acquire)) {
-      rc = 0;
-      break;
-    }
-    struct pollfd fds[2] = {{listen_fd, POLLIN, 0},
-                            {g_signal_pipe[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      LogError(std::string("poll: ") + std::strerror(errno));
-      break;
-    }
-    if (fds[1].revents != 0) {
-      rc = 0;  // drain signal; nothing in flight
-      break;
-    }
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      LogError(std::string("accept: ") + std::strerror(errno));
-      break;
-    }
-    g_active_conn_fd.store(conn, std::memory_order_release);
-    if (g_drain_requested.load(std::memory_order_acquire)) {
-      // The signal raced the accept: the handler saw fd -1, so half-
-      // close here; RunStream still answers whatever arrived first.
-      ::shutdown(conn, SHUT_RD);
-    }
-    {
-      __gnu_cxx::stdio_filebuf<char> in_buf(conn, std::ios::in);
-      __gnu_cxx::stdio_filebuf<char> out_buf(::dup(conn), std::ios::out);
-      std::istream in(&in_buf);
-      std::ostream out(&out_buf);
-      const size_t jobs = service.RunStream(in, out);
-      g_active_conn_fd.store(-1, std::memory_order_release);
-      LogInfo("connection done (" + std::to_string(jobs) + " lines)");
-    }  // filebufs close both fds
-    if (g_drain_requested.load(std::memory_order_acquire)) {
-      rc = 0;
-      break;
-    }
-  }
-  ::close(listen_fd);
-  ::close(g_signal_pipe[0]);
-  ::close(g_signal_pipe[1]);
-  ::unlink(path.c_str());
-  if (rc == 0) LogInfo("drained; all accepted jobs answered");
-  return rc;
 }
 
 // Writes the bound endpoint to the announce file atomically (tmp +
@@ -370,80 +256,55 @@ Status AnnounceEndpoint(const std::string& path, const std::string& host,
   return Status::OK();
 }
 
-// Sharded TCP mode: router + transport + drain wiring (the tentpole
-// deployment shape; docs/SERVING.md).
-int ServeTcp(const Flags& flags) {
-  Result<net::HostPort> endpoint = net::ParseHostPort(flags.tcp);
-  if (!endpoint.ok()) {
-    LogError("--tcp: " + endpoint.status().message());
-    return 2;
-  }
-
-  serve::ShardedServiceOptions options;
-  options.num_shards = flags.shards;
-  options.vnodes_per_shard = flags.vnodes;
-  options.total_threads = flags.threads;
-  options.shard_queue_capacity = flags.queue_size;
-  options.max_inflight_per_shard = flags.max_inflight;
-  options.cache_capacity = flags.cache_size;
-  options.cache_byte_budget = flags.cache_bytes;
-  options.cache_dir = flags.cache_dir;
-  options.cache_dir_bytes = flags.cache_dir_bytes;
-  options.flight_slow_capacity = flags.flight_slow;
-  options.flight_failed_capacity = flags.flight_failed;
-  serve::ShardedMatchService router(options);
-
-  serve::StatsExporter stats_exporter(
-      flags.stats_out.empty() ? nullptr : router.obs(), flags.stats_out,
-      flags.stats_interval);
-  Timer total_timer;
-
+// Listener mode (--tcp or --socket): transport + drain wiring
+// (docs/SERVING.md). Returns the exit code.
+int ServeListener(const Flags& flags, serve::ShardedMatchService& router) {
   net::TcpServerOptions server_options;
-  server_options.host = endpoint->host;
-  server_options.port = endpoint->port;
+  std::string where = flags.socket_path;
+  if (!flags.tcp.empty()) {
+    Result<net::HostPort> endpoint = net::ParseHostPort(flags.tcp);
+    if (!endpoint.ok()) {
+      LogError("--tcp: " + endpoint.status().message());
+      return 2;
+    }
+    server_options.host = endpoint->host;
+    server_options.port = endpoint->port;
+  } else {
+    server_options.unix_path = flags.socket_path;
+  }
   server_options.obs = router.obs();
   net::TcpServer server(server_options, &router);
   Status started = server.Start();
   if (!started.ok()) {
-    LogError("listen on " + flags.tcp + ": " + started.message());
+    LogError("listen: " + started.message());
     return 1;
+  }
+  if (!flags.tcp.empty()) {
+    where = server_options.host + ":" + std::to_string(server.port());
   }
   // The `drain` admin command stops the transport too; signals stop the
   // transport first and the router drains once connections are done.
   router.SetDrainRequestCallback([&server] { server.RequestDrain(); });
-  g_tcp_server = &server;
+  g_server = &server;
   InstallDrainHandlers();
 
-  LogInfo("listening on " + endpoint->host + ":" +
-          std::to_string(server.port()) + " (" +
+  LogInfo("listening on " + where + " (" +
           std::to_string(router.num_shards()) + " shards)");
-  if (!flags.tcp_announce.empty()) {
-    Status announced =
-        AnnounceEndpoint(flags.tcp_announce, endpoint->host, server.port());
+  if (!flags.tcp.empty() && !flags.tcp_announce.empty()) {
+    Status announced = AnnounceEndpoint(flags.tcp_announce,
+                                        server_options.host, server.port());
     if (!announced.ok()) {
       LogError(announced.message());
-      g_tcp_server = nullptr;
+      g_server = nullptr;
       return 1;
     }
   }
 
   const uint64_t served = server.Wait();
-  g_tcp_server = nullptr;
+  g_server = nullptr;
   router.Drain();
   router.WaitDrained();
   LogInfo("drained after " + std::to_string(served) + " connections");
-
-  stats_exporter.Stop();  // final exposition write before the report
-  if (!flags.metrics_out.empty()) {
-    PipelineReport report =
-        BuildPipelineReport(router.obs(), EmsStats{}, CompositeStats{},
-                            total_timer.ElapsedMillis());
-    Status st = report.WriteJsonFile(flags.metrics_out);
-    if (!st.ok()) {
-      LogError("error writing " + flags.metrics_out + ": " + st.ToString());
-      return 1;
-    }
-  }
   return 0;
 }
 #endif
@@ -456,52 +317,62 @@ int Run(int argc, char** argv) {
     return 2;
   }
   const Flags& flags = *flags_result;
-
-  if (!flags.tcp.empty()) {
-#ifndef _WIN32
-    return ServeTcp(flags);
-#else
-    LogError("--tcp is not supported on this OS");
+  const bool listener = !flags.tcp.empty() || !flags.socket_path.empty();
+#ifdef _WIN32
+  if (listener) {
+    LogError("--tcp and --socket are not supported on this OS");
     return 2;
-#endif
   }
+#endif
 
-  serve::ServiceOptions options;
-  options.threads = flags.threads;
-  options.queue_capacity = flags.queue_size;
+  serve::ShardedServiceOptions options;
+  options.num_shards =
+      flags.shards != 0 ? flags.shards : (!flags.tcp.empty() ? 4 : 1);
+  options.vnodes_per_shard = flags.vnodes;
+  options.total_threads = flags.threads;
+  options.shard_queue_capacity = flags.queue_size;
+  options.max_inflight_per_shard = flags.max_inflight;
   options.cache_capacity = flags.cache_size;
   options.cache_byte_budget = flags.cache_bytes;
   options.cache_dir = flags.cache_dir;
   options.cache_dir_bytes = flags.cache_dir_bytes;
   options.flight_slow_capacity = flags.flight_slow;
   options.flight_failed_capacity = flags.flight_failed;
-  // The service owns its telemetry context (options.obs stays null), so
+  // The router owns its telemetry context (options.obs stays null), so
   // stats/health/slow and the exposition export always have live data.
+  serve::ShardedMatchService router(options);
 
-  serve::BatchMatchService service(options);
   serve::StatsExporter stats_exporter(
-      flags.stats_out.empty() ? nullptr : service.obs(), flags.stats_out,
+      flags.stats_out.empty() ? nullptr : router.obs(), flags.stats_out,
       flags.stats_interval);
   Timer total_timer;
   int rc = 0;
-  if (!flags.socket_path.empty()) {
 #ifndef _WIN32
-    rc = ServeSocket(service, flags.socket_path);
-#else
-    LogError("--socket is not supported on this OS");
-    return 2;
+  if (listener) rc = ServeListener(flags, router);
 #endif
-  } else {
-    const size_t jobs = service.RunStream(std::cin, std::cout);
-    LogInfo("stream done: " + std::to_string(jobs) + " lines, cache " +
-            std::to_string(service.cache().hits()) + " hits / " +
-            std::to_string(service.cache().misses()) + " misses");
+  if (!listener) {
+    const net::LinesServed served =
+        router.RunStream(/*in_fd=*/0, /*out_fd=*/1);
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    for (int i = 0; i < router.num_shards(); ++i) {
+      hits += router.shard_service(i).cache().hits();
+      misses += router.shard_service(i).cache().misses();
+    }
+    LogInfo("stream done: " + std::to_string(served.lines) + " lines, cache " +
+            std::to_string(hits) + " hits / " + std::to_string(misses) +
+            " misses");
+    if (served.too_large) {
+      LogError("input line longer than " +
+               std::to_string(net::kMaxLineBytes) + " bytes; stopped reading");
+      rc = 1;
+    }
   }
 
   stats_exporter.Stop();  // final exposition write before the report
   if (!flags.metrics_out.empty()) {
     PipelineReport report =
-        BuildPipelineReport(service.obs(), EmsStats{}, CompositeStats{},
+        BuildPipelineReport(router.obs(), EmsStats{}, CompositeStats{},
                             total_timer.ElapsedMillis());
     Status st = report.WriteJsonFile(flags.metrics_out);
     if (!st.ok()) {

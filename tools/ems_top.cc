@@ -1,11 +1,10 @@
 // ems_top: polling terminal dashboard for a running ems_serve. Connects
 // to the service's Unix socket or TCP endpoint, issues {"cmd":"stats"}
-// probes (answered inline by the service, so the dashboard stays live
-// even when the job queue is saturated), and renders throughput, latency
-// quantiles, cache hit rates, and pool utilization as a compact
-// top-style screen. Against a sharded `ems_serve --tcp` deployment it
-// additionally renders per-shard queue-depth/inflight gauges and the
-// shard-balance spread.
+// probes (answered inline by the router, so the dashboard stays live
+// even when the job queue is saturated, and beside any number of job
+// clients), and renders throughput, latency quantiles, the summed cache
+// hit rate, per-shard queue-depth/inflight gauges and the shard-balance
+// spread as a compact top-style screen.
 //
 //   ems_top --socket=/tmp/ems.sock [--interval=SECONDS] [--count=N]
 //   ems_top --tcp=127.0.0.1:7463 --once
@@ -252,9 +251,29 @@ void RenderProbMetrics(const JsonValue& stats) {
               100.0 * converged / runs, mean_entropy, entropy.p90);
 }
 
-// The sharded deployment's breakdown: one row per shard with queue and
-// inflight gauges, plus the routed-job balance spread. Single-service
-// responses carry no "shards" array, so this renders nothing for them.
+// The parsed-log caches of every shard, summed into one line.
+void RenderCache(const JsonValue& stats) {
+  const JsonValue* shards = stats.Find("shards");
+  if (shards == nullptr || !shards->is_array()) return;
+  double entries = 0.0, bytes = 0.0, hits = 0.0, misses = 0.0;
+  for (const JsonValue& shard : shards->array_items()) {
+    const JsonValue* cache = shard.Find("cache");
+    if (cache == nullptr) continue;
+    entries += cache->GetNumber("entries", 0.0);
+    bytes += cache->GetNumber("bytes", 0.0);
+    hits += cache->GetNumber("hits", 0.0);
+    misses += cache->GetNumber("misses", 0.0);
+  }
+  const double lookups = hits + misses;
+  std::printf("cache       %lld logs, %lld bytes, hit rate %5.1f%% "
+              "(%lld/%lld)\n",
+              static_cast<long long>(entries), static_cast<long long>(bytes),
+              lookups > 0.0 ? 100.0 * hits / lookups : 0.0,
+              static_cast<long long>(hits), static_cast<long long>(lookups));
+}
+
+// The router's breakdown: one row per shard with queue and inflight
+// gauges, plus the routed-job balance spread.
 void RenderShards(const JsonValue& stats) {
   const JsonValue* shards = stats.Find("shards");
   if (shards == nullptr || !shards->is_array() ||
@@ -330,31 +349,7 @@ bool RenderFrame(const std::string& line, bool clear_screen) {
         static_cast<unsigned long long>(err.count));
   }
 
-  if (const JsonValue* cache = stats.Find("cache")) {
-    const double hits = cache->GetNumber("hits", 0.0);
-    const double misses = cache->GetNumber("misses", 0.0);
-    const double lookups = hits + misses;
-    std::printf("cache       %lld logs, %lld bytes, hit rate %5.1f%% "
-                "(%lld/%lld)\n",
-                static_cast<long long>(cache->GetNumber("entries", 0.0)),
-                static_cast<long long>(cache->GetNumber("bytes", 0.0)),
-                lookups > 0.0 ? 100.0 * hits / lookups : 0.0,
-                static_cast<long long>(hits),
-                static_cast<long long>(lookups));
-  }
-
-  if (const JsonValue* pool = stats.Find("pool")) {
-    const double threads = pool->GetNumber("threads", 0.0);
-    const double in_flight = pool->GetNumber("jobs_in_flight", 0.0);
-    std::printf("pool        %lld threads, %lld in flight (%5.1f%% busy), "
-                "queue %lld/%lld\n",
-                static_cast<long long>(threads),
-                static_cast<long long>(in_flight),
-                threads > 0.0 ? 100.0 * in_flight / threads : 0.0,
-                static_cast<long long>(pool->GetNumber("queue_depth", 0.0)),
-                static_cast<long long>(
-                    pool->GetNumber("queue_capacity", 0.0)));
-  }
+  RenderCache(stats);
   RenderIndexMetrics(stats);
   RenderStreamMetrics(stats);
   RenderProbMetrics(stats);
