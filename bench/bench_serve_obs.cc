@@ -8,15 +8,23 @@
 // rep by rep (after one unmeasured warmup pair) so machine drift cancels
 // out of the ratio instead of landing in one arm.
 //
+// Two statistics are reported: the best-of-reps overhead per arm, and
+// the median over reps of the paired ratio (on_i - off_i) / off_i. The
+// paired median is the one gated: both runs of a rep see the same
+// machine state, so host noise between reps drops out of it, while a
+// best-of per arm can pair one arm's quiet moment with the other's
+// burst.
+//
 // Doubles as an equivalence harness: both configurations must produce
 // the identical multiset of result lines (millis fields stripped — they
 // are the one legitimately nondeterministic byte range). The binary
-// exits nonzero on any mismatch or when overhead exceeds the budget by
-// a wide margin (> 15%, noise headroom for loaded CI machines).
+// exits nonzero on any mismatch or when the paired median exceeds the
+// budget by a wide margin (> 15%, noise headroom for loaded CI
+// machines).
 //
 // When EMS_BENCH_JSON_DIR names a directory, writes
 // BENCH_serve_obs.json there (atomically, tmp + rename) with per-mode
-// timing and the overhead ratio.
+// timing and both overhead statistics.
 //
 // Flags: --activities=N (default 20), --traces=N (default 300),
 //        --jobs=N (default 64), --reps=N (default 3),
@@ -92,8 +100,21 @@ double RunOnce(const serve::ShardedServiceOptions& options,
   return millis;
 }
 
-void WriteJson(double off_best, double on_best, double overhead, int jobs,
-               int reps, int threads) {
+// Median over reps of the paired overhead (on_i - off_i) / off_i.
+double PairedMedianOverhead(const std::vector<double>& off_ms,
+                            const std::vector<double>& on_ms) {
+  std::vector<double> ratios;
+  for (size_t i = 0; i < off_ms.size(); ++i) {
+    ratios.push_back(off_ms[i] > 0.0 ? (on_ms[i] - off_ms[i]) / off_ms[i]
+                                     : 0.0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const size_t n = ratios.size();
+  return n % 2 == 1 ? ratios[n / 2] : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
+}
+
+void WriteJson(double off_best, double on_best, double best_of_overhead,
+               double paired_overhead, int jobs, int reps, int threads) {
   const char* env = std::getenv("EMS_BENCH_JSON_DIR");
   if (env == nullptr || env[0] == '\0') return;
   JsonWriter w;
@@ -112,8 +133,13 @@ void WriteJson(double off_best, double on_best, double overhead, int jobs,
   w.Number(off_best);
   w.Key("telemetry_on_best_millis");
   w.Number(on_best);
+  w.Key("best_of_overhead_ratio");
+  w.Number(best_of_overhead);
+  w.Key("paired_median_overhead_ratio");
+  w.Number(paired_overhead);
+  // The gated statistic.
   w.Key("overhead_ratio");
-  w.Number(overhead);
+  w.Number(paired_overhead);
   w.Key("overhead_budget");
   w.Number(0.05);
   w.EndObject();
@@ -221,14 +247,13 @@ int Main(int argc, char** argv) {
   std::vector<std::string> lines_off, lines_on;
   RunOnce(options_off, jobs_path, out_path, &lines_off);
   RunOnce(options_on, jobs_path, out_path, &lines_on);
-  double off_best = 0.0;
-  double on_best = 0.0;
+  std::vector<double> off_ms, on_ms;
   for (int rep = 0; rep < reps; ++rep) {
-    const double off_ms = RunOnce(options_off, jobs_path, out_path, nullptr);
-    const double on_ms = RunOnce(options_on, jobs_path, out_path, nullptr);
-    if (rep == 0 || off_ms < off_best) off_best = off_ms;
-    if (rep == 0 || on_ms < on_best) on_best = on_ms;
+    off_ms.push_back(RunOnce(options_off, jobs_path, out_path, nullptr));
+    on_ms.push_back(RunOnce(options_on, jobs_path, out_path, nullptr));
   }
+  const double off_best = *std::min_element(off_ms.begin(), off_ms.end());
+  const double on_best = *std::min_element(on_ms.begin(), on_ms.end());
 
   if (lines_off != lines_on) {
     std::fprintf(stderr,
@@ -238,21 +263,27 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  const double overhead =
+  const double best_of_overhead =
       off_best > 0.0 ? (on_best - off_best) / off_best : 0.0;
+  const double overhead = PairedMedianOverhead(off_ms, on_ms);
   std::printf("telemetry off   best %8.3f ms\n", off_best);
   std::printf("telemetry on    best %8.3f ms\n", on_best);
-  std::printf("overhead: %+.2f%% (budget < 5%%)\n", overhead * 100.0);
+  std::printf("overhead, best of %d per arm: %+.2f%%\n", reps,
+              best_of_overhead * 100.0);
+  std::printf("overhead, median of %d paired reps: %+.2f%% (budget < 5%%)\n",
+              reps, overhead * 100.0);
   std::printf("equivalence: result streams identical (%zu lines)\n",
               lines_on.size());
-  WriteJson(off_best, on_best, overhead, jobs, reps, threads);
+  WriteJson(off_best, on_best, best_of_overhead, overhead, jobs, reps,
+            threads);
 
   for (const std::string* path : {&log1_path, &log2_path, &jobs_path,
                                   &out_path}) {
     std::remove(path->c_str());
   }
-  // 15% is the hard failure line: three times the budget, leaving noise
-  // headroom on loaded CI machines while still catching regressions.
+  // 15% of the paired median is the hard failure line: three times the
+  // budget, leaving noise headroom on loaded CI machines while still
+  // catching regressions.
   if (overhead > 0.15) {
     std::fprintf(stderr, "OVERHEAD FAILURE: %.2f%% > 15%%\n",
                  overhead * 100.0);

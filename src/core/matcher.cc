@@ -207,9 +207,9 @@ Result<MatchResult> MatchPrepared(const MatchOptions& options,
                                   const EventLog& log1, const EventLog& log2,
                                   DependencyGraph g1, DependencyGraph g2,
                                   const LabelProfiles& labels1,
-                                  const LabelProfiles& labels2) {
+                                  const LabelProfiles& labels2,
+                                  PipelineInputs inputs) {
   std::vector<std::vector<double>> labels;
-  PipelineInputs inputs;
   if (options.label_measure != LabelMeasure::kNone) {
     ScopedSpan span(options.obs.context, "label_similarity");
     labels = LabelSimilarityMatrix(labels1, labels2,

@@ -122,7 +122,7 @@ struct MatchResult {
 
   /// Full posterior of the EM run (present iff MatchOptions::prob was
   /// enabled): responsibilities, MAP assignment, per-row entropies and
-  /// convergence stats — snapshot-able via store::EncodeSoftMatch.
+  /// convergence stats.
   std::optional<prob::SoftMatchResult> soft;
 };
 
@@ -234,12 +234,14 @@ PreparedLog PrepareLog(EventLog log, const PrepareOptions& options);
 /// the service's matches: S^L assembled from the two logs' label
 /// profiles, then MatchGraphs over `g1` and `g2`, the logs' prepared
 /// graphs (moved from a fresh preparation, or copied from a shared one).
-/// `labels1` and `labels2` are the node labels of those graphs.
+/// `labels1` and `labels2` are the node labels of those graphs. `inputs`
+/// carries a streaming session's warm start; its `labels` is set here.
 Result<MatchResult> MatchPrepared(const MatchOptions& options,
                                   const EventLog& log1, const EventLog& log2,
                                   DependencyGraph g1, DependencyGraph g2,
                                   const LabelProfiles& labels1,
-                                  const LabelProfiles& labels2);
+                                  const LabelProfiles& labels2,
+                                  PipelineInputs inputs = {});
 
 /// \brief End-to-end event matcher.
 class Matcher {

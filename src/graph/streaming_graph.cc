@@ -1,6 +1,7 @@
 #include "graph/streaming_graph.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace ems {
 
@@ -47,6 +48,18 @@ void EraseAt(std::vector<NodeId>& nbrs, std::vector<double>& freqs,
   freqs.erase(freqs.begin() + static_cast<ptrdiff_t>(pos));
 }
 
+// Rows of a recomputed distance cache whose value differs from `before`.
+// Nodes are only ever added, so a new node's row counts as changed.
+size_t ChangedRows(const std::vector<int>& before,
+                   const std::vector<int>& after) {
+  EMS_DCHECK(before.size() <= after.size());
+  size_t changed = after.size() - before.size();
+  for (size_t v = 0; v < before.size(); ++v) {
+    if (before[v] != after[v]) ++changed;
+  }
+  return changed;
+}
+
 }  // namespace
 
 StreamingDependencyGraph::StreamingDependencyGraph(
@@ -54,6 +67,10 @@ StreamingDependencyGraph::StreamingDependencyGraph(
     : log_(log), options_(options) {
   counts_.Add(log);
   graph_ = DependencyGraph::FromCounts(log, counts_, options);
+  if (graph_.has_artificial_) {
+    graph_.LongestDistancesFromArtificial();
+    graph_.LongestDistancesToArtificial();
+  }
 }
 
 StreamingGraphStats StreamingDependencyGraph::ApplyAppend(
@@ -181,173 +198,17 @@ StreamingGraphStats StreamingDependencyGraph::ApplyAppend(
     }
   }
 
-  // 6. Longest-distance maintenance. Distances depend on structure only,
-  // so a purely numeric delta leaves warm caches untouched; otherwise
-  // re-derive exactly the rows whose path set could have changed.
+  // 6. Distances depend on structure only, so a purely numeric delta
+  // leaves both caches as they are; a structural one recomputes them with
+  // DependencyGraph's own derivation.
   if (art && (!added.empty() || !removed.empty() || !new_nodes.empty())) {
-    std::vector<NodeId> fwd_seeds;
-    std::vector<NodeId> bwd_seeds;
-    for (const auto& [a, b] : added) {
-      fwd_seeds.push_back(b);
-      bwd_seeds.push_back(a);
-    }
-    for (const auto& [a, b] : removed) {
-      fwd_seeds.push_back(b);
-      bwd_seeds.push_back(a);
-    }
-    for (NodeId v : new_nodes) {
-      fwd_seeds.push_back(v);
-      bwd_seeds.push_back(v);
-    }
-    if (!graph_.longest_from_.empty()) {
-      stats.distance_rows_invalidated +=
-          MaintainDistances(graph_.longest_from_, /*forward=*/true,
-                            fwd_seeds);
-    }
-    if (!graph_.longest_to_.empty()) {
-      stats.distance_rows_invalidated +=
-          MaintainDistances(graph_.longest_to_, /*forward=*/false,
-                            bwd_seeds);
-    }
+    const std::vector<int> from = std::exchange(graph_.longest_from_, {});
+    const std::vector<int> to = std::exchange(graph_.longest_to_, {});
+    stats.distance_rows_invalidated =
+        ChangedRows(from, graph_.LongestDistancesFromArtificial()) +
+        ChangedRows(to, graph_.LongestDistancesToArtificial());
   }
   return stats;
-}
-
-size_t StreamingDependencyGraph::MaintainDistances(
-    std::vector<int>& dist, bool forward,
-    const std::vector<NodeId>& seeds) const {
-  const DependencyGraph& g = graph_;
-  const size_t n = g.NumNodes();
-  dist.resize(n, 0);
-
-  // Dirty closure: every changed path from (resp. to) v^X traverses a
-  // changed edge, so it passes that edge's downstream (resp. upstream)
-  // endpoint — a seed. Closing the seeds under `forward` real edges of
-  // the NEW graph therefore covers every node whose distance could
-  // differ; all other rows are provably unchanged and stay cached.
-  std::vector<char> dirty(n, 0);
-  std::vector<NodeId> work;
-  for (NodeId s : seeds) {
-    if (dirty[static_cast<size_t>(s)]) continue;
-    dirty[static_cast<size_t>(s)] = 1;
-    work.push_back(s);
-  }
-  auto walk_nbrs = [&](NodeId v) -> const std::vector<NodeId>& {
-    return forward ? g.Successors(v) : g.Predecessors(v);
-  };
-  auto in_nbrs = [&](NodeId v) -> const std::vector<NodeId>& {
-    return forward ? g.Predecessors(v) : g.Successors(v);
-  };
-  while (!work.empty()) {
-    const NodeId v = work.back();
-    work.pop_back();
-    for (NodeId w : walk_nbrs(v)) {
-      if (g.IsArtificial(w) || dirty[static_cast<size_t>(w)]) continue;
-      dirty[static_cast<size_t>(w)] = 1;
-      work.push_back(w);
-    }
-  }
-
-  // Tarjan restricted to the dirty set (a cycle through a dirty node is
-  // entirely reachable from it, hence entirely dirty — induced SCCs are
-  // full SCCs), mirroring the batch ComputeScc's iterative structure so
-  // the condensation order semantics match LongestDistances exactly.
-  std::vector<int> comp(n, -1);
-  std::vector<int> index(n, -1);
-  std::vector<int> low(n, 0);
-  std::vector<char> on_stack(n, 0);
-  std::vector<NodeId> scc_stack;
-  std::vector<std::vector<NodeId>> comp_nodes;
-  std::vector<char> nontrivial;
-  int next_index = 0;
-  std::vector<std::pair<NodeId, size_t>> dfs;
-  for (NodeId start = 0; start < static_cast<NodeId>(n); ++start) {
-    if (!dirty[static_cast<size_t>(start)]) continue;
-    if (index[static_cast<size_t>(start)] != -1) continue;
-    dfs.emplace_back(start, 0);
-    while (!dfs.empty()) {
-      auto& [v, pos] = dfs.back();
-      if (pos == 0) {
-        index[static_cast<size_t>(v)] = low[static_cast<size_t>(v)] =
-            next_index++;
-        scc_stack.push_back(v);
-        on_stack[static_cast<size_t>(v)] = 1;
-      }
-      const auto& succ = g.Successors(v);
-      bool descended = false;
-      while (pos < succ.size()) {
-        const NodeId w = succ[pos++];
-        if (g.IsArtificial(w) || !dirty[static_cast<size_t>(w)]) continue;
-        if (index[static_cast<size_t>(w)] == -1) {
-          dfs.emplace_back(w, 0);
-          descended = true;
-          break;
-        }
-        if (on_stack[static_cast<size_t>(w)]) {
-          low[static_cast<size_t>(v)] = std::min(
-              low[static_cast<size_t>(v)], index[static_cast<size_t>(w)]);
-        }
-      }
-      if (descended) continue;
-      if (low[static_cast<size_t>(v)] == index[static_cast<size_t>(v)]) {
-        comp_nodes.emplace_back();
-        const int cid = static_cast<int>(comp_nodes.size()) - 1;
-        while (true) {
-          const NodeId w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[static_cast<size_t>(w)] = 0;
-          comp[static_cast<size_t>(w)] = cid;
-          comp_nodes.back().push_back(w);
-          if (w == v) break;
-        }
-        nontrivial.push_back(comp_nodes.back().size() > 1 ? 1 : 0);
-      }
-      const NodeId finished = v;
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        NodeId parent = dfs.back().first;
-        low[static_cast<size_t>(parent)] =
-            std::min(low[static_cast<size_t>(parent)],
-                     low[static_cast<size_t>(finished)]);
-      }
-    }
-  }
-
-  // Condensation sweep over the dirty components. Forward distances
-  // consume in-neighbor values, so predecessors go first (reverse Tarjan
-  // emission); backward distances consume successor values (ascending).
-  // In-neighbors outside the dirty set read their final value straight
-  // from the cache; dirty in-neighbors always live in an
-  // already-processed component.
-  const int num_comps = static_cast<int>(comp_nodes.size());
-  size_t rewritten = 0;
-  for (int step = 0; step < num_comps; ++step) {
-    const int cid = forward ? num_comps - 1 - step : step;
-    const auto& nodes = comp_nodes[static_cast<size_t>(cid)];
-    bool comp_infinite = nontrivial[static_cast<size_t>(cid)] != 0;
-    int comp_dist = 1;  // at minimum the direct artificial edge
-    for (NodeId v : nodes) {
-      for (NodeId u : in_nbrs(v)) {
-        if (g.IsArtificial(u)) continue;
-        if (dirty[static_cast<size_t>(u)] &&
-            comp[static_cast<size_t>(u)] == cid) {
-          continue;  // intra-component edge
-        }
-        const int du = dist[static_cast<size_t>(u)];
-        if (du == kInfiniteDistance) {
-          comp_infinite = true;
-        } else {
-          comp_dist = std::max(comp_dist, du + 1);
-        }
-      }
-    }
-    for (NodeId v : nodes) {
-      dist[static_cast<size_t>(v)] =
-          comp_infinite ? kInfiniteDistance : comp_dist;
-      ++rewritten;
-    }
-  }
-  return rewritten;
 }
 
 }  // namespace ems

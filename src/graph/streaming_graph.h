@@ -13,12 +13,13 @@
 // reads, and keeps it. Per append it patches both adjacency directions
 // in place for the pairs the batch touched (read out sorted, so no hash
 // order reaches the graph), rewrites the frequency doubles with the
-// exact count/num_traces divisions Build uses, and re-derives
-// longest-distance cache rows only for nodes whose path set could have
-// changed (the reachability closure of the changed edges). The
-// maintained graph is bit-identical to DependencyGraph::Build over the
-// extended log — node order, edge order, every double, and both distance
-// caches (pinned by tests/graph/streaming_graph_test.cc and the
+// exact count/num_traces divisions Build uses. Both longest-distance
+// caches are filled from construction on; a structural delta (an edge
+// added or removed, a new node) recomputes them with DependencyGraph's
+// one derivation, and a purely numeric one leaves them as they are.
+// The maintained graph is bit-identical to DependencyGraph::Build over
+// the extended log — node order, edge order, every double, and both
+// distance caches (pinned by tests/graph/streaming_graph_test.cc and the
 // append-sequence fuzz in tests/property/streaming_property_test.cc).
 #pragma once
 
@@ -41,9 +42,9 @@ struct StreamingGraphStats {
   /// Real edges dropped (frequency fell below the threshold as the
   /// trace denominator grew).
   size_t removed_edges = 0;
-  /// Longest-distance cache rows re-derived across both directions; 0
-  /// when the caches were cold (still lazy) or the delta was purely
-  /// numeric (distances depend on structure only).
+  /// Longest-distance cache rows whose value the append changed, across
+  /// both directions (a new node's rows count); 0 after a purely numeric
+  /// delta, since distances depend on structure only.
   size_t distance_rows_invalidated = 0;
 };
 
@@ -67,21 +68,15 @@ class StreamingDependencyGraph {
   /// one).
   StreamingGraphStats ApplyAppend(size_t first_new_trace);
 
-  /// The maintained graph. Valid until the next ApplyAppend.
+  /// The maintained graph. Valid until the next ApplyAppend. With the
+  /// artificial event both distance caches are filled, so readers under
+  /// a shared lock never write to it.
   const DependencyGraph& graph() const { return graph_; }
 
   size_t num_traces() const { return counts_.num_traces(); }
   const DependencyGraphOptions& options() const { return options_; }
 
  private:
-  // Re-derives the rows of one longest-distance cache whose values could
-  // have changed: the reachability closure (along `forward` edges) of
-  // the changed-edge endpoints and new nodes, computed by a Tarjan pass
-  // restricted to the closure with clean-boundary reads from the cached
-  // array. Returns the number of rows rewritten.
-  size_t MaintainDistances(std::vector<int>& dist, bool forward,
-                           const std::vector<NodeId>& seeds) const;
-
   const EventLog& log_;
   DependencyGraphOptions options_;
   DependencyGraph graph_;

@@ -109,7 +109,7 @@ LogCache::LogCache(size_t capacity, ObsContext* obs,
 
 Result<std::shared_ptr<const PreparedLog>> LogCache::GetOrLoad(
     const std::string& path, const std::string& format,
-    const PrepareOptions& prepare) {
+    const PrepareOptions& prepare, uint64_t* content_hash_out) {
   // Hash the file on every lookup: a rewritten file gets a fresh key, so
   // no job is ever answered with a stale parse. An unreadable file (one
   // missing, a directory) is a miss that caches nothing.
@@ -122,6 +122,7 @@ Result<std::shared_ptr<const PreparedLog>> LogCache::GetOrLoad(
     ObsIncrement(obs_, "serve.cache.misses");
     return hashed.status();
   }
+  if (content_hash_out != nullptr) *content_hash_out = hashed.value();
   const std::string key = CanonicalPath(path) + "|" +
                           ResolveLogFormat(path, format) + "|" +
                           store::HashHex(hashed.value()) + "|" +

@@ -3,7 +3,9 @@
 // sweeps, warehouse scans) match the same logs against many partners;
 // a value holds everything of a match that depends on one log alone —
 // the parsed log, its dependency graph and its label profiles — so a
-// request does only the pair's work.
+// request does only the pair's work. Streaming sessions start from the
+// same values (serve/stream_session.h): log 2 of a session is the shared
+// value itself, and log 1 a copy the session appends to.
 //
 // Keys include the file's content hash, so a log rewritten between jobs
 // is re-parsed, never served stale. With an artifact store attached the
@@ -67,10 +69,12 @@ class LogCache {
   /// The log at `path` prepared under `prepare`, loading and preparing
   /// it on a miss. `format` is auto|trace|csv|xes|mxml, as in the CLI
   /// tools; "auto" detects from the extension. An unreadable file (a
-  /// directory, for one) is an IOError.
+  /// directory, for one) is an IOError. `content_hash_out` (optional)
+  /// receives the XXH64 of the file the value was keyed by.
   Result<std::shared_ptr<const PreparedLog>> GetOrLoad(
       const std::string& path, const std::string& format,
-      const PrepareOptions& prepare = {});
+      const PrepareOptions& prepare = {},
+      uint64_t* content_hash_out = nullptr);
 
   /// Lookups answered without a load of their own (resident entries and
   /// waiters on another caller's load) and lookups that loaded.

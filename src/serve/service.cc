@@ -502,7 +502,7 @@ BatchMatchService::BatchMatchService(const ServiceOptions& options)
       store_(OpenStore(options_)),
       cache_(options_.cache_capacity, options_.obs, artifact_store(),
              options_.cache_byte_budget),
-      stream_sessions_(artifact_store(), options_.obs),
+      stream_sessions_(&cache_, artifact_store(), options_.obs),
       flight_(options_.telemetry
                   ? std::make_unique<FlightRecorder>(
                         options_.flight_slow_capacity,
@@ -700,13 +700,8 @@ Result<std::string> BatchMatchService::RunAppend(AppendRequest& request,
                                                  const Job& job) {
   EMS_ASSIGN_OR_RETURN(StreamAppendOutcome outcome,
                        stream_sessions_.Append(request, job.obs));
-  std::string rendered =
-      RenderAppendResult(job.id, outcome, job.timer.ElapsedMillis());
   RecordProbMetrics(options_.obs, outcome.match);
-  if (outcome.graph_stats.appended_traces > 0) {
-    RefreshCorpusMember(request.log1, outcome.log_snapshot, request.format);
-  }
-  return rendered;
+  return RenderAppendResult(job.id, outcome, job.timer.ElapsedMillis());
 }
 
 Result<std::string> BatchMatchService::RunTopK(TopKRequest& request,
@@ -743,40 +738,6 @@ Result<std::string> BatchMatchService::RunTopK(TopKRequest& request,
   out.stats = scheduler.stats();
   if (answer != nullptr) return std::string();  // the router renders
   return RenderTopKResult(job.id, request.k, out, job.timer.ElapsedMillis());
-}
-
-void BatchMatchService::RefreshCorpusMember(const std::string& path,
-                                            const EventLog& log,
-                                            const std::string& format) {
-  const std::string canon = CanonicalPath(path);
-  std::lock_guard<std::mutex> lock(corpus_mu_);
-  for (CorpusCacheEntry& cached : corpus_cache_) {
-    int member = -1;
-    for (size_t i = 0; i < cached.index->size(); ++i) {
-      const index::CorpusEntry& entry = cached.index->entry(i);
-      const std::string& source =
-          entry.source_path.empty() ? entry.name : entry.source_path;
-      if (CanonicalPath(source) == canon) {
-        member = static_cast<int>(i);
-        break;
-      }
-    }
-    if (member < 0) continue;
-    // Copy-on-write: concurrent top-k jobs keep reading the old immutable
-    // index; the cache entry flips to the refreshed copy when done.
-    const index::CorpusEntry stale = cached.index->entry(member);
-    index::CorpusIndex refreshed = *cached.index;
-    if (!refreshed.Remove(stale.name).ok()) continue;
-    if (!refreshed
-             .Add(stale.name, log, stale.source_path, stale.content_hash,
-                  stale.format.empty() ? format : stale.format)
-             .ok()) {
-      continue;
-    }
-    cached.index =
-        std::make_shared<const index::CorpusIndex>(std::move(refreshed));
-    ObsIncrement(options_.obs, "stream.corpus_refreshes");
-  }
 }
 
 }  // namespace serve

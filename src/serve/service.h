@@ -60,7 +60,8 @@
 // pair (it is served from the same caches). Built corpus indexes are
 // cached in-process keyed by member content hashes, and persisted
 // through the artifact store, so repeated queries against one corpus
-// skip the build entirely.
+// skip the build entirely. A query ranks the member files as they are
+// on disk: an append grows its streaming session, not a corpus member.
 //
 // Admin commands ({"cmd": "stats" | "health" | "slow" | "drain"}) ride
 // the same NDJSON protocol; the router answers them inline, never
@@ -258,12 +259,6 @@ class BatchMatchService {
   Result<std::string> RunTopK(TopKRequest& request, const Job& job,
                               TopKAnswer* answer);
 
-  /// Refreshes cached corpus indexes containing `path` after an append:
-  /// the member is re-added from `log` (the session's appended state) so
-  /// top-k queries rank against the stream, not the stale file.
-  void RefreshCorpusMember(const std::string& path, const EventLog& log,
-                           const std::string& format);
-
   /// The corpus index for `members` (in order), built with the request's
   /// min_edge_frequency — from the in-process cache when the member
   /// files are unchanged, else through the artifact store
@@ -278,7 +273,7 @@ class BatchMatchService {
   exec::ThreadPool pool_;
   std::optional<store::ArtifactStore> store_;  // must outlive cache_
   LogCache cache_;
-  StreamSessionManager stream_sessions_;  // after store_: borrows it
+  StreamSessionManager stream_sessions_;  // after cache_: borrows it
   std::unique_ptr<FlightRecorder> flight_;
 
   // Tiny MRU cache of built corpus indexes (shared so concurrent top-k

@@ -4,7 +4,6 @@
 #include <shared_mutex>
 #include <utility>
 
-#include "graph/dependency_graph.h"
 #include "log/event_log.h"
 #include "obs/context.h"
 #include "serve/log_cache.h"
@@ -17,13 +16,6 @@ namespace ems {
 namespace serve {
 
 namespace {
-
-// Touches both lazy longest-distance caches so later shared-lock readers
-// never race the first (mutable) computation.
-void WarmDistanceCaches(const DependencyGraph& g) {
-  g.LongestDistancesFromArtificial();
-  g.LongestDistancesToArtificial();
-}
 
 // The append batch as name vectors: inline traces, or the traces of a
 // delta log file parsed with the service's format detection.
@@ -100,10 +92,13 @@ struct StreamSessionManager::Session {
   uint64_t base_hash2 = 0;
   uint64_t options_fingerprint = 0;
 
+  // Log 1: the session's copy of the prepared log, which appends grow,
+  // its streaming graph, and its label profiles (re-prepared when an
+  // append adds nodes). Log 2: the shard cache's shared preparation.
   EventLog log1;
-  EventLog log2;
   std::optional<StreamingDependencyGraph> graph1;
-  DependencyGraph graph2;
+  LabelProfiles labels1;
+  std::shared_ptr<const PreparedLog> prepared2;
 
   WarmSeed seed;
   /// False while the seed came from a persisted snapshot and no match has
@@ -111,12 +106,12 @@ struct StreamSessionManager::Session {
   /// which may differ from the appended state the snapshot converged on,
   /// so resume must warm-start with null hints, never assume_unchanged.
   bool seed_matches_current_graphs = false;
-  size_t appends = 0;
 };
 
-StreamSessionManager::StreamSessionManager(store::ArtifactStore* store,
+StreamSessionManager::StreamSessionManager(LogCache* cache,
+                                           store::ArtifactStore* store,
                                            ObsContext* obs)
-    : store_(store), obs_(obs) {}
+    : cache_(cache), store_(store), obs_(obs) {}
 
 StreamSessionManager::~StreamSessionManager() = default;
 
@@ -157,8 +152,8 @@ StreamSessionManager::GetOrCreate(const AppendRequest& request, bool* created,
     if (it != sessions_.end()) return it->second;
   }
 
-  // Build outside the registry lock: parsing and graph construction are
-  // expensive and must not stall unrelated sessions.
+  // Build outside the registry lock: loading a log and building its
+  // streaming graph must not stall unrelated sessions.
   auto session = std::make_shared<Session>();
   session->canon1 = canon1;
   session->canon2 = canon2;
@@ -166,31 +161,16 @@ StreamSessionManager::GetOrCreate(const AppendRequest& request, bool* created,
   session->format2 = format2;
   session->options_fingerprint = fp;
 
-  auto log1 = LoadEventLogThroughStore(store_, request.log1, request.format,
-                                       &session->base_hash1);
-  if (!log1.ok()) return log1.status();
-  auto log2 = LoadEventLogThroughStore(store_, request.log2, request.format,
-                                       &session->base_hash2);
-  if (!log2.ok()) return log2.status();
-  // Storeless services skip the snapshot layer (and its hashing), but
-  // the base hashes still anchor TryMatch's disk-divergence check.
-  if (store_ == nullptr) {
-    auto hash1 = store::HashFile(request.log1);
-    auto hash2 = store::HashFile(request.log2);
-    if (!hash1.ok()) return hash1.status();
-    if (!hash2.ok()) return hash2.status();
-    session->base_hash1 = *hash1;
-    session->base_hash2 = *hash2;
-  }
-  session->log1 = std::move(*log1);
-  session->log2 = std::move(*log2);
-
-  DependencyGraphOptions graph_options;
-  graph_options.min_edge_frequency = request.options.min_edge_frequency;
-  session->graph1.emplace(session->log1, graph_options);
-  session->graph2 = DependencyGraph::Build(session->log2, graph_options);
-  WarmDistanceCaches(session->graph1->graph());
-  WarmDistanceCaches(session->graph2);
+  const PrepareOptions prepare = PrepareOptionsFor(request.options);
+  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedLog> prepared1,
+                       cache_->GetOrLoad(request.log1, request.format,
+                                         prepare, &session->base_hash1));
+  EMS_ASSIGN_OR_RETURN(session->prepared2,
+                       cache_->GetOrLoad(request.log2, request.format,
+                                         prepare, &session->base_hash2));
+  session->log1 = prepared1->log;
+  session->labels1 = prepared1->labels;
+  session->graph1.emplace(session->log1, prepare.graph);
 
   if (store_ != nullptr) {
     store::ArtifactKey seed_key{
@@ -203,7 +183,7 @@ StreamSessionManager::GetOrCreate(const AppendRequest& request, bool* created,
       // warm-start is sound only over matching dimensions.
       if (seed.ok() &&
           seed->forward.rows() == session->graph1->graph().NumNodes() &&
-          seed->forward.cols() == session->graph2.NumNodes()) {
+          seed->forward.cols() == session->prepared2->graph.NumNodes()) {
         session->seed = std::move(*seed);
         session->seed_matches_current_graphs = false;
         *resumed = true;
@@ -239,7 +219,10 @@ Result<StreamAppendOutcome> StreamSessionManager::Append(
   StreamingGraphStats graph_stats;
   if (delta.appended_traces > 0) {
     graph_stats = session.graph1->ApplyAppend(delta.first_new_trace);
-    WarmDistanceCaches(session.graph1->graph());
+    if (graph_stats.new_nodes > 0) {
+      session.labels1 = LabelProfiles(session.graph1->graph(),
+                                      session.labels1.qgram_q());
+    }
   }
 
   // assume_unchanged needs the seed's graphs bit-identical to the current
@@ -257,12 +240,12 @@ Result<StreamAppendOutcome> StreamSessionManager::Append(
   inputs.assume_unchanged = assume_unchanged;
   inputs.next_seed = &session.seed;
   inputs.stats = &outcome.match_stats;
-  auto match =
-      MatchGraphs(match_options, session.log1, session.log2,
-                  session.graph1->graph(), session.graph2, inputs);
+  const PreparedLog& prepared2 = *session.prepared2;
+  auto match = MatchPrepared(match_options, session.log1, prepared2.log,
+                             session.graph1->graph(), prepared2.graph,
+                             session.labels1, prepared2.labels, inputs);
   if (!match.ok()) return match.status();
   session.seed_matches_current_graphs = true;
-  session.appends += 1;
   PersistSeed(session);
 
   outcome.match = std::move(*match);
@@ -271,7 +254,6 @@ Result<StreamAppendOutcome> StreamSessionManager::Append(
   outcome.total_traces = session.log1.NumTraces();
   outcome.session_created = created;
   outcome.resumed_from_store = resumed;
-  outcome.log_snapshot = session.log1;
   lock.unlock();
 
   ObsIncrement(obs_, "stream.appends");
@@ -343,9 +325,10 @@ std::optional<Result<MatchResult>> StreamSessionManager::TryMatch(
   PipelineInputs inputs;
   inputs.seed = &session->seed;
   inputs.assume_unchanged = true;
-  Result<MatchResult> match =
-      MatchGraphs(match_options, session->log1, session->log2,
-                  session->graph1->graph(), session->graph2, inputs);
+  const PreparedLog& prepared2 = *session->prepared2;
+  Result<MatchResult> match = MatchPrepared(
+      match_options, session->log1, prepared2.log, session->graph1->graph(),
+      prepared2.graph, session->labels1, prepared2.labels, inputs);
   lock.unlock();
   if (match.ok()) ObsIncrement(obs_, "stream.session_matches");
   return match;

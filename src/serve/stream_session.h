@@ -6,10 +6,15 @@
 // re-matches in a fraction of the cold iteration count
 // (docs/STREAMING.md).
 //
+// A session starts from the shard's prepared logs (serve/log_cache.h):
+// log 2 is the cache's shared value, log 1 a copy with its own streaming
+// graph and label profiles, which appends grow.
+//
 // Sessions are also the authority for plain match jobs over a pair they
 // cover: after an append, the file on disk is stale relative to the
 // session, so the service consults TryMatch BEFORE the parsed-log cache
 // — the append-then-match stale-parse regression test pins this order.
+// Top-k queries are not: they rank the member files as they are on disk.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +27,6 @@
 
 #include "core/matcher.h"
 #include "graph/streaming_graph.h"
-#include "log/event_log.h"
 #include "util/status.h"
 
 namespace ems {
@@ -35,6 +39,7 @@ class ArtifactStore;
 
 namespace serve {
 
+class LogCache;
 struct JobRequest;
 
 /// One parsed {"cmd": "append"} line. Exactly one of `traces` (inline
@@ -60,11 +65,6 @@ struct StreamAppendOutcome {
   size_t total_traces = 0;  // traces in the session log after the batch
   bool session_created = false;
   bool resumed_from_store = false;  // seed loaded from a persisted snapshot
-
-  /// Copy of the session's log1 after the batch — what downstream caches
-  /// (the service's corpus indexes) refresh their member state from,
-  /// taken under the session lock so it is a consistent snapshot.
-  EventLog log_snapshot;
 };
 
 /// Fingerprint of every MatchOptions field that shapes a session's
@@ -78,19 +78,21 @@ uint64_t StreamOptionsFingerprint(const MatchOptions& options);
 ///
 /// Thread-safe: the registry map has its own mutex; each session carries
 /// a shared_mutex (appends exclusive — they mutate log, graph, and seed
-/// and re-match inside the lock; session-served matches shared). Both
-/// `store` and `obs` are borrowed and may be null: without a store,
+/// and re-match inside the lock; session-served matches shared). `cache`
+/// is the shard's log cache, which sessions start from; it, `store` and
+/// `obs` are borrowed, and the last two may be null: without a store,
 /// seeds live only in memory and restarts resume cold.
 class StreamSessionManager {
  public:
-  StreamSessionManager(store::ArtifactStore* store, ObsContext* obs);
+  StreamSessionManager(LogCache* cache, store::ArtifactStore* store,
+                       ObsContext* obs);
   ~StreamSessionManager();
 
   /// Folds one append batch into the pair's session (creating it from
-  /// the on-disk files — through the artifact store when available — on
-  /// first touch) and warm re-matches, selecting with the request's
-  /// options. Requires the exact engine and no
-  /// composites. `job_obs` (may be null) receives the match's span tree.
+  /// the shard's prepared logs on first touch) and warm re-matches,
+  /// selecting with the request's options. Requires the exact engine and
+  /// no composites. `job_obs` (may be null) receives the match's span
+  /// tree.
   Result<StreamAppendOutcome> Append(const AppendRequest& request,
                                      ObsContext* job_obs);
 
@@ -116,6 +118,7 @@ class StreamSessionManager {
 
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
+  LogCache* cache_;
   store::ArtifactStore* store_;
   ObsContext* obs_;
 };

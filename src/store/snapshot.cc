@@ -5,7 +5,6 @@
 #include "core/matcher.h"
 #include "graph/dependency_graph.h"
 #include "log/event_log.h"
-#include "prob/soft_match.h"
 #include "store/hashing.h"
 
 namespace ems {
@@ -17,7 +16,6 @@ const char* ArtifactKindName(ArtifactKind kind) {
     case ArtifactKind::kDependencyGraph: return "graph";
     case ArtifactKind::kCorpusIndex: return "corpus";
     case ArtifactKind::kSimilarityMatrix: return "seed";
-    case ArtifactKind::kSoftMatch: return "soft";
   }
   return "unknown";
 }
@@ -429,85 +427,6 @@ Result<WarmSeed> DecodeWarmSeed(std::string_view snapshot) {
   EMS_RETURN_NOT_OK(r.ExpectEnd());
   seed.valid = true;
   return seed;
-}
-
-std::string EncodeSoftMatch(const prob::SoftMatchResult& soft) {
-  SnapshotWriter w;
-  EncodeMatrix(&w, soft.posterior);
-  w.I32(soft.stats.iterations);
-  w.U8(soft.stats.converged ? 1 : 0);
-  w.F64(soft.stats.final_delta);
-  w.F64(soft.stats.mean_entropy);
-  w.U64(soft.column_prior.size());
-  for (double v : soft.column_prior) w.F64(v);
-  w.U64(soft.map_assignment.size());
-  for (int v : soft.map_assignment) w.I32(v);
-  w.U64(soft.mode.size());
-  for (int v : soft.mode) w.I32(v);
-  w.U64(soft.row_entropy.size());
-  for (double v : soft.row_entropy) w.F64(v);
-  return w.Finish(ArtifactKind::kSoftMatch);
-}
-
-Result<prob::SoftMatchResult> DecodeSoftMatch(std::string_view snapshot) {
-  EMS_ASSIGN_OR_RETURN(
-      SnapshotReader r, SnapshotReader::Open(snapshot, ArtifactKind::kSoftMatch));
-  prob::SoftMatchResult soft;
-  soft.posterior = DecodeMatrix(&r);
-  soft.stats.iterations = r.I32();
-  soft.stats.converged = r.U8() != 0;
-  soft.stats.final_delta = r.F64();
-  soft.stats.mean_entropy = r.F64();
-  const size_t rows = soft.posterior.rows();
-  const size_t cols = soft.posterior.cols();
-
-  const uint64_t priors = r.U64();
-  if (!r.CheckCount(priors, sizeof(double))) return r.status();
-  soft.column_prior.reserve(static_cast<size_t>(priors));
-  for (uint64_t i = 0; i < priors && r.ok(); ++i) {
-    soft.column_prior.push_back(r.F64());
-  }
-  const uint64_t maps = r.U64();
-  if (!r.CheckCount(maps, sizeof(int32_t))) return r.status();
-  soft.map_assignment.reserve(static_cast<size_t>(maps));
-  for (uint64_t i = 0; i < maps && r.ok(); ++i) {
-    soft.map_assignment.push_back(r.I32());
-  }
-  const uint64_t modes = r.U64();
-  if (!r.CheckCount(modes, sizeof(int32_t))) return r.status();
-  soft.mode.reserve(static_cast<size_t>(modes));
-  for (uint64_t i = 0; i < modes && r.ok(); ++i) soft.mode.push_back(r.I32());
-  const uint64_t entropies = r.U64();
-  if (!r.CheckCount(entropies, sizeof(double))) return r.status();
-  soft.row_entropy.reserve(static_cast<size_t>(entropies));
-  for (uint64_t i = 0; i < entropies && r.ok(); ++i) {
-    soft.row_entropy.push_back(r.F64());
-  }
-  EMS_RETURN_NOT_OK(r.ExpectEnd());
-
-  if (soft.stats.iterations < 0) {
-    return Status::InvalidArgument("soft-match snapshot: negative iterations");
-  }
-  if (soft.column_prior.size() != cols ||
-      soft.map_assignment.size() != rows || soft.mode.size() != rows ||
-      soft.row_entropy.size() != rows) {
-    return Status::InvalidArgument(
-        "soft-match snapshot: array lengths inconsistent with posterior "
-        "shape");
-  }
-  for (int v : soft.map_assignment) {
-    if (v < -1 || (v >= 0 && static_cast<size_t>(v) >= cols)) {
-      return Status::InvalidArgument(
-          "soft-match snapshot: MAP column out of range");
-    }
-  }
-  for (int v : soft.mode) {
-    if (v < -1 || (v >= 0 && static_cast<size_t>(v) >= cols)) {
-      return Status::InvalidArgument(
-          "soft-match snapshot: mode column out of range");
-    }
-  }
-  return soft;
 }
 
 }  // namespace store

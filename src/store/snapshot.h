@@ -31,21 +31,16 @@ class EventLog;
 class DependencyGraph;
 struct WarmSeed;
 
-namespace prob {
-struct SoftMatchResult;
-}
-
 namespace store {
 
 /// What a snapshot contains; written into the header and into cache
-/// file names, so a key never deserializes as the wrong type. Values 3
-/// and 4 belonged to retired kinds and stay unused.
+/// file names, so a key never deserializes as the wrong type. Values 3,
+/// 4 and 7 belonged to retired kinds and stay unused.
 enum class ArtifactKind : uint32_t {
   kEventLog = 1,         // interned vocabulary + trace multiset
   kDependencyGraph = 2,  // nodes, adjacency, cached l(v) distances
   kCorpusIndex = 5,      // corpus top-k index (src/index/corpus_io.h)
   kSimilarityMatrix = 6,  // warm-start seed: per-direction EMS fixpoints
-  kSoftMatch = 7,         // EM posterior + MAP (src/prob/soft_match.h)
 };
 
 /// Short lowercase name ("log", "graph", ...) used in cache file names;
@@ -156,16 +151,6 @@ Result<DependencyGraph> DecodeDependencyGraph(std::string_view snapshot);
 /// Only valid seeds encode.
 std::string EncodeWarmSeed(const WarmSeed& seed);
 Result<WarmSeed> DecodeWarmSeed(std::string_view snapshot);
-
-/// EM soft-match posterior (src/prob/soft_match.h): responsibilities,
-/// column priors, MAP assignment, per-row modes/entropies and the
-/// convergence stats. The store keys these like warm seeds — content
-/// hashes of both logs plus the match-option fingerprint (temperature,
-/// tolerance, iteration caps included), so a cached posterior is only
-/// replayed for the exact run that produced it. Decoding validates all
-/// per-row/per-column array lengths against the posterior shape.
-std::string EncodeSoftMatch(const prob::SoftMatchResult& soft);
-Result<prob::SoftMatchResult> DecodeSoftMatch(std::string_view snapshot);
 
 /// Size EncodeEventLog(log) would produce, computed arithmetically
 /// (no encoding) — the cost estimate for byte-budget caches.

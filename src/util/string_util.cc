@@ -1,7 +1,10 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 namespace ems {
 
@@ -84,5 +87,41 @@ std::string XmlEscape(std::string_view s) {
   }
   return out;
 }
+
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;  // "inf", "nan"
+  }
+  return value;
+}
+
+template <typename T>
+Status ParseFlagNumber(std::string_view flag, std::string_view text, T* out) {
+  const std::optional<T> value = ParseNumber<T>(text);
+  if (!value) {
+    return Status::InvalidArgument(
+        "--" + std::string(flag) + " expects " +
+        (std::is_integral_v<T> ? "an integer" : "a number") + ", got '" +
+        std::string(text) + "'");
+  }
+  *out = *value;
+  return Status::OK();
+}
+
+#define EMS_PARSE_NUMBER(T)                                          \
+  template std::optional<T> ParseNumber<T>(std::string_view);        \
+  template Status ParseFlagNumber<T>(std::string_view, std::string_view, T*);
+EMS_PARSE_NUMBER(int)
+EMS_PARSE_NUMBER(long)
+EMS_PARSE_NUMBER(long long)
+EMS_PARSE_NUMBER(unsigned long)
+EMS_PARSE_NUMBER(unsigned long long)
+EMS_PARSE_NUMBER(double)
+#undef EMS_PARSE_NUMBER
 
 }  // namespace ems

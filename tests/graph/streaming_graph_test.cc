@@ -95,14 +95,14 @@ TEST(StreamingGraphTest, AppendExtendsVocabularyInPlace) {
   ExpectGraphsIdentical(stream.graph(), DependencyGraph::Build(log));
 }
 
-TEST(StreamingGraphTest, WarmDistanceCacheIsPatchedNotRebuilt) {
+TEST(StreamingGraphTest, StructuralDeltaCountsOnlyChangedDistanceRows) {
   EventLog log = BaseLog();
   StreamingDependencyGraph stream(log);
-  // Warm both caches, then append a batch that only touches c's
-  // out-neighborhood: rows upstream of the change must stay cached.
   stream.graph().LongestDistancesFromArtificial();
   stream.graph().LongestDistancesToArtificial();
 
+  // A batch that only touches c's out-neighborhood: the caches are
+  // recomputed, and only the rows whose value changed are counted.
   AppendDelta delta = log.AppendTraces({{"c", "d"}});
   StreamingGraphStats stats = stream.ApplyAppend(delta.first_new_trace);
   // Forward direction: only the new node d is downstream of the new
@@ -110,6 +110,8 @@ TEST(StreamingGraphTest, WarmDistanceCacheIsPatchedNotRebuilt) {
   EXPECT_GT(stats.distance_rows_invalidated, 0u);
   EXPECT_LT(stats.distance_rows_invalidated,
             2 * stream.graph().NumNodes());
+  // d's new forward row, and d, c, b and a toward v^X.
+  EXPECT_EQ(stats.distance_rows_invalidated, 5u);
 
   DependencyGraph rebuilt = DependencyGraph::Build(log);
   ExpectGraphsIdentical(stream.graph(), rebuilt);

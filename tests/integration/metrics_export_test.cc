@@ -9,6 +9,7 @@
 #include <string>
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 namespace ems {
 namespace {
@@ -116,6 +117,29 @@ TEST(MetricsExportTest, EmsMatchWritesPipelineReportJson) {
   std::remove(log2.c_str());
   std::remove(metrics.c_str());
   std::remove(trace.c_str());
+}
+
+// A numeric flag takes one whole number: garbage, a trailing suffix or
+// a decimal comma is a usage error (exit 2) naming the flag, never a
+// prefix parsed as a silent default.
+TEST(MetricsExportTest, EmsMatchRejectsMalformedNumericFlags) {
+  const std::string dir = TempDir();
+  const std::string log = dir + "/metrics_export_flags.txt";
+  const std::string err = dir + "/metrics_export_flags.stderr";
+  WriteFile(log, "a;b;c\na;c\n");
+  for (const std::string flag :
+       {"--alpha=abc", "--alpha=0,3", "--threads=two", "--topk=x",
+        "--c=0.8x"}) {
+    const std::string cmd = std::string(EMS_MATCH_BINARY) + " " + flag +
+                            " " + log + " " + log + " > /dev/null 2> " + err;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(ReadFile(err).find(name), std::string::npos) << ReadFile(err);
+  }
+  std::remove(log.c_str());
+  std::remove(err.c_str());
 }
 
 // --cache-dir wires the persistent artifact store into the exported

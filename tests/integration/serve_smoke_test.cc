@@ -491,6 +491,21 @@ TEST(ServeSmokeTest, SocketDrainsOnSigtermAndRemovesItsFile) {
   std::remove(log1.c_str());
   std::remove(log2.c_str());
 }
+
+// A malformed numeric flag is a usage error (exit 2) naming the flag,
+// even with nothing on stdin to serve.
+TEST(ServeSmokeTest, MalformedNumericFlagIsAUsageError) {
+  const std::string err = TempDir() + "/serve_bad_flag.stderr";
+  const std::string cmd = std::string(EMS_SERVE_BINARY) +
+                          " --threads=two < /dev/null > /dev/null 2> " + err;
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  EXPECT_NE(ReadFile(err).find("--threads"), std::string::npos)
+      << ReadFile(err);
+  std::remove(err.c_str());
+}
+
 #endif
 
 }  // namespace

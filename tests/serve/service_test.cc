@@ -763,6 +763,106 @@ TEST(BatchMatchServiceTest, MatchAfterAppendServesSessionStateNotStaleParse) {
   }
 }
 
+// A session's base file rewritten on disk wins over the session: the
+// next match drops the session and serves the new file.
+TEST(BatchMatchServiceTest, RewrittenBaseFileDropsTheSession) {
+  const std::string log1 =
+      WriteTraceLog("service_rewrite_1.txt", "a;b\na;b\n");
+  const std::string log2 =
+      WriteTraceLog("service_rewrite_2.txt", "a;b;c;d\na;c;b;d\n");
+
+  ObsContext obs;
+  ServiceOptions options;
+  options.threads = 1;
+  options.obs = &obs;
+  BatchMatchService service(options);
+
+  const std::string pair =
+      R"("log1":")" + log1 + R"(","log2":")" + log2 + R"(")";
+  const std::string append = service.HandleJobLine(
+      R"({"cmd":"append","id":"a1",)" + pair +
+      R"(,"traces":[["a","c","b"],["a","c","b"]]})");
+  EXPECT_NE(append.find("\"new_events\":1"), std::string::npos) << append;
+  const std::string served =
+      service.HandleJobLine(R"({"id":"m1",)" + pair + "}");
+  EXPECT_NE(served.find(R"("left":["c"])"), std::string::npos) << served;
+
+  WriteTraceLog("service_rewrite_1.txt", "a;d;b\na;d;b\n");
+  const std::string fresh =
+      service.HandleJobLine(R"({"id":"m2",)" + pair + "}");
+  EXPECT_NE(fresh.find("\"status\":\"ok\""), std::string::npos) << fresh;
+  EXPECT_EQ(fresh.find(R"("left":["c"])"), std::string::npos) << fresh;
+  EXPECT_NE(fresh.find(R"("left":["d"])"), std::string::npos) << fresh;
+  EXPECT_EQ(obs.metrics.CounterValue("stream.sessions_invalidated"), 1u);
+  EXPECT_EQ(obs.metrics.CounterValue("stream.session_matches"), 1u);
+
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
+}
+
+// The "hits" array of a top-k response, as rendered.
+std::string HitsOf(const std::string& response) {
+  const size_t begin = response.find("\"hits\":");
+  const size_t end = response.find(",\"index\":");
+  EXPECT_NE(begin, std::string::npos) << response;
+  EXPECT_NE(end, std::string::npos) << response;
+  return response.substr(begin, end - begin);
+}
+
+// Top-k ranks the member files as they are on disk: an append to a
+// member grows that pair's streaming session, never the corpus entry,
+// whether or not the corpus index was cached when the append ran.
+TEST(BatchMatchServiceTest, TopKRanksMemberFilesNotAppendedSessions) {
+  const std::string query =
+      WriteTraceLog("service_topk_append_q.txt", "a;b;c;d\na;b;d\na;c;d\n");
+  const std::vector<std::string> members = {
+      WriteTraceLog("service_topk_append_0.txt", "a;b;c;d\na;b;d\n"),
+      WriteTraceLog("service_topk_append_1.txt", "x;y;z\nx;z;y\n"),
+      WriteTraceLog("service_topk_append_2.txt", "p;q;r\nq;p;r\n")};
+  std::string member_list;
+  for (const std::string& m : members) {
+    member_list += (member_list.empty() ? "\"" : ",\"") + m + "\"";
+  }
+  const std::string topk = R"({"id":"t","query":")" + query +
+                           R"(","topk":2,"members":[)" + member_list + "]}";
+  // Twenty copies of the query's trace make member 1 look like it.
+  std::string traces;
+  for (int i = 0; i < 20; ++i) {
+    traces += std::string(traces.empty() ? "" : ",") + R"(["a","b","c","d"])";
+  }
+  const std::string append = R"({"cmd":"append","id":"a","log1":")" +
+                             members[1] + R"(","log2":")" + query +
+                             R"(","traces":[)" + traces + "]}";
+
+  ServiceOptions options;
+  options.threads = 1;
+  std::string before;
+  {
+    BatchMatchService service(options);
+    before = HitsOf(service.HandleJobLine(topk));
+  }
+  {
+    SCOPED_TRACE("append, then top-k");
+    BatchMatchService service(options);
+    const std::string appended = service.HandleJobLine(append);
+    EXPECT_NE(appended.find("\"status\":\"ok\""), std::string::npos)
+        << appended;
+    EXPECT_EQ(HitsOf(service.HandleJobLine(topk)), before);
+  }
+  {
+    SCOPED_TRACE("top-k, append, top-k");
+    BatchMatchService service(options);
+    EXPECT_EQ(HitsOf(service.HandleJobLine(topk)), before);
+    const std::string appended = service.HandleJobLine(append);
+    EXPECT_NE(appended.find("\"status\":\"ok\""), std::string::npos)
+        << appended;
+    EXPECT_EQ(HitsOf(service.HandleJobLine(topk)), before);
+  }
+
+  std::remove(query.c_str());
+  for (const std::string& m : members) std::remove(m.c_str());
+}
+
 // Restart resume: a new service pointed at the same --cache-dir picks a
 // streaming session back up from the persisted seed matrix — log
 // snapshots answer the parses and the first re-match is warm.

@@ -59,5 +59,49 @@ TEST(XmlEscapeTest, EscapesSpecials) {
   EXPECT_EQ(XmlEscape("plain"), "plain");
 }
 
+TEST(ParseNumberTest, AcceptsOneWholeNumberInRange) {
+  EXPECT_EQ(ParseNumber<int>("42"), 42);
+  EXPECT_EQ(ParseNumber<int>("-7"), -7);
+  EXPECT_EQ(ParseNumber<long>("0"), 0L);
+  EXPECT_EQ(ParseNumber<double>("0.3"), 0.3);
+  EXPECT_EQ(ParseNumber<double>("1e3"), 1000.0);
+  EXPECT_EQ(ParseNumber<double>("-2.5"), -2.5);
+  EXPECT_EQ(ParseNumber<unsigned long long>("18446744073709551615"),
+            18446744073709551615ULL);
+}
+
+TEST(ParseNumberTest, RejectsLeftoversAndOtherSpellings) {
+  for (const char* text :
+       {"", "abc", "0,3", "1e3x", "two", "x", " 1", "1 ", "+1", "0x10", "-"}) {
+    EXPECT_FALSE(ParseNumber<double>(text).has_value()) << "'" << text << "'";
+    EXPECT_FALSE(ParseNumber<int>(text).has_value()) << "'" << text << "'";
+  }
+  EXPECT_FALSE(ParseNumber<int>("1e3").has_value());
+  EXPECT_FALSE(ParseNumber<int>("1.5").has_value());
+}
+
+TEST(ParseNumberTest, RejectsValuesOutsideTheTypeOrNotFinite) {
+  EXPECT_FALSE(ParseNumber<int>("2147483648").has_value());
+  EXPECT_FALSE(ParseNumber<long long>("99999999999999999999").has_value());
+  EXPECT_FALSE(ParseNumber<unsigned long>("-1").has_value());
+  EXPECT_FALSE(ParseNumber<unsigned long long>("18446744073709551616")
+                   .has_value());
+  EXPECT_FALSE(ParseNumber<double>("1e400").has_value());
+  EXPECT_FALSE(ParseNumber<double>("inf").has_value());
+  EXPECT_FALSE(ParseNumber<double>("nan").has_value());
+}
+
+TEST(ParseFlagNumberTest, NamesTheFlagAndLeavesTheTargetOnFailure) {
+  int threads = 3;
+  const Status bad = ParseFlagNumber("threads", "two", &threads);
+  EXPECT_TRUE(bad.IsInvalidArgument());
+  EXPECT_NE(bad.message().find("--threads"), std::string::npos)
+      << bad.message();
+  EXPECT_NE(bad.message().find("'two'"), std::string::npos) << bad.message();
+  EXPECT_EQ(threads, 3);
+  ASSERT_TRUE(ParseFlagNumber("threads", "8", &threads).ok());
+  EXPECT_EQ(threads, 8);
+}
+
 }  // namespace
 }  // namespace ems

@@ -11,7 +11,6 @@
 // for the load_truth / load_found / evaluate phases and link counters
 // (parallel loads are counted, not spanned — spans are single-thread).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
@@ -82,7 +81,12 @@ int main(int argc, char** argv) {
     if (arg.rfind(prefix, 0) == 0) {
       metrics_out = arg.substr(prefix.size());
     } else if (arg.rfind(threads_prefix, 0) == 0) {
-      threads = std::atoi(arg.substr(threads_prefix.size()).c_str());
+      const Status parsed = ParseFlagNumber(
+          "threads", arg.substr(threads_prefix.size()), &threads);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+        return 2;
+      }
       if (threads < 0) {
         std::fprintf(stderr, "error: --threads must be >= 0\n");
         return 2;

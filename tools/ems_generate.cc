@@ -39,6 +39,7 @@
 #include "log/mxml.h"
 #include "log/xes.h"
 #include "synth/dataset.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -91,29 +92,40 @@ int main(int argc, char** argv) {
       return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
                                        : nullptr;
     };
-    if (const char* v = value_of("pairs")) pairs = std::atoi(v);
-    else if (const char* v = value_of("corpus")) corpus = std::atoi(v);
-    else if (const char* v = value_of("family-size")) {
-      family_size = std::atoi(v);
-    } else if (const char* v = value_of("testbed")) testbed = v;
-    else if (const char* v = value_of("activities")) activities = std::atoi(v);
-    else if (const char* v = value_of("traces")) traces = std::atoi(v);
-    else if (const char* v = value_of("dislocation")) {
-      dislocation = std::atoi(v);
+    Status parsed;
+    if (const char* v = value_of("pairs")) {
+      parsed = ParseFlagNumber("pairs", v, &pairs);
+    } else if (const char* v = value_of("corpus")) {
+      parsed = ParseFlagNumber("corpus", v, &corpus);
+    } else if (const char* v = value_of("family-size")) {
+      parsed = ParseFlagNumber("family-size", v, &family_size);
+    } else if (const char* v = value_of("testbed")) {
+      testbed = v;
+    } else if (const char* v = value_of("activities")) {
+      parsed = ParseFlagNumber("activities", v, &activities);
+    } else if (const char* v = value_of("traces")) {
+      parsed = ParseFlagNumber("traces", v, &traces);
+    } else if (const char* v = value_of("dislocation")) {
+      parsed = ParseFlagNumber("dislocation", v, &dislocation);
     } else if (const char* v = value_of("composites")) {
-      composites = std::atoi(v);
+      parsed = ParseFlagNumber("composites", v, &composites);
     } else if (const char* v = value_of("append")) {
-      append = std::atoi(v);
+      parsed = ParseFlagNumber("append", v, &append);
     } else if (const char* v = value_of("append-batches")) {
-      append_batches = std::atoi(v);
+      parsed = ParseFlagNumber("append-batches", v, &append_batches);
     } else if (const char* v = value_of("seed")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (const char* v = value_of("format")) format = v;
-    else if (arg.rfind("--", 0) == 0) {
+      parsed = ParseFlagNumber("seed", v, &seed);
+    } else if (const char* v = value_of("format")) {
+      format = v;
+    } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return 2;
     } else {
       dir = arg;
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+      return 2;
     }
   }
   if (dir.empty()) {

@@ -44,6 +44,7 @@
 #include "util/json_writer.h"
 #include "util/log.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -93,25 +94,30 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "socket", &value)) {
       flags.socket_path = value;
     } else if (ParseFlag(arg, "connections", &value)) {
-      flags.connections = std::atoi(value.c_str());
+      EMS_RETURN_NOT_OK(
+          ParseFlagNumber("connections", value, &flags.connections));
       if (flags.connections < 1) {
         return Status::InvalidArgument("--connections must be >= 1");
       }
     } else if (ParseFlag(arg, "qps", &value)) {
-      flags.qps = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("qps", value, &flags.qps));
       if (flags.qps <= 0.0) {
         return Status::InvalidArgument("--qps must be > 0");
       }
     } else if (ParseFlag(arg, "duration", &value)) {
-      flags.duration = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("duration", value, &flags.duration));
       if (flags.duration <= 0.0) {
         return Status::InvalidArgument("--duration must be > 0");
       }
     } else if (ParseFlag(arg, "max-requests", &value)) {
-      flags.max_requests = std::strtoull(value.c_str(), nullptr, 10);
+      EMS_RETURN_NOT_OK(
+          ParseFlagNumber("max-requests", value, &flags.max_requests));
     } else if (ParseFlag(arg, "mix", &value)) {
-      if (std::sscanf(value.c_str(), "%d:%d:%d", &flags.match_weight,
-                      &flags.stats_weight, &flags.storm_weight) != 3 ||
+      const std::vector<std::string> weights = Split(value, ':');
+      if (weights.size() != 3 ||
+          !ParseFlagNumber("mix", weights[0], &flags.match_weight).ok() ||
+          !ParseFlagNumber("mix", weights[1], &flags.stats_weight).ok() ||
+          !ParseFlagNumber("mix", weights[2], &flags.storm_weight).ok() ||
           flags.match_weight < 0 || flags.stats_weight < 0 ||
           flags.storm_weight < 0 ||
           flags.match_weight + flags.stats_weight + flags.storm_weight ==
@@ -125,7 +131,8 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "log2", &value)) {
       flags.log2 = value;
     } else if (ParseFlag(arg, "storm-logs", &value)) {
-      flags.storm_logs = std::atoi(value.c_str());
+      EMS_RETURN_NOT_OK(
+          ParseFlagNumber("storm-logs", value, &flags.storm_logs));
       if (flags.storm_logs < 1) {
         return Status::InvalidArgument("--storm-logs must be >= 1");
       }

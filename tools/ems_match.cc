@@ -74,8 +74,8 @@
 #include "obs/trace.h"
 #include "serve/log_cache.h"
 #include "store/artifact_store.h"
-#include "store/hashing.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace {
@@ -137,22 +137,24 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     if (arg == "--composites") flags.composites = true;
     else if (arg == "--prob") flags.prob = true;
     else if (ParseFlag(arg, "prob-temp", &value)) {
-      flags.prob_temp = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("prob-temp", value, &flags.prob_temp));
       if (flags.prob_temp <= 0.0) {
         return Status::InvalidArgument("--prob-temp must be > 0");
       }
     } else if (ParseFlag(arg, "prob-tol", &value)) {
-      flags.prob_tol = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("prob-tol", value, &flags.prob_tol));
       if (flags.prob_tol <= 0.0) {
         return Status::InvalidArgument("--prob-tol must be > 0");
       }
     } else if (ParseFlag(arg, "prob-iters", &value)) {
-      flags.prob_iters = std::atoi(value.c_str());
+      EMS_RETURN_NOT_OK(
+          ParseFlagNumber("prob-iters", value, &flags.prob_iters));
       if (flags.prob_iters < 1) {
         return Status::InvalidArgument("--prob-iters must be >= 1");
       }
     } else if (ParseFlag(arg, "prob-min-confidence", &value)) {
-      flags.prob_min_confidence = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("prob-min-confidence", value,
+                                        &flags.prob_min_confidence));
       if (flags.prob_min_confidence < 0.0 || flags.prob_min_confidence > 1.0) {
         return Status::InvalidArgument(
             "--prob-min-confidence must be in [0, 1]");
@@ -165,24 +167,29 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     else if (ParseFlag(arg, "format", &value)) flags.format = value;
     else if (ParseFlag(arg, "labels", &value)) flags.labels = value;
     else if (ParseFlag(arg, "alpha", &value)) {
-      flags.alpha = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("alpha", value, &flags.alpha));
       flags.alpha_set = true;
-    } else if (ParseFlag(arg, "c", &value)) flags.c = std::atof(value.c_str());
-    else if (ParseFlag(arg, "engine", &value)) flags.engine = value;
-    else if (ParseFlag(arg, "iterations", &value)) {
-      flags.iterations = std::atoi(value.c_str());
+    } else if (ParseFlag(arg, "c", &value)) {
+      EMS_RETURN_NOT_OK(ParseFlagNumber("c", value, &flags.c));
+    } else if (ParseFlag(arg, "engine", &value)) {
+      flags.engine = value;
+    } else if (ParseFlag(arg, "iterations", &value)) {
+      EMS_RETURN_NOT_OK(
+          ParseFlagNumber("iterations", value, &flags.iterations));
       if (flags.iterations < 0) {
         return Status::InvalidArgument("--iterations must be >= 0");
       }
     } else if (ParseFlag(arg, "delta", &value)) {
-      flags.delta = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("delta", value, &flags.delta));
     } else if (ParseFlag(arg, "selection", &value)) flags.selection = value;
     else if (ParseFlag(arg, "min-similarity", &value)) {
-      flags.min_similarity = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(
+          ParseFlagNumber("min-similarity", value, &flags.min_similarity));
     } else if (ParseFlag(arg, "min-edge-frequency", &value)) {
-      flags.min_edge_frequency = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("min-edge-frequency", value,
+                                        &flags.min_edge_frequency));
     } else if (ParseFlag(arg, "threads", &value)) {
-      flags.threads = std::atoi(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("threads", value, &flags.threads));
       if (flags.threads < 0) {
         return Status::InvalidArgument("--threads must be >= 0");
       }
@@ -195,7 +202,7 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "corpus", &value)) {
       flags.corpus = value;
     } else if (ParseFlag(arg, "topk", &value)) {
-      flags.topk = std::atoi(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("topk", value, &flags.topk));
       if (flags.topk < 0) {
         return Status::InvalidArgument("--topk must be >= 0");
       }
@@ -563,40 +570,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Posterior side outputs (prob runs only): TSV export for external
-  // tooling, and a kSoftMatch snapshot through the artifact store keyed
-  // like warm seeds — both logs' content hashes + the option fingerprint.
-  if (result->soft.has_value()) {
-    if (!flags.prob_out.empty()) {
-      Status st = WritePosteriorTsv(flags.prob_out, *result, *log1, *log2);
-      if (!st.ok()) {
-        std::fprintf(stderr, "error writing %s: %s\n", flags.prob_out.c_str(),
-                     st.ToString().c_str());
-        return 1;
-      }
-    }
-    if (store_ptr != nullptr) {
-      Result<uint64_t> h1 = store::HashFile(flags.positional[0]);
-      Result<uint64_t> h2 = store::HashFile(flags.positional[1]);
-      if (h1.ok() && h2.ok()) {
-        store::FingerprintBuilder fp;
-        fp.Add("labels", flags.labels)
-            .Add("alpha", match_options.ems.alpha)
-            .Add("c", match_options.ems.c)
-            .Add("engine", flags.engine)
-            .Add("composites", flags.composites)
-            .Add("min_similarity", flags.min_similarity)
-            .Add("min_edge_frequency", flags.min_edge_frequency)
-            .Add("prob_temp", flags.prob_temp)
-            .Add("prob_tol", flags.prob_tol)
-            .Add("prob_iters", static_cast<uint64_t>(flags.prob_iters))
-            .Add("prob_min_confidence", flags.prob_min_confidence);
-        store::ArtifactKey key{
-            store::ArtifactKind::kSoftMatch,
-            store::Hash64(store::HashHex(*h1) + ":" + store::HashHex(*h2)),
-            fp.Finish()};
-        store_ptr->Store(key, store::EncodeSoftMatch(*result->soft));
-      }
+  // The posterior as TSV for external tooling (prob runs only).
+  if (result->soft.has_value() && !flags.prob_out.empty()) {
+    Status st = WritePosteriorTsv(flags.prob_out, *result, *log1, *log2);
+    if (!st.ok()) {
+      std::fprintf(stderr, "error writing %s: %s\n", flags.prob_out.c_str(),
+                   st.ToString().c_str());
+      return 1;
     }
   }
 

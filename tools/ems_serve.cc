@@ -69,7 +69,6 @@
 //   prints one result line per job and one snapshot line for the stats
 //   command.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #ifndef _WIN32
@@ -83,6 +82,7 @@
 #include "serve/sharded_service.h"
 #include "serve/stats_exporter.h"
 #include "util/log.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace {
@@ -141,26 +141,30 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     const std::string arg = argv[i];
     std::string value;
     if (ParseFlag(arg, "threads", &value)) {
-      flags.threads = std::atoi(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("threads", value, &flags.threads));
       if (flags.threads < 0) {
         return Status::InvalidArgument("--threads must be >= 0");
       }
     } else if (ParseFlag(arg, "queue-size", &value)) {
-      const long n = std::atol(value.c_str());
+      long n = 0;
+      EMS_RETURN_NOT_OK(ParseFlagNumber("queue-size", value, &n));
       if (n <= 0) return Status::InvalidArgument("--queue-size must be > 0");
       flags.queue_size = static_cast<size_t>(n);
     } else if (ParseFlag(arg, "cache-size", &value)) {
-      const long n = std::atol(value.c_str());
+      long n = 0;
+      EMS_RETURN_NOT_OK(ParseFlagNumber("cache-size", value, &n));
       if (n <= 0) return Status::InvalidArgument("--cache-size must be > 0");
       flags.cache_size = static_cast<size_t>(n);
     } else if (ParseFlag(arg, "cache-bytes", &value)) {
-      const long long n = std::atoll(value.c_str());
+      long long n = 0;
+      EMS_RETURN_NOT_OK(ParseFlagNumber("cache-bytes", value, &n));
       if (n < 0) return Status::InvalidArgument("--cache-bytes must be >= 0");
       flags.cache_bytes = static_cast<size_t>(n);
     } else if (ParseFlag(arg, "cache-dir", &value)) {
       flags.cache_dir = value;
     } else if (ParseFlag(arg, "cache-dir-bytes", &value)) {
-      const long long n = std::atoll(value.c_str());
+      long long n = 0;
+      EMS_RETURN_NOT_OK(ParseFlagNumber("cache-dir-bytes", value, &n));
       if (n < 0) {
         return Status::InvalidArgument("--cache-dir-bytes must be >= 0");
       }
@@ -170,16 +174,19 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "stats-out", &value)) {
       flags.stats_out = value;
     } else if (ParseFlag(arg, "stats-interval", &value)) {
-      flags.stats_interval = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(
+          ParseFlagNumber("stats-interval", value, &flags.stats_interval));
       if (flags.stats_interval <= 0.0) {
         return Status::InvalidArgument("--stats-interval must be > 0");
       }
     } else if (ParseFlag(arg, "flight-slow", &value)) {
-      const long n = std::atol(value.c_str());
+      long n = 0;
+      EMS_RETURN_NOT_OK(ParseFlagNumber("flight-slow", value, &n));
       if (n < 0) return Status::InvalidArgument("--flight-slow must be >= 0");
       flags.flight_slow = static_cast<size_t>(n);
     } else if (ParseFlag(arg, "flight-failed", &value)) {
-      const long n = std::atol(value.c_str());
+      long n = 0;
+      EMS_RETURN_NOT_OK(ParseFlagNumber("flight-failed", value, &n));
       if (n < 0) {
         return Status::InvalidArgument("--flight-failed must be >= 0");
       }
@@ -195,17 +202,18 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "tcp-announce", &value)) {
       flags.tcp_announce = value;
     } else if (ParseFlag(arg, "shards", &value)) {
-      flags.shards = std::atoi(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("shards", value, &flags.shards));
       if (flags.shards < 1) {
         return Status::InvalidArgument("--shards must be >= 1");
       }
     } else if (ParseFlag(arg, "vnodes", &value)) {
-      flags.vnodes = std::atoi(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("vnodes", value, &flags.vnodes));
       if (flags.vnodes < 1) {
         return Status::InvalidArgument("--vnodes must be >= 1");
       }
     } else if (ParseFlag(arg, "max-inflight", &value)) {
-      const long long n = std::atoll(value.c_str());
+      long long n = 0;
+      EMS_RETURN_NOT_OK(ParseFlagNumber("max-inflight", value, &n));
       if (n < 0) {
         return Status::InvalidArgument("--max-inflight must be >= 0");
       }

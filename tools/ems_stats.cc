@@ -31,7 +31,12 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--format=", 0) == 0) format = arg.substr(9);
     else if (arg.rfind("--variants=", 0) == 0) {
-      show_variants = static_cast<size_t>(std::atoi(arg.c_str() + 11));
+      const Status parsed =
+          ParseFlagNumber("variants", arg.substr(11), &show_variants);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+        return 2;
+      }
     } else if (arg.rfind("--cache-dir=", 0) == 0) {
       cache_dir = arg.substr(12);
     } else if (arg == "--dot") dot = true;

@@ -23,7 +23,6 @@
 // Each frame sends one stats probe; the service computes interval rates
 // against the previous probe, so QPS settles after the first frame.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "util/json_parser.h"
 #include "util/log.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -78,12 +78,12 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "from-file", &value)) {
       flags.from_file = value;
     } else if (ParseFlag(arg, "interval", &value)) {
-      flags.interval = std::atof(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("interval", value, &flags.interval));
       if (flags.interval <= 0.0) {
         return Status::InvalidArgument("--interval must be > 0");
       }
     } else if (ParseFlag(arg, "count", &value)) {
-      flags.count = std::atol(value.c_str());
+      EMS_RETURN_NOT_OK(ParseFlagNumber("count", value, &flags.count));
       if (flags.count < 0) {
         return Status::InvalidArgument("--count must be >= 0");
       }
