@@ -16,7 +16,10 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "eval/harness.h"
@@ -25,19 +28,33 @@
 #include "obs/context.h"
 #include "synth/dataset.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace ems {
 namespace bench {
 
+/// The environment variable `name` as a T under ParseNumber's rules, or
+/// `fallback` when it is unset. Any other value is a usage error: the
+/// message names the variable and the binary exits 2.
+template <typename T>
+T EnvNumber(const char* name, T fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::optional<T> value = ParseNumber<T>(env);
+  if (!value) {
+    std::fprintf(stderr, "error: %s expects %s, got '%s'\n", name,
+                 std::is_integral_v<T> ? "an integer" : "a number", env);
+    std::exit(2);
+  }
+  return *value;
+}
+
 /// Requested worker threads for the RunGroup sweeps. Settable via
 /// `--threads=N` (see Init) or the EMS_BENCH_THREADS environment
 /// variable; -1 (unset) means hardware concurrency, 0 means serial.
 inline int& BenchThreadsFlag() {
-  static int threads = [] {
-    const char* env = std::getenv("EMS_BENCH_THREADS");
-    return env != nullptr ? std::atoi(env) : -1;
-  }();
+  static int threads = EnvNumber("EMS_BENCH_THREADS", -1);
   return threads;
 }
 
@@ -63,7 +80,13 @@ inline void Init(int argc, char** argv) {
     const std::string arg = argv[i];
     const std::string prefix = "--threads=";
     if (arg.rfind(prefix, 0) == 0) {
-      BenchThreadsFlag() = std::atoi(arg.substr(prefix.size()).c_str());
+      const Status parsed = ParseFlagNumber(
+          "threads", std::string_view(arg).substr(prefix.size()),
+          &BenchThreadsFlag());
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+        std::exit(2);
+      }
     } else {
       std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
                    arg.c_str());
@@ -297,8 +320,7 @@ inline void PrintHeader(const char* figure, const char* description) {
 /// smaller values shrink groups proportionally for quick runs).
 inline RealisticDatasetOptions ScaledDatasetOptions() {
   RealisticDatasetOptions opts;
-  const char* scale_env = std::getenv("EMS_BENCH_SCALE");
-  double scale = scale_env != nullptr ? std::atof(scale_env) : 1.0;
+  double scale = EnvNumber("EMS_BENCH_SCALE", 1.0);
   if (scale <= 0.0 || scale > 1.0) scale = 1.0;
   auto scaled = [scale](int n) {
     int v = static_cast<int>(n * scale);

@@ -36,6 +36,7 @@
 #include "synth/dataset.h"
 #include "text/label_similarity.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace ems {
@@ -220,13 +221,25 @@ int Main(int argc, char** argv) {
       const std::string p = prefix;
       return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
     };
-    if (const char* v = value("--activities=")) activities = std::atoi(v);
-    else if (const char* v = value("--traces=")) traces = std::atoi(v);
-    else if (const char* v = value("--composites=")) composites = std::atoi(v);
-    else if (const char* v = value("--reps=")) reps = std::atoi(v);
-    else if (const char* v = value("--seed=")) seed = std::strtoull(v, nullptr, 10);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
+    Status parsed;
+    if (const char* v = value("--activities=")) {
+      parsed = ParseFlagNumber("activities", v, &activities);
+    } else if (const char* v = value("--traces=")) {
+      parsed = ParseFlagNumber("traces", v, &traces);
+    } else if (const char* v = value("--composites=")) {
+      parsed = ParseFlagNumber("composites", v, &composites);
+    } else if (const char* v = value("--reps=")) {
+      parsed = ParseFlagNumber("reps", v, &reps);
+    } else if (const char* v = value("--seed=")) {
+      parsed = ParseFlagNumber("seed", v, &seed);
+    } else {
+      std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
+                   arg.c_str());
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+      return 2;
+    }
   }
   if (activities < 4 || traces < 1 || reps < 1) {
     std::fprintf(stderr, "invalid --activities/--traces/--reps\n");

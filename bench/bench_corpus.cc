@@ -31,6 +31,7 @@
 #include "index/topk_scheduler.h"
 #include "synth/dataset.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace ems {
@@ -143,24 +144,30 @@ int main(int argc, char** argv) {
       return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
                                        : nullptr;
     };
+    Status parsed;
     if (const char* v = value_of("sizes")) {
-      for (const char* p = v; *p != '\0';) {
-        sizes.push_back(static_cast<size_t>(std::atoll(p)));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
+      for (const std::string& field : Split(v, ',')) {
+        size_t size = 0;
+        parsed = ParseFlagNumber("sizes", field, &size);
+        if (!parsed.ok()) break;
+        sizes.push_back(size);
       }
     } else if (const char* v = value_of("family-size")) {
-      family_size = std::atoi(v);
+      parsed = ParseFlagNumber("family-size", v, &family_size);
     } else if (const char* v = value_of("k")) {
-      k = static_cast<size_t>(std::atoll(v));
+      parsed = ParseFlagNumber("k", v, &k);
     } else if (const char* v = value_of("queries")) {
-      queries = std::atoi(v);
+      parsed = ParseFlagNumber("queries", v, &queries);
     } else if (const char* v = value_of("alpha")) {
-      alpha = std::atof(v);
+      parsed = ParseFlagNumber("alpha", v, &alpha);
     } else if (const char* v = value_of("seed")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
+      parsed = ParseFlagNumber("seed", v, &seed);
     } else {
       passthrough.push_back(argv[i]);
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+      return 2;
     }
   }
   bench::Init(static_cast<int>(passthrough.size()), passthrough.data());

@@ -52,21 +52,12 @@ GroupResult RunEmMapGroup(const std::vector<const LogPair*>& pairs,
   MatchOptions match_opts = BaseMatchOptions(options);
   match_opts.prob.enabled = true;
   // Tuning overrides for experiments; the defaults are the shipped ones.
-  if (const char* e = std::getenv("EMS_BENCH_EM_TEMP")) {
-    match_opts.prob.temperature = std::atof(e);
-  }
-  if (const char* e = std::getenv("EMS_BENCH_EM_CONF")) {
-    match_opts.prob.min_confidence = std::atof(e);
-  }
-  if (const char* e = std::getenv("EMS_BENCH_EM_ITERS")) {
-    match_opts.prob.max_iterations = std::atoi(e);
-  }
-  if (const char* e = std::getenv("EMS_BENCH_EM_RTOLE")) {
-    match_opts.prob.rtole = std::atof(e);
-  }
-  if (const char* e = std::getenv("EMS_BENCH_EM_SWEEPS")) {
-    match_opts.prob.sinkhorn_sweeps = std::atoi(e);
-  }
+  prob::EmOptions& em = match_opts.prob;
+  em.temperature = EnvNumber("EMS_BENCH_EM_TEMP", em.temperature);
+  em.min_confidence = EnvNumber("EMS_BENCH_EM_CONF", em.min_confidence);
+  em.max_iterations = EnvNumber("EMS_BENCH_EM_ITERS", em.max_iterations);
+  em.rtole = EnvNumber("EMS_BENCH_EM_RTOLE", em.rtole);
+  em.sinkhorn_sweeps = EnvNumber("EMS_BENCH_EM_SWEEPS", em.sinkhorn_sweeps);
   Matcher matcher(match_opts);
   for (const LogPair* pair : pairs) {
     Timer timer;
@@ -104,8 +95,7 @@ int main(int argc, char** argv) {
   Init(argc, argv);
   PrintHeader("em",
               "EM-MAP soft selection vs Algorithm 2 on dislocated pairs");
-  const char* pairs_env = std::getenv("EMS_BENCH_PAIRS_PER_SIZE");
-  int pairs_per_m = pairs_env != nullptr ? std::atoi(pairs_env) : 5;
+  int pairs_per_m = EnvNumber("EMS_BENCH_PAIRS_PER_SIZE", 5);
   if (pairs_per_m <= 0) pairs_per_m = 5;
 
   HarnessOptions options;

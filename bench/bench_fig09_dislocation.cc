@@ -9,8 +9,7 @@ using namespace ems::bench;
 int main(int argc, char** argv) {
   Init(argc, argv);
   PrintHeader("Figure 9", "handling dislocated events (vary m)");
-  const char* pairs_env = std::getenv("EMS_BENCH_PAIRS_PER_SIZE");
-  int pairs_per_m = pairs_env != nullptr ? std::atoi(pairs_env) : 5;
+  int pairs_per_m = EnvNumber("EMS_BENCH_PAIRS_PER_SIZE", 5);
   if (pairs_per_m <= 0) pairs_per_m = 5;
 
   HarnessOptions options;

@@ -26,6 +26,7 @@
 #include "graph/dependency_graph.h"
 #include "synth/dataset.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace ems {
@@ -144,11 +145,21 @@ int Main(int argc, char** argv) {
       const std::string p = prefix;
       return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
     };
-    if (const char* v = value("--events=")) events = std::atoi(v);
-    else if (const char* v = value("--reps=")) reps = std::atoi(v);
-    else if (const char* v = value("--seed=")) seed = std::strtoull(v, nullptr, 10);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
+    Status parsed;
+    if (const char* v = value("--events=")) {
+      parsed = ParseFlagNumber("events", v, &events);
+    } else if (const char* v = value("--reps=")) {
+      parsed = ParseFlagNumber("reps", v, &reps);
+    } else if (const char* v = value("--seed=")) {
+      parsed = ParseFlagNumber("seed", v, &seed);
+    } else {
+      std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
+                   arg.c_str());
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+      return 2;
+    }
   }
   if (events < 2 || reps < 1) {
     std::fprintf(stderr, "invalid --events/--reps\n");

@@ -41,6 +41,7 @@
 #include "obs/metrics.h"
 #include "serve/sharded_service.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -354,16 +355,29 @@ int Main(int argc, char** argv) {
       const std::string p = prefix;
       return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
     };
-    if (const char* v = value("--shards=")) shards = std::atoi(v);
-    else if (const char* v = value("--threads=")) threads = std::atoi(v);
-    else if (const char* v = value("--logs=")) logs = std::atoi(v);
-    else if (const char* v = value("--base-qps=")) base_qps = std::atof(v);
-    else if (const char* v = value("--rungs=")) num_rungs = std::atoi(v);
-    else if (const char* v = value("--duration=")) duration = std::atof(v);
-    else if (const char* v = value("--connections="))
-      connections = std::atoi(v);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
+    Status parsed;
+    if (const char* v = value("--shards=")) {
+      parsed = ParseFlagNumber("shards", v, &shards);
+    } else if (const char* v = value("--threads=")) {
+      parsed = ParseFlagNumber("threads", v, &threads);
+    } else if (const char* v = value("--logs=")) {
+      parsed = ParseFlagNumber("logs", v, &logs);
+    } else if (const char* v = value("--base-qps=")) {
+      parsed = ParseFlagNumber("base-qps", v, &base_qps);
+    } else if (const char* v = value("--rungs=")) {
+      parsed = ParseFlagNumber("rungs", v, &num_rungs);
+    } else if (const char* v = value("--duration=")) {
+      parsed = ParseFlagNumber("duration", v, &duration);
+    } else if (const char* v = value("--connections=")) {
+      parsed = ParseFlagNumber("connections", v, &connections);
+    } else {
+      std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
+                   arg.c_str());
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+      return 2;
+    }
   }
   if (shards < 1 || threads < 1 || logs < 4 || base_qps <= 0.0 ||
       num_rungs < 1 || duration <= 0.0 || connections < 1) {

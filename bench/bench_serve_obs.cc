@@ -48,6 +48,7 @@
 #include "synth/process_tree.h"
 #include "util/json_writer.h"
 #include "util/random.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace ems {
@@ -168,15 +169,27 @@ int Main(int argc, char** argv) {
       const std::string p = prefix;
       return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
     };
-    if (const char* v = value("--activities=")) activities = std::atoi(v);
-    else if (const char* v = value("--traces=")) traces = std::atoi(v);
-    else if (const char* v = value("--jobs=")) jobs = std::atoi(v);
-    else if (const char* v = value("--reps=")) reps = std::atoi(v);
-    else if (const char* v = value("--threads=")) threads = std::atoi(v);
-    else if (const char* v = value("--seed="))
-      seed = std::strtoull(v, nullptr, 10);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
+    Status parsed;
+    if (const char* v = value("--activities=")) {
+      parsed = ParseFlagNumber("activities", v, &activities);
+    } else if (const char* v = value("--traces=")) {
+      parsed = ParseFlagNumber("traces", v, &traces);
+    } else if (const char* v = value("--jobs=")) {
+      parsed = ParseFlagNumber("jobs", v, &jobs);
+    } else if (const char* v = value("--reps=")) {
+      parsed = ParseFlagNumber("reps", v, &reps);
+    } else if (const char* v = value("--threads=")) {
+      parsed = ParseFlagNumber("threads", v, &threads);
+    } else if (const char* v = value("--seed=")) {
+      parsed = ParseFlagNumber("seed", v, &seed);
+    } else {
+      std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
+                   arg.c_str());
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
+      return 2;
+    }
   }
   if (activities < 2 || traces < 1 || jobs < 1 || reps < 1 || threads < 1) {
     std::fprintf(stderr, "invalid flag value\n");

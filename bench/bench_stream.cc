@@ -40,6 +40,7 @@
 #include "store/snapshot.h"
 #include "synth/dataset.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace ems {
@@ -341,13 +342,21 @@ int main(int argc, char** argv) {
       return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
                                        : nullptr;
     };
-    if (const char* v = value_of("activities")) activities = std::atoi(v);
-    else if (const char* v = value_of("traces")) traces = std::atoi(v);
-    else if (const char* v = value_of("batches")) batches = std::atoi(v);
-    else if (const char* v = value_of("seed")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
+    Status parsed;
+    if (const char* v = value_of("activities")) {
+      parsed = ParseFlagNumber("activities", v, &activities);
+    } else if (const char* v = value_of("traces")) {
+      parsed = ParseFlagNumber("traces", v, &traces);
+    } else if (const char* v = value_of("batches")) {
+      parsed = ParseFlagNumber("batches", v, &batches);
+    } else if (const char* v = value_of("seed")) {
+      parsed = ParseFlagNumber("seed", v, &seed);
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+      return 2;
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "error: %s\n", parsed.message().c_str());
       return 2;
     }
   }

@@ -52,11 +52,21 @@ void DeriveDirty(const CsrAdjacency& adj, const std::vector<uint8_t>& changed,
   }
 }
 
+#if defined(__SSE2__)
+// Horizontal max of the two lanes.
+inline double MaxLane(__m128d v) {
+  return std::max(_mm_cvtsd_f64(v), _mm_cvtsd_f64(_mm_unpackhi_pd(v, v)));
+}
+#endif
+
 // One row of the fused scan: returns max_j crow[j] * prow[j] and updates
-// cb[j] = max(cb[j], crow[j] * prow[j]) elementwise. Two-wide under SSE2:
-// multiply and max are exact elementwise operations, max is associative
-// and commutative, and every product here is a non-negative +0.0-signed
-// double — so lane split and horizontal-max order cannot change a bit.
+// cb[j] = max(cb[j], crow[j] * prow[j]) elementwise; kFirst sets cb[j] to
+// the product, which is what folding it into a zero gives. Two-wide under
+// SSE2: multiply and max are exact elementwise operations, max is
+// associative and commutative, and every product here is a non-negative
+// +0.0-signed double — so lane split and horizontal-max order cannot
+// change a bit.
+template <bool kFirst>
 inline double MulMaxRow(const double* crow, const double* prow, double* cb,
                         int32_t d2) {
   double best = 0.0;
@@ -67,17 +77,57 @@ inline double MulMaxRow(const double* crow, const double* prow, double* cb,
     const __m128d p =
         _mm_mul_pd(_mm_loadu_pd(crow + j), _mm_loadu_pd(prow + j));
     vbest = _mm_max_pd(vbest, p);
-    _mm_storeu_pd(cb + j, _mm_max_pd(_mm_loadu_pd(cb + j), p));
+    _mm_storeu_pd(cb + j, kFirst ? p : _mm_max_pd(_mm_loadu_pd(cb + j), p));
   }
-  best = std::max(_mm_cvtsd_f64(vbest),
-                  _mm_cvtsd_f64(_mm_unpackhi_pd(vbest, vbest)));
+  best = MaxLane(vbest);
 #endif
   for (; j < d2; ++j) {
     const double p = crow[j] * prow[j];
     best = std::max(best, p);
-    cb[j] = std::max(cb[j], p);
+    cb[j] = kFirst ? p : std::max(cb[j], p);
   }
   return best;
+}
+
+// Two rows of the fused scan in one pass: sets *best0 and *best1 to the
+// two row maxima and folds both rows' products into cb with one load,
+// max and store per column. The bits equal two MulMaxRow calls: the
+// products are the same non-negative +0.0-signed doubles, and their
+// column maxima do not depend on the order they are taken in.
+template <bool kFirst>
+inline void MulMaxRowPair(const double* crow0, const double* prow0,
+                          const double* crow1, const double* prow1,
+                          double* cb, int32_t d2, double* best0,
+                          double* best1) {
+  double b0 = 0.0;
+  double b1 = 0.0;
+  int32_t j = 0;
+#if defined(__SSE2__)
+  __m128d v0 = _mm_setzero_pd();
+  __m128d v1 = _mm_setzero_pd();
+  for (; j + 2 <= d2; j += 2) {
+    const __m128d p0 =
+        _mm_mul_pd(_mm_loadu_pd(crow0 + j), _mm_loadu_pd(prow0 + j));
+    const __m128d p1 =
+        _mm_mul_pd(_mm_loadu_pd(crow1 + j), _mm_loadu_pd(prow1 + j));
+    v0 = _mm_max_pd(v0, p0);
+    v1 = _mm_max_pd(v1, p1);
+    const __m128d p = _mm_max_pd(p0, p1);
+    _mm_storeu_pd(cb + j, kFirst ? p : _mm_max_pd(_mm_loadu_pd(cb + j), p));
+  }
+  b0 = MaxLane(v0);
+  b1 = MaxLane(v1);
+#endif
+  for (; j < d2; ++j) {
+    const double p0 = crow0[j] * prow0[j];
+    const double p1 = crow1[j] * prow1[j];
+    b0 = std::max(b0, p0);
+    b1 = std::max(b1, p1);
+    const double p = std::max(p0, p1);
+    cb[j] = kFirst ? p : std::max(cb[j], p);
+  }
+  *best0 = b0;
+  *best1 = b1;
 }
 
 struct RowRangeResult {
@@ -104,6 +154,7 @@ struct RowRangeResult {
 struct EmsSimilarity::DirectionTables {
   CsrAdjacency a1;  // g1 neighbors (pre-sets forward, post-sets backward)
   CsrAdjacency a2;  // g2 neighbors
+  int32_t max_degree1 = 0;
   int32_t max_degree2 = 0;
   int32_t art2_entries = 0;  // neighbor-list entries of g2's artificial node
   size_t panel_stride = 0;   // real g2 neighbor-list entries (panel row width)
@@ -190,6 +241,10 @@ const EmsSimilarity::DirectionTables& EmsSimilarity::TablesFor(
   } else {
     t->a1 = g1_.ExportSuccessorCsr();
     t->a2 = g2_.ExportSuccessorCsr();
+  }
+  const NodeId n1 = static_cast<NodeId>(g1_.NumNodes());
+  for (NodeId v1 = 0; v1 < n1; ++v1) {
+    t->max_degree1 = std::max(t->max_degree1, t->a1.Degree(v1));
   }
   const NodeId n2 = static_cast<NodeId>(g2_.NumNodes());
   for (NodeId v2 = 0; v2 < n2; ++v2) {
@@ -294,10 +349,12 @@ double EmsSimilarity::Iterate(Direction direction, int iteration,
 
   auto run_rows = [&](NodeId row_begin, NodeId row_end,
                       RowRangeResult* result) {
-    // Scratch for the fused scan's per-column maxima; one allocation per
-    // chunk, reused across its pairs.
+    // Scratch for the fused scan's per-column maxima and for v1's row
+    // bases; one allocation each per chunk, reused across its pairs.
     std::vector<double> col_best(
         static_cast<size_t>(std::max<int32_t>(t.max_degree2, 1)));
+    std::vector<const double*> crows(static_cast<size_t>(t.max_degree1));
+    std::vector<const double*> prows(static_cast<size_t>(t.max_degree1));
     result->col_changed.assign(static_cast<size_t>(cols), 0);
     for (NodeId v1 = row_begin; v1 < row_end; ++v1) {
       if (g1_.IsArtificial(v1)) continue;
@@ -309,6 +366,14 @@ double EmsSimilarity::Iterate(Direction direction, int iteration,
       const int32_t d1 = t.a1.Degree(v1);
       const NodeId* n1 = t.a1.neighbors.data() + off1;
       const int32_t* class1 = t.class1.data() + off1;
+      // Entry i of N(v1) scans coefficient row crow[i] beside panel row
+      // prow[i], both from column col_base[v2].
+      const double** crow = crows.data();
+      const double** prow = prows.data();
+      for (int32_t i = 0; i < d1; ++i) {
+        crow[i] = t.coeff.data() + static_cast<size_t>(class1[i]) * stride;
+        prow[i] = panel_data + static_cast<size_t>(n1[i]) * stride;
+      }
       for (NodeId v2 = 0; v2 < cols; ++v2) {
         if (g2_.IsArtificial(v2)) continue;
         const size_t idx = row_off + static_cast<size_t>(v2);
@@ -334,23 +399,44 @@ double EmsSimilarity::Iterate(Direction direction, int iteration,
         }
         // Fused forward/transposed pass over the deg(v1) x deg(v2)
         // neighbor pairs: one read of S^{n-1} per pair feeds both the
-        // row maxima (s12) and the column maxima (s21). Sums run in
-        // neighbor-list order; maxima are order-free.
+        // row maxima (s12) and the column maxima (s21), two rows of
+        // N(v1) per pass. Sums run in neighbor-list order; maxima are
+        // order-free.
         const int32_t d2 = t.a2.Degree(v2);
         double s12 = 0.0;
         double s21 = 0.0;
         if (d1 > 0 && d2 > 0) {
           const size_t cb_off = t.col_base[static_cast<size_t>(v2)];
+          // The first pass stores the column maxima instead of folding
+          // them into zeros: products are +0.0 or more, so the bits are
+          // the same, and no store of a zero stalls the pass's loads.
           double* cb = col_best.data();
-          for (int32_t j = 0; j < d2; ++j) cb[j] = 0.0;
           double sum_rows = 0.0;
-          for (int32_t i = 0; i < d1; ++i) {
-            const double* crow =
-                t.coeff.data() + static_cast<size_t>(class1[i]) * stride +
-                cb_off;
-            const double* prow =
-                panel_data + static_cast<size_t>(n1[i]) * stride + cb_off;
-            sum_rows += MulMaxRow(crow, prow, cb, d2);
+          double best0;
+          double best1;
+          int32_t i = 0;
+          if (d1 >= 2) {
+            MulMaxRowPair<true>(crow[0] + cb_off, prow[0] + cb_off,
+                                crow[1] + cb_off, prow[1] + cb_off, cb, d2,
+                                &best0, &best1);
+            sum_rows += best0;
+            sum_rows += best1;
+            i = 2;
+          } else {
+            sum_rows += MulMaxRow<true>(crow[0] + cb_off, prow[0] + cb_off,
+                                        cb, d2);
+            i = 1;
+          }
+          for (; i + 2 <= d1; i += 2) {
+            MulMaxRowPair<false>(crow[i] + cb_off, prow[i] + cb_off,
+                                 crow[i + 1] + cb_off, prow[i + 1] + cb_off,
+                                 cb, d2, &best0, &best1);
+            sum_rows += best0;
+            sum_rows += best1;
+          }
+          if (i < d1) {
+            sum_rows +=
+                MulMaxRow<false>(crow[i] + cb_off, prow[i] + cb_off, cb, d2);
           }
           s12 = sum_rows / static_cast<double>(d1);
           double sum_cols = 0.0;

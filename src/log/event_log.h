@@ -4,10 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
@@ -100,41 +98,60 @@ class EventLog {
       std::vector<EventId>* id_map) const;
 
  private:
-  // Hashes std::string and std::string_view alike, so lookups by view
-  // build no string.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  // The slot of index_ that holds `name`'s id, or the empty slot where it
+  // would go. index_ must not be empty.
+  size_t SlotOf(std::string_view name) const;
+  // Re-inserts every name into an index of `slots` slots (a power of 2).
+  void Rehash(size_t slots);
 
   std::vector<std::string> names_;
-  std::unordered_map<std::string, EventId, NameHash, std::equal_to<>> index_;
+  // Open-addressing index of names_: ids by name hash, linear probing,
+  // kInvalidEvent in empty slots. It is kept at most half full, so most
+  // lookups take one probe.
+  std::vector<EventId> index_;
   std::vector<Trace> traces_;
 };
 
-/// \brief The event names of a trace still being read, in one buffer.
+/// \brief The trace a streaming reader has open.
 ///
-/// Streaming readers add names while a trace is open and append it when
-/// it closes, so a trace that never closes interns nothing and the
-/// vocabulary keeps first-occurrence order over the traces kept.
-class PendingTrace {
+/// An event whose name the log already holds is that name's id. A name
+/// the log does not hold yet is kept as text until AppendTo interns the
+/// new names in event order. So a trace that never closes interns
+/// nothing, and the vocabulary keeps first-occurrence order over the
+/// traces kept.
+class OpenTrace {
  public:
-  void Add(std::string_view name) {
-    chars_.append(name);
-    ends_.push_back(chars_.size());
+  /// Adds the event named `name`, looked up in `log`.
+  void Add(const EventLog& log, std::string_view name) {
+    const EventId id = log.FindEvent(name);
+    if (id != kInvalidEvent) {
+      AddKnown(id);
+    } else {
+      AddNew(name);
+    }
+  }
+  /// Adds an event whose name `log` holds as `id`.
+  void AddKnown(EventId id) { events_.push_back(id); }
+  /// Adds an event whose name the log does not hold yet.
+  void AddNew(std::string_view name) {
+    events_.push_back(kInvalidEvent);
+    new_chars_.append(name);
+    new_ends_.push_back(new_chars_.size());
   }
   void Clear() {
-    chars_.clear();
-    ends_.clear();
+    events_.clear();
+    new_chars_.clear();
+    new_ends_.clear();
   }
-  /// Interns the names in order and appends them to `log` as one trace.
+  /// Interns the new names in event order and appends the trace to `log`.
   void AppendTo(EventLog* log) const;
 
  private:
-  std::string chars_;
-  std::vector<size_t> ends_;
+  // Ids, and kInvalidEvent for each new name.
+  std::vector<EventId> events_;
+  // The new names, one after another, and where each ends.
+  std::string new_chars_;
+  std::vector<size_t> new_ends_;
 };
 
 }  // namespace ems

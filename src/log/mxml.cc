@@ -15,7 +15,7 @@ Result<EventLog> ReadMxml(std::istream& input) {
   bool in_entry = false;
   bool in_element = false;
   bool in_event_type = false;
-  PendingTrace current_trace;
+  OpenTrace current_trace;
   std::string current_activity;
   std::string current_event_type;
 
@@ -59,7 +59,7 @@ Result<EventLog> ReadMxml(std::istream& input) {
         }
         // Keep complete events (and entries that never specify a type).
         if (current_event_type.empty() || current_event_type == "complete") {
-          current_trace.Add(current_activity);
+          current_trace.Add(log, current_activity);
         }
         current_activity.clear();
         current_event_type.clear();

@@ -1,5 +1,7 @@
 #include "log/xml_scanner.h"
 
+#include <array>
+#include <cstdint>
 #include <cstring>
 #include <exception>
 #include <istream>
@@ -12,23 +14,47 @@ namespace {
 
 constexpr size_t kChunkBytes = 64 * 1024;
 
-// std::isspace in the "C" locale.
-bool IsSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
-         c == '\r';
+// Byte classes the tag parser stops at. kSpace is std::isspace in the "C"
+// locale; a name ends at space, '>' or '/', a key at space or '='.
+enum : uint8_t { kSpace = 1, kNameEnd = 2, kKeyEnd = 4 };
+
+constexpr std::array<uint8_t, 256> kByteClass = [] {
+  std::array<uint8_t, 256> t{};
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    t[static_cast<unsigned char>(c)] = kSpace | kNameEnd | kKeyEnd;
+  }
+  t['>'] = kNameEnd;
+  t['/'] = kNameEnd;
+  t['='] = kKeyEnd;
+  return t;
+}();
+
+// The first byte of [p, end) in one of the classes `stop`, or end.
+inline const char* SkipUntilClass(const char* p, const char* end,
+                                  uint8_t stop) {
+  while (p != end &&
+         (kByteClass[static_cast<unsigned char>(*p)] & stop) == 0) {
+    ++p;
+  }
+  return p;
+}
+
+inline const char* SkipSpace(const char* p, const char* end) {
+  while (p != end && (kByteClass[static_cast<unsigned char>(*p)] & kSpace)) {
+    ++p;
+  }
+  return p;
+}
+
+Status NeedMore(bool* more) {
+  *more = true;
+  return Status::OK();
 }
 
 }  // namespace
 
 XmlScanner::XmlScanner(std::istream& in)
     : src_(in.good() ? in.rdbuf() : nullptr), buf_(kChunkBytes) {}
-
-const std::string_view* XmlScanner::Tag::Find(std::string_view key) const {
-  for (const Attribute& a : attrs) {
-    if (a.key == key) return &a.raw_value;
-  }
-  return nullptr;
-}
 
 bool XmlScanner::Fill() {
   if (src_ == nullptr) return false;
@@ -62,18 +88,9 @@ int XmlScanner::Peek() {
   return static_cast<unsigned char>(buf_[pos_]);
 }
 
-template <typename Pred>
-bool XmlScanner::SkipWhile(Pred pred) {
+bool XmlScanner::SkipToTagOpen() {
   while (true) {
-    while (pos_ < end_ && pred(buf_[pos_])) ++pos_;
-    if (pos_ < end_) return true;
-    if (!Fill()) return false;
-  }
-}
-
-bool XmlScanner::SkipTo(char c) {
-  while (true) {
-    const void* at = std::memchr(buf_.data() + pos_, c, end_ - pos_);
+    const void* at = std::memchr(buf_.data() + pos_, '<', end_ - pos_);
     if (at != nullptr) {
       pos_ = static_cast<size_t>(static_cast<const char*>(at) - buf_.data());
       return true;
@@ -115,14 +132,14 @@ Status XmlScanner::ScanTag() {
   spilled_text_.clear();
   tok_ = pos_;
   while (true) {
-    if (!SkipTo('<')) return Status::NotFound("eof");
-    text_end_ = Offset();
+    if (!SkipToTagOpen()) return Status::NotFound("eof");
+    text_end_ = pos_ - tok_;
     ++pos_;
     const int c = Peek();
-    if (c != '?' && c != '!') return ParseTag();
+    if (c != '?' && c != '!') break;
     // Markup inside the text: keep the text before it, skip the markup
     // without carrying it, and go on with the text after it.
-    spilled_text_ += View(0, text_end_);
+    spilled_text_ += Text();
     if (c == '?') {  // processing instruction
       EMS_RETURN_NOT_OK(SkipPast("?>"));
     } else {  // comment, doctype, or CDATA
@@ -131,75 +148,89 @@ Status XmlScanner::ScanTag() {
     }
     tok_ = pos_;
   }
+  while (true) {
+    bool more = false;
+    Status st = ParseTag(&more);
+    if (!more) return st;
+    // Read until the tag's buffered bytes have doubled or the buffer is
+    // full: however few bytes each read returns, the parses of one tag
+    // then cost time linear in its length.
+    const size_t had = end_ - pos_;
+    while (Fill() && end_ - pos_ < 2 * had && end_ < buf_.size()) {
+    }
+  }
 }
 
-Status XmlScanner::ParseTag() {
-  tag_.closing = false;
+Status XmlScanner::ParseTag(bool* more) {
+  const char* p = buf_.data() + pos_;
+  const char* const end = buf_.data() + end_;
+  // Each check below that meets the end of the buffered bytes first asks
+  // for more while input is left; at end of input it reads the end as
+  // end of input and fails as the reference reader does.
+  const auto starved = [&] { return p == end && src_ != nullptr; };
+  tag_.closing = p != end && *p == '/';
+  if (tag_.closing) ++p;
+  const char* const name = p;
+  p = SkipUntilClass(p, end, kNameEnd);
+  if (starved()) return NeedMore(more);
+  if (p == name) return Status::ParseError("empty element name");
+  tag_.name = std::string_view(name, static_cast<size_t>(p - name));
   tag_.self_closing = false;
-  if (Peek() == '/') {
-    ++pos_;
-    tag_.closing = true;
-  }
-  const size_t name_begin = Offset();
-  SkipWhile([](char c) { return !IsSpace(c) && c != '>' && c != '/'; });
-  const size_t name_end = Offset();
-  if (name_end == name_begin) return Status::ParseError("empty element name");
-  spans_.clear();
+  tag_.attrs.clear();
   while (true) {
-    if (!SkipWhile(IsSpace)) return Status::ParseError("unterminated tag");
-    if (buf_[pos_] == '>') {
-      ++pos_;
+    p = SkipSpace(p, end);
+    if (starved()) return NeedMore(more);
+    if (p == end) return Status::ParseError("unterminated tag");
+    if (*p == '>') {
+      ++p;
       break;
     }
-    if (buf_[pos_] == '/') {
-      ++pos_;
-      if (Peek() != '>') return Status::ParseError("malformed '/>'");
-      ++pos_;
+    if (*p == '/') {
+      ++p;
+      if (starved()) return NeedMore(more);
+      if (p == end || *p != '>') return Status::ParseError("malformed '/>'");
+      ++p;
       tag_.self_closing = true;
       break;
     }
-    const size_t key_begin = Offset();
-    SkipWhile([](char c) { return c != '=' && !IsSpace(c); });
-    const size_t key_end = Offset();
-    SkipWhile(IsSpace);
-    if (Peek() != '=') {
-      return Status::ParseError("attribute '" +
-                                std::string(View(key_begin, key_end)) +
+    const char* const key_begin = p;
+    p = SkipUntilClass(p, end, kKeyEnd);
+    const std::string_view key(key_begin, static_cast<size_t>(p - key_begin));
+    p = SkipSpace(p, end);
+    if (starved()) return NeedMore(more);
+    if (p == end || *p != '=') {
+      return Status::ParseError("attribute '" + std::string(key) +
                                 "' missing '='");
     }
-    ++pos_;
-    SkipWhile(IsSpace);
-    const int quote = Peek();
-    if (quote != '"' && quote != '\'') {
-      return Status::ParseError("attribute '" +
-                                std::string(View(key_begin, key_end)) +
+    p = SkipSpace(p + 1, end);
+    if (starved()) return NeedMore(more);
+    if (p == end || (*p != '"' && *p != '\'')) {
+      return Status::ParseError("attribute '" + std::string(key) +
                                 "' missing quote");
     }
-    ++pos_;
-    const size_t value_begin = Offset();
-    if (!SkipTo(static_cast<char>(quote))) {
+    const char quote = *p++;
+    const char* const close = static_cast<const char*>(
+        std::memchr(p, quote, static_cast<size_t>(end - p)));
+    if (close == nullptr) {
+      p = end;
+      if (starved()) return NeedMore(more);
       return Status::ParseError("unterminated attribute value");
     }
-    spans_.push_back({key_begin, key_end, value_begin, Offset()});
-    ++pos_;
-  }
-  // No Fill can move the buffer before the next Next(): the views hold.
-  tag_.name = View(name_begin, name_end);
-  tag_.attrs.clear();
-  for (const AttributeSpan& s : spans_) {
     tag_.attrs.push_back(
-        {View(s.key_begin, s.key_end), View(s.value_begin, s.value_end)});
+        {key, std::string_view(p, static_cast<size_t>(close - p))});
+    p = close + 1;
   }
+  pos_ = static_cast<size_t>(p - buf_.data());
   return Status::OK();
 }
 
 void XmlScanner::PrecedingText(std::string* out) const {
   if (spilled_text_.empty()) {
-    Unescape(Trim(View(0, text_end_)), out);
+    Unescape(Trim(Text()), out);
     return;
   }
   // Markup split the text: entities may span the split, so join first.
-  Unescape(Trim(spilled_text_ + std::string(View(0, text_end_))), out);
+  Unescape(Trim(spilled_text_ + std::string(Text())), out);
 }
 
 void XmlScanner::Unescape(std::string_view s, std::string* out) {

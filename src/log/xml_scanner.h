@@ -15,6 +15,11 @@
 // values as views into the buffer; entities are decoded and the
 // preceding text is assembled only when a reader asks for them.
 //
+// A tag is parsed in one pass of pointer loops over the buffered bytes.
+// When they end before the tag does and input is left, the parse stops,
+// the buffer is refilled, and the tag is parsed again from its start; at
+// end of input the same pass reports the error.
+//
 // Every malformed input ends in a ParseError: an unterminated tag,
 // attribute value or markup, an empty element name, a missing '=' or
 // quote, or a '/' not followed by '>'. A read that fails (std::filebuf
@@ -51,7 +56,12 @@ class XmlScanner {
 
     /// The raw value of the first attribute named `key` (later duplicates
     /// are ignored), or nullptr.
-    const std::string_view* Find(std::string_view key) const;
+    const std::string_view* Find(std::string_view key) const {
+      for (const Attribute& a : attrs) {
+        if (a.key == key) return &a.raw_value;
+      }
+      return nullptr;
+    }
   };
 
   /// Advances to the next tag: OK, NotFound at end of input, a
@@ -76,21 +86,18 @@ class XmlScanner {
   bool Fill();
   // The byte at pos_, reading more if needed; -1 at end of input.
   int Peek();
-  // Advances pos_ over bytes satisfying `pred`; false at end of input.
-  template <typename Pred>
-  bool SkipWhile(Pred pred);
-  // Advances pos_ to the next `c`; false at end of input.
-  bool SkipTo(char c);
+  // Advances pos_ to the next '<'; false at end of input.
+  bool SkipToTagOpen();
   // Advances pos_ past the next occurrence of `terminator`, letting
   // refills drop the bytes it passes.
   Status SkipPast(std::string_view terminator);
   Status ScanTag();
-  Status ParseTag();
-  // pos_ relative to the token start: offsets of this kind survive Fill.
-  size_t Offset() const { return pos_ - tok_; }
-  std::string_view View(size_t begin, size_t end) const {
-    return {buf_.data() + tok_ + begin, end - begin};
-  }
+  // Parses the tag whose name (or '/') starts at pos_ into tag_ and moves
+  // pos_ past it. Sets `*more` instead when the buffered bytes end inside
+  // the tag and input is left.
+  Status ParseTag(bool* more);
+  // The run of text before the current tag.
+  std::string_view Text() const { return {buf_.data() + tok_, text_end_}; }
 
   std::streambuf* src_;  // null once exhausted
   Status read_status_;   // IOError once a read has thrown
@@ -100,15 +107,9 @@ class XmlScanner {
   size_t end_ = 0;  // bytes of buf_ holding input
   Tag tag_;
   // The current tag's preceding text: the raw text before any markup
-  // in it, then the run [0, text_end_) before the tag.
+  // in it, then the run of text_end_ bytes from tok_ before the tag.
   std::string spilled_text_;
   size_t text_end_ = 0;
-  // Token-relative [begin, end) of the current tag's attribute keys and
-  // values.
-  struct AttributeSpan {
-    size_t key_begin, key_end, value_begin, value_end;
-  };
-  std::vector<AttributeSpan> spans_;
 };
 
 }  // namespace ems

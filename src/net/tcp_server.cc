@@ -221,6 +221,9 @@ void TcpServer::ReapFinished(bool join_all) {
 void TcpServer::AcceptLoop() {
 #ifndef _WIN32
   for (;;) {
+    // A drain requested before Start wrote no wake byte: there was no
+    // pipe yet.
+    if (draining()) break;
     pollfd fds[2];
     fds[0] = {listen_fd_, POLLIN, 0};
     fds[1] = {wake_pipe_[0], POLLIN, 0};

@@ -117,7 +117,8 @@ class TcpServer {
   int port() const { return port_; }
 
   /// Begins the graceful drain. Async-signal-safe (a single write to an
-  /// internal pipe); idempotent.
+  /// internal pipe); idempotent. Called before Start, it ends the accept
+  /// loop as soon as Start begins it.
   void RequestDrain();
 
   /// Blocks until the drain completes: accept loop exited, every

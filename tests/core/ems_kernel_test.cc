@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "core/ems_reference.h"
 #include "core/ems_similarity.h"
@@ -152,6 +154,57 @@ TEST(EmsKernelTest, BitIdenticalOnCyclicGraphs) {
     opts.direction = Direction::kBoth;
     opts.prune_converged = prune;
     ExpectKernelsBitIdentical(g1, g2, opts);
+  }
+}
+
+// A complete DAG on six real nodes: every edge runs from the lower to
+// the higher index, or the reverse when `reversed`. With the edges to and
+// from v^X, the real nodes' in- and out-neighbor lists hold 1 to 6
+// entries each, so the fused scan pairs rows of N(v1) two at a time with
+// and without an odd row left over, against every column count.
+DependencyGraph TournamentGraph(bool reversed, double scale) {
+  std::vector<std::tuple<NodeId, NodeId, double>> edges;
+  for (NodeId i = 0; i < 6; ++i) {
+    for (NodeId j = i + 1; j < 6; ++j) {
+      const double f =
+          scale * (0.1 + 0.05 * static_cast<double>((3 * i + j) % 7));
+      edges.emplace_back(reversed ? j : i, reversed ? i : j, f);
+    }
+  }
+  return DependencyGraph::FromExplicit(
+      {"a", "b", "c", "d", "e", "f"}, {1.0, 0.9, 0.8, 0.7, 0.6, 0.5}, edges);
+}
+
+TEST(EmsKernelTest, BitIdenticalForEveryNeighborCountUpToSix) {
+  const DependencyGraph g1 = TournamentGraph(false, 1.0);
+  const DependencyGraph g2 = TournamentGraph(true, 0.9);
+  for (const DependencyGraph* g : {&g1, &g2}) {
+    for (const CsrAdjacency& adj :
+         {g->ExportPredecessorCsr(), g->ExportSuccessorCsr()}) {
+      std::vector<int32_t> degrees;
+      for (NodeId v = 1; v < static_cast<NodeId>(g->NumNodes()); ++v) {
+        degrees.push_back(adj.Degree(v));
+      }
+      std::sort(degrees.begin(), degrees.end());
+      EXPECT_EQ(degrees, (std::vector<int32_t>{1, 2, 3, 4, 5, 6}));
+    }
+  }
+  std::vector<std::vector<double>> labels(
+      g1.NumNodes(), std::vector<double>(g2.NumNodes(), 0.0));
+  for (size_t i = 1; i < labels.size(); ++i) {
+    for (size_t j = 1; j < labels[i].size(); ++j) {
+      labels[i][j] = static_cast<double>((i * 5 + j * 3) % 11) / 10.0;
+    }
+  }
+  for (int threads : {1, 4}) {
+    for (bool prune : {true, false}) {
+      EmsOptions opts;
+      opts.alpha = 0.5;
+      opts.direction = Direction::kBoth;
+      opts.num_threads = threads;
+      opts.prune_converged = prune;
+      ExpectKernelsBitIdentical(g1, g2, opts, &labels);
+    }
   }
 }
 

@@ -55,6 +55,31 @@ TEST(EventLogTest, AddTraceInternsNames) {
   EXPECT_EQ(log.NumEvents(), 2u);
 }
 
+TEST(EventLogTest, OpenTraceInternsNewNamesInEventOrderOnAppend) {
+  EventLog log;
+  log.AddTrace({"a"});
+  OpenTrace open;
+  open.Add(log, "n");
+  open.Add(log, "a");
+  open.AddNew("m");
+  open.Add(log, "n");  // still new: nothing is interned before AppendTo
+  open.AddKnown(0);
+  EXPECT_EQ(log.NumEvents(), 1u);
+  open.AppendTo(&log);
+  EXPECT_EQ(log.event_names(), (std::vector<std::string>{"a", "n", "m"}));
+  ASSERT_EQ(log.NumTraces(), 2u);
+  EXPECT_EQ(log.trace(1), (Trace{1, 0, 2, 1, 0}));
+
+  // A cleared trace interns none of its names.
+  open.Clear();
+  open.Add(log, "z");
+  open.Clear();
+  open.Add(log, "m");
+  open.AppendTo(&log);
+  EXPECT_EQ(log.NumEvents(), 3u);
+  EXPECT_EQ(log.trace(2), (Trace{2}));
+}
+
 TEST(EventLogTest, MultisetSemantics) {
   EventLog log;
   log.AddTrace({"a", "b"});

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +141,26 @@ TEST(MxmlTest, UnreadableFileIsIOError) {
   std::filesystem::create_directories(dir);
   Result<EventLog> parsed = ReadMxmlFile(dir);
   EXPECT_TRUE(parsed.status().IsIOError()) << parsed.status().ToString();
+}
+
+std::string Entry(const std::string& name) {
+  return "<AuditTrailEntry><WorkflowModelElement>" + name +
+         "</WorkflowModelElement></AuditTrailEntry>";
+}
+
+TEST(MxmlTest, VocabularyFollowsClosedInstancesInEventOrder) {
+  // A new name repeated inside one instance gets one id, a known name
+  // keeps its id, and an instance still open at end of input interns
+  // none of its names.
+  std::istringstream in("<WorkflowLog><Process><ProcessInstance>" +
+                        Entry("a") + "</ProcessInstance><ProcessInstance>" +
+                        Entry("n") + Entry("a") + Entry("n") +
+                        "</ProcessInstance><ProcessInstance>" + Entry("b"));
+  Result<EventLog> parsed = ReadMxml(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->event_names(), (std::vector<std::string>{"a", "n"}));
+  ASSERT_EQ(parsed->NumTraces(), 2u);
+  EXPECT_EQ(parsed->trace(1), (Trace{1, 0, 1}));
 }
 
 TEST(MxmlTest, EmptyProcessInstance) {

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,6 +73,60 @@ TEST(XesTest, UnescapesEntities) {
   Result<EventLog> parsed = ReadXes(in);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->EventName(0), "a & b <x>");
+}
+
+// The vocabulary rules the reader keeps while it turns names into ids as
+// it reads them: a trace interns its new names only when it closes.
+
+std::string Event(const std::string& name) {
+  return "<event><string key=\"concept:name\" value=\"" + name +
+         "\"/></event>";
+}
+
+TEST(XesTest, TraceOpenAtEndOfInputInternsNothing) {
+  std::istringstream in("<log><trace>" + Event("a") + "</trace><trace>" +
+                        Event("a") + Event("b"));
+  Result<EventLog> parsed = ReadXes(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->NumTraces(), 1u);
+  EXPECT_EQ(parsed->event_names(), std::vector<std::string>{"a"});
+}
+
+TEST(XesTest, LastConceptNameOfAnEventWins) {
+  // Event 1: a known name, then a new one. Event 2: a new name, then a
+  // known one; the overridden new name "y" is never interned.
+  std::istringstream in(
+      "<log><trace>" + Event("a") + "</trace><trace>"
+      "<event><string key=\"concept:name\" value=\"a\"/>"
+      "<string key=\"concept:name\" value=\"z\"/></event>"
+      "<event><string key=\"concept:name\" value=\"y\"/>"
+      "<string key=\"concept:name\" value=\"a\"/></event>"
+      "</trace></log>");
+  Result<EventLog> parsed = ReadXes(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->event_names(), (std::vector<std::string>{"a", "z"}));
+  ASSERT_EQ(parsed->NumTraces(), 2u);
+  EXPECT_EQ(parsed->trace(1), (Trace{1, 0}));
+}
+
+TEST(XesTest, EscapedNameMapsToOneIdAcrossTraces) {
+  std::istringstream in("<log><trace>" + Event("a&amp;b") +
+                        "</trace><trace>" + Event("c") + Event("a&amp;b") +
+                        "</trace></log>");
+  Result<EventLog> parsed = ReadXes(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->event_names(), (std::vector<std::string>{"a&b", "c"}));
+  EXPECT_EQ(parsed->trace(0), (Trace{0}));
+  EXPECT_EQ(parsed->trace(1), (Trace{1, 0}));
+}
+
+TEST(XesTest, NewNameRepeatedInOneTraceGetsOneId) {
+  std::istringstream in("<log><trace>" + Event("n") + Event("m") +
+                        Event("n") + "</trace></log>");
+  Result<EventLog> parsed = ReadXes(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->event_names(), (std::vector<std::string>{"n", "m"}));
+  EXPECT_EQ(parsed->trace(0), (Trace{0, 1, 0}));
 }
 
 TEST(XesTest, EmptyTrace) {

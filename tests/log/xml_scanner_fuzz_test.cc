@@ -302,5 +302,72 @@ TEST(XmlScannerFuzzTest, MxmlMatchesReference) {
   ExpectMixedOutcomes(tally);
 }
 
+// Requires `read` to agree with `reference` on `doc` served `step` bytes
+// per read.
+void ExpectSameAtStep(const std::string& doc, const Reader& reference,
+                      const Reader& read, std::streamsize step,
+                      const std::string& label) {
+  std::istringstream ref_in(doc);
+  const Result<EventLog> expected = reference(ref_in);
+  SteppedBuf buf(doc, step);
+  std::istream in(&buf);
+  const Result<EventLog> got = read(in);
+  ASSERT_EQ(got.ok(), expected.ok())
+      << label << ": got " << Describe(got) << ", reference "
+      << Describe(expected);
+  if (!expected.ok()) {
+    ASSERT_EQ(got.status().message(), expected.status().message()) << label;
+    return;
+  }
+  ASSERT_EQ(got->event_names(), expected->event_names()) << label;
+  ASSERT_EQ(got->traces(), expected->traces()) << label;
+}
+
+// Reads `doc` behind every amount of leading padding below the step, so
+// the refill boundary falls at every byte offset of each of its tags and
+// the parser restarts each tag from every split; then every truncation,
+// so each check that meets the end of input runs at every offset too.
+void ExpectEverySplit(const std::string& doc, const Reader& reference,
+                      const Reader& read) {
+  std::istringstream whole(doc);
+  ASSERT_TRUE(reference(whole).ok());
+  constexpr std::streamsize kStep = 64;  // longer than any tag in `doc`
+  for (std::streamsize pad = 0; pad < kStep; ++pad) {
+    ExpectSameAtStep(std::string(static_cast<size_t>(pad), ' ') + doc,
+                     reference, read, kStep,
+                     "padding " + std::to_string(pad));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (size_t cut = 0; cut < doc.size(); ++cut) {
+    ExpectSameAtStep(doc.substr(0, cut), reference, read, kStep,
+                     "truncation at " + std::to_string(cut));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(XmlScannerFuzzTest, EveryRefillSplitOfEachTagKind) {
+  // An XES <string> in either quote kind with an entity-bearing value,
+  // <event/>, and closing tags.
+  const std::string xes =
+      "<log xes.version=\"1.0\"><trace>\n"
+      "<event><string key=\"concept:name\" value=\"ship &amp; bill\"/>"
+      "</event>\n"
+      "<event/>\n"
+      "<event><string key='concept:name' value='it&apos;s \"q\"'/>"
+      "</event>\n"
+      "</trace></log>\n";
+  ExpectEverySplit(xes, testing::ReferenceReadXes,
+                   [](std::istream& in) { return ReadXes(in); });
+  // MXML text with an entity before a closing tag.
+  const std::string mxml =
+      "<WorkflowLog><Process id=\"p\"><ProcessInstance id='c'>\n"
+      "<AuditTrailEntry><WorkflowModelElement>say &quot;hi&quot; &amp; go"
+      "</WorkflowModelElement><EventType>complete</EventType>"
+      "</AuditTrailEntry>\n"
+      "</ProcessInstance></Process></WorkflowLog>\n";
+  ExpectEverySplit(mxml, testing::ReferenceReadMxml,
+                   [](std::istream& in) { return ReadMxml(in); });
+}
+
 }  // namespace
 }  // namespace ems

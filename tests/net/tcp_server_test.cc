@@ -227,6 +227,32 @@ TEST(TcpServerTest, RequestDrainIsIdempotentAndWaitReturns) {
   EXPECT_EQ(server.Wait(), 0u);
 }
 
+// A signal handler installed before Start can request the drain before
+// the accept loop exists; the loop must still end.
+TEST(TcpServerTest, DrainRequestedBeforeStartEndsTheAcceptLoop) {
+  EchoHandler handler;
+  TcpServerOptions options;
+  TcpServer server(options, &handler);
+  server.RequestDrain();
+  ASSERT_TRUE(server.Start().ok());
+  std::atomic<bool> done{false};
+  std::thread waiter([&] {
+    server.Wait();
+    done = true;
+  });
+  for (int i = 0; i < 500 && !done; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool ended = done;
+  if (!ended) {
+    // Wake a loop stuck in poll so the waiter can be joined.
+    Result<int> fd = ConnectTcp("127.0.0.1", server.port());
+    if (fd.ok()) ::close(*fd);
+  }
+  waiter.join();
+  EXPECT_TRUE(ended);
+}
+
 TEST(TcpServerTest, StartFailsOnUnavailableAddress) {
   EchoHandler handler;
   TcpServerOptions options;

@@ -282,8 +282,14 @@ int ServeListener(const Flags& flags, serve::ShardedMatchService& router) {
   }
   server_options.obs = router.obs();
   net::TcpServer server(server_options, &router);
+  // The server answers as soon as it starts, so the drain handlers go in
+  // first: a SIGTERM sent right after a first answer drains it instead of
+  // killing the process.
+  g_server = &server;
+  InstallDrainHandlers();
   Status started = server.Start();
   if (!started.ok()) {
+    g_server = nullptr;
     LogError("listen: " + started.message());
     return 1;
   }
@@ -293,8 +299,6 @@ int ServeListener(const Flags& flags, serve::ShardedMatchService& router) {
   // The `drain` admin command stops the transport too; signals stop the
   // transport first and the router drains once connections are done.
   router.SetDrainRequestCallback([&server] { server.RequestDrain(); });
-  g_server = &server;
-  InstallDrainHandlers();
 
   LogInfo("listening on " + where + " (" +
           std::to_string(router.num_shards()) + " shards)");
